@@ -65,7 +65,7 @@ def ddam_ofdm_link(psi: PathStateInfo, beams: BeamformerSet, ofdm_cfg: OfdmConfi
             f"{window.w_tau_samples}")
     plan = build_compensation_plan(psi, mode=mode, window=window,
                                    half_length=half_length)
-    align_start = plan.n_max - window.w_tau_samples
+    align_start = max(0, plan.n_max - window.w_tau_samples)
     k = ofdm_cfg.num_subcarriers
     h_rel = np.zeros(k, dtype=np.complex128)
     covered = equivalent.taps[align_start:align_start + ofdm_cfg.cp_len + 1]
@@ -107,7 +107,9 @@ def ddam_ofdm_receive(rx, link: DdamOfdmLink, num_symbols: int,
 
     The transmit power normalization leaves an unknown scalar on the link;
     when the first OFDM symbol is a known pilot, a least-squares scalar fit
-    on it removes that factor from every returned symbol.
+    on it removes that factor from every returned symbol.  The fit is
+    weighted by |H|^2, which equals fitting the bins before the one-tap
+    division, so a near-null subcarrier cannot rotate the scale.
     """
     samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
     stream = samples[link.align_start:]
@@ -122,7 +124,8 @@ def ddam_ofdm_receive(rx, link: DdamOfdmLink, num_symbols: int,
         out[i], _ = ofdm_equalize_one_tap(bins, effective)
     if pilot_symbol is not None:
         pilot = np.asarray(pilot_symbol, dtype=np.complex128)
-        scale = (pilot.conj() @ out[0]) / (pilot.conj() @ pilot)
+        fit = np.abs(effective) ** 2 * pilot.conj()
+        scale = (fit @ out[0]) / (fit @ pilot)
         out /= scale
     return out
 

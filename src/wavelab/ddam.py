@@ -13,6 +13,12 @@ path into its on-grid leakage taps (windowed-sinc amplitudes) and aligns
 every dominant tap with a conjugate-matched weight.  Delay and Doppler
 windows relax exact alignment to a target region, trading residual spread
 for compensation headroom.
+
+Synthesis groups the terms by path and Doppler compensation.  The rotation
+above depends on the output sample n, not on kappa_t, so each group is one
+FIR over the symbols (its term weights at lags kappa_t) followed by one
+Doppler ramp, and one (M_t x groups) @ (groups x N) beam product forms the
+antenna samples.
 """
 
 from __future__ import annotations
@@ -285,12 +291,6 @@ class CompensationPlan:
     def max_kappa(self) -> int:
         return max(t.kappa for t in self.terms)
 
-    def kappas_by_path(self) -> dict:
-        out = {}
-        for t in self.terms:
-            out.setdefault(t.path_index, []).append(t.kappa)
-        return out
-
 
 def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
                             window: AlignmentWindow = None,
@@ -389,22 +389,33 @@ def _term_weights(plan: CompensationPlan, beams: BeamformerSet) -> np.ndarray:
 def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSet,
                 sample_rate: float, total_len: int, normalize: bool,
                 counter=None):
-    """Shared transmit-chain core; returns (antenna matrix, active span)."""
+    """Shared transmit-chain core; returns (antenna matrix, active span).
+
+    One FIR and Doppler ramp per (path, compensation) group, then one beam
+    product, as the module docstring derives.
+    """
     n = len(symbols)
     mt = beams.vectors.shape[0]
-    x = np.zeros((mt, total_len), dtype=np.complex128)
     weights = _term_weights(plan, beams)
+    groups = {}
     for t, w in zip(plan.terms, weights):
-        seg = symbols
-        if t.doppler_comp_hz != 0.0:
-            clock = t.kappa + np.arange(n)
-            seg = seg * np.exp(-2j * np.pi * t.doppler_comp_hz * clock / sample_rate)
-            if counter is not None:
-                counter.add(n)
-        v = w * beams.vectors[:, t.path_index]
-        x[:, t.kappa:t.kappa + n] += np.outer(v, seg)
+        groups.setdefault((t.path_index, t.doppler_comp_hz), []).append((t.kappa, w))
+    streams = np.zeros((len(groups), total_len), dtype=np.complex128)
+    for row, ((_, nu), taps) in zip(streams, groups.items()):
+        lo = min(k for k, _ in taps)
+        fir = np.zeros(max(k for k, _ in taps) - lo + 1, dtype=np.complex128)
+        for k, w in taps:
+            fir[k - lo] += w
+        out = row[lo:lo + len(fir) - 1 + n]
+        out[:] = np.convolve(symbols, fir)
+        if nu != 0.0:
+            out *= np.exp(-2j * np.pi * nu * np.arange(lo, lo + len(out)) / sample_rate)
         if counter is not None:
-            counter.add(mt + mt * n)
+            counter.add(len(fir) * n + (len(out) if nu != 0.0 else 0))
+    paths = [path for path, _ in groups]
+    x = beams.vectors[:, paths] @ streams
+    if counter is not None:
+        counter.add(mt * len(paths) * total_len)
     active = n + plan.max_kappa
     if normalize:
         power = np.sum(np.abs(x[:, :active]) ** 2) / active

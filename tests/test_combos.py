@@ -5,6 +5,7 @@ from wavelab.channel import (
     ArrayConfig,
     PathParams,
     ScalarChannel,
+    add_awgn,
     apply_channel,
     build_channel,
     sample_separated_aods,
@@ -121,6 +122,55 @@ class TestDdamOfdm:
         out = ddam_ofdm_receive(rx, link, n_sym, pilot_symbol=symbols[0])
         measured = ber(qpsk_demodulate(out[1:].ravel()), bits[2 * 16:])
         assert measured >= 1e-3
+
+    def test_delays_inside_window_noiseless(self):
+        # n_max = 2 < w_tau = 4: the residual window starts at sample 0
+        rng = np.random.default_rng(12)
+        channel, psi, beams = make_scenario(rng, [0, 1, 2], dopplers=[300.0, -700.0, 50.0])
+        window = AlignmentWindow(w_tau_samples=4)
+        eq = equivalent_channel(channel, psi, beams, window=window)
+        cfg = OfdmConfig(16, 4, RATE)
+        link = ddam_ofdm_link(psi, beams, cfg, eq, window=window)
+        assert link.align_start == 0
+        n_sym = 20
+        bits = rng.integers(0, 2, size=2 * 16 * n_sym)
+        from wavelab.modulation import qpsk_modulate
+        symbols = qpsk_modulate(bits).reshape(n_sym, 16)
+        rx = apply_channel(channel, ddam_ofdm_transmit_with_link(symbols, link))
+        out = ddam_ofdm_receive(rx, link, n_sym, pilot_symbol=symbols[0])
+        assert ber(qpsk_demodulate(out.ravel()), bits) == 0.0
+
+    def test_pilot_fit_ignores_near_null_subcarrier(self):
+        # two residual taps one sample apart, sized and phased so that
+        # subcarrier 5 of 16 sits 60 dB below the others
+        k, null_bin = 16, 5
+        aods = sample_separated_aods(np.random.default_rng(13), 2, ArrayConfig(16))
+        window = AlignmentWindow(w_tau_samples=2)
+
+        def scenario(g2):
+            paths = [PathParams(g, d / RATE, 0.0, a)
+                     for g, d, a in zip([1.0, g2], [5, 6], aods)]
+            channel = build_channel(ArrayConfig(16), paths, RATE)
+            psi = psi_from_channel(channel)
+            beams = path_beamformers(psi, "zf")
+            return channel, psi, beams, equivalent_channel(channel, psi, beams,
+                                                           window=window)
+
+        taps = scenario(1.0)[3].taps[5:7]  # each tap is gain * |gain| * c_l
+        ratio = -(1 - 1e-3) * np.exp(2j * np.pi * null_bin / k) * taps[0] / taps[1]
+        g2 = np.sqrt(abs(ratio)) * np.exp(1j * np.angle(ratio))
+        channel, psi, beams, eq = scenario(g2)
+        link = ddam_ofdm_link(psi, beams, OfdmConfig(k, 4, RATE), eq, window=window)
+        magnitude = np.abs(link.subcarrier_response)
+        assert magnitude[null_bin] < 1e-2 * np.median(magnitude)
+
+        rng = np.random.default_rng(14)
+        symbols = random_qpsk(rng, 30 * k).reshape(30, k)
+        tx = ddam_ofdm_transmit_with_link(symbols, link)
+        rx = add_awgn(apply_channel(channel, tx), 25.0, rng_seed=15)
+        out = ddam_ofdm_receive(rx, link, 30, pilot_symbol=symbols[0])
+        others = np.arange(k) != null_bin
+        assert np.array_equal(qpsk_slice(out[1:, others]), symbols[1:, others])
 
     def test_cp_shorter_than_window_rejected(self):
         rng = np.random.default_rng(10)

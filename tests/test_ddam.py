@@ -312,6 +312,81 @@ class TestModulate:
             ddam_modulate(np.ones(16), psi, beams, DdamFrameConfig(16, guard_len=1))
 
 
+def per_term_synthesis(symbols, plan, beams, rate, total_len):
+    """Oracle: one pre-delayed, pre-rotated rank-1 update per plan term."""
+    n = len(symbols)
+    norms = np.zeros(beams.num_paths)
+    for t in plan.terms:
+        norms[t.path_index] += abs(t.amplitude) ** 2
+    x = np.zeros((beams.vectors.shape[0], total_len), dtype=complex)
+    for t in plan.terms:
+        w = (np.sqrt(beams.power_allocation[t.path_index]) * np.conj(t.amplitude)
+             / np.sqrt(norms[t.path_index]))
+        clock = t.kappa + np.arange(n)
+        seg = symbols * np.exp(-2j * np.pi * t.doppler_comp_hz * clock / rate)
+        x[:, t.kappa:t.kappa + n] += np.outer(w * beams.vectors[:, t.path_index], seg)
+    return x
+
+
+class TestSynthesisOracle:
+    """Per-path FIR-plus-ramp synthesis against the per-term loop."""
+
+    RATE = 1e6
+    HALF = 8
+
+    def scenario(self, seed, delays):
+        rng = np.random.default_rng(seed)
+        array = ArrayConfig(16)
+        aods = sample_separated_aods(rng, len(delays), array)
+        gains = rng.standard_normal(len(delays)) + 1j * rng.standard_normal(len(delays))
+        dopplers = rng.uniform(-2000.0, 2000.0, size=len(delays))
+        paths = [PathParams(g, d / self.RATE, f, a)
+                 for g, d, f, a in zip(gains, delays, dopplers, aods)]
+        channel = build_channel(array, paths, self.RATE)
+        psi = psi_from_channel(channel)
+        return rng, channel, psi, path_beamformers(psi, "zf")
+
+    def check(self, seed, delays, window=(0, 0.0), guard_len=None):
+        rng, channel, psi, beams = self.scenario(seed, delays)
+        plan = delay_doppler_window(psi, window[0], window[1], mode="tap_based",
+                                    half_length=self.HALF)
+        s = random_qpsk(rng, 96)
+        frame_cfg = DdamFrameConfig(96, guard_len=guard_len)
+        frame = ddam_modulate(s, psi, beams, frame_cfg, plan=plan)
+        total = 96 + frame_cfg.resolved_guard(plan.n_max)
+        x = per_term_synthesis(s, plan, beams, self.RATE, total)
+        active = 96 + plan.max_kappa
+        x /= np.sqrt(np.sum(np.abs(x[:, :active]) ** 2) / active)
+        assert frame.samples.shape == x.shape
+        assert np.max(np.abs(frame.samples - x)) < 1e-12
+
+        eq = equivalent_channel(channel, psi, beams, plan=plan, half_length=self.HALF)
+        probe = per_term_synthesis(np.ones(1), plan, beams, self.RATE, 1 + plan.max_kappa)
+        taps = apply_channel(channel, Frame(probe, self.RATE),
+                             half_length=self.HALF).row()[:len(eq.taps)]
+        assert np.max(np.abs(eq.taps - taps)) < 1e-12
+        return plan
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tap_based_fractional(self, seed):
+        plan = self.check(seed, [3.5, 7.25, 12.4])
+        assert len(plan.terms) > 3
+
+    def test_doppler_window(self):
+        plan = self.check(5, [2.3, 6.5, 9.8], window=(2, 1500.0))
+        comps = {t.doppler_comp_hz for t in plan.terms}
+        assert any(c != 0.0 for c in comps)
+
+    def test_terms_sharing_kappa_zero(self):
+        plan = self.check(6, [4.2, 11.5])
+        last = [t for t in plan.terms if t.path_index == 1]
+        assert sum(t.kappa == 0 for t in last) >= 2
+
+    def test_guard_longer_than_max_kappa(self):
+        plan = self.check(7, [1.7, 5.5, 10.1], guard_len=40)
+        assert 40 > plan.max_kappa
+
+
 class TestEquivalentChannel:
     def test_ideal_case_single_tap(self):
         rng = np.random.default_rng(8)
