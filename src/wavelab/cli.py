@@ -27,6 +27,8 @@ import numpy as np
 from . import __version__
 from .channel import ArrayConfig, channel_from_json, sample_random_channel
 from .ddam import (
+    BEAMFORMER_CRITERIA,
+    COMPENSATION_MODES,
     AlignmentWindow,
     PsiPerturbation,
     equivalent_channel,
@@ -44,7 +46,7 @@ from .link import (
 )
 from .metrics import ComplexityParams, complexity_model, measured_complexity, papr_ccdf
 from .ofdm import FeasibilityThresholds, OfdmConfig, feasible_region
-from .otfs import OtfsConfig
+from .otfs import VARIANTS, OtfsConfig
 
 EXPERIMENTS = (
     "feasibility_region",
@@ -101,6 +103,26 @@ def _positive_int(diags, doc, path, key, default=None):
         diags.append(f"{label}: must be a positive integer, got {v!r}")
         return None
     return v
+
+
+def _power_of_two(diags, doc, path, key):
+    v = _positive_int(diags, doc, path, key)
+    if v is not None and v & (v - 1):
+        label = f"{path}.{key}" if path else key
+        diags.append(f"{label}: must be a power of two, got {v!r}")
+
+
+def _one_of(diags, doc, key, choices, default):
+    v = doc.get(key, default)
+    if v not in choices:
+        diags.append(f"{key}: must be one of {', '.join(choices)}, got {v!r}")
+
+
+def _validate_ddam_options(diags, doc):
+    """Beam criterion, compensation mode and interpolator half length."""
+    _one_of(diags, doc, "criterion", BEAMFORMER_CRITERIA, "zf")
+    _one_of(diags, doc, "mode", COMPENSATION_MODES, "path_based")
+    _positive_int(diags, doc, "", "half_length", default=32)
 
 
 def _number_list(diags, doc, path, key, allow_negative=True):
@@ -194,8 +216,8 @@ def validate_config(doc) -> list:
                 if name == "ofdm":
                     _positive_int(diags, entry, f"waveforms[{i}]", "k")
                 elif name in ("otfs_isfft", "otfs_zak"):
-                    _positive_int(diags, entry, f"waveforms[{i}]", "k")
-                    _positive_int(diags, entry, f"waveforms[{i}]", "m")
+                    _power_of_two(diags, entry, f"waveforms[{i}]", "k")
+                    _power_of_two(diags, entry, f"waveforms[{i}]", "m")
                 else:
                     _positive_int(diags, entry, f"waveforms[{i}]", "l")
                     _positive_int(diags, entry, f"waveforms[{i}]", "mt")
@@ -214,27 +236,24 @@ def validate_config(doc) -> list:
                          f"got {waveform!r}")
         _number_list(diags, doc, "", "snr_db")  # negative SNR values are fine
         _validate_channel(diags, doc.get("channel"), "channel")
+        _validate_ddam_options(diags, doc)
+        _one_of(diags, doc, "variant", VARIANTS, "zak")
         if waveform in ("ofdm", "ddam_ofdm"):
-            _positive_int(diags, doc, "", "k")
+            _power_of_two(diags, doc, "", "k")
             cp = doc.get("cp_len", 0)
             if not _is_int(cp) or cp < 0:
                 diags.append("cp_len: must be a nonnegative integer")
             _positive_int(diags, doc, "", "num_symbols")
         elif waveform in ("otfs_isfft", "otfs_zak", "ddam_otfs"):
-            _positive_int(diags, doc, "", "k")
-            _positive_int(diags, doc, "", "m")
+            _power_of_two(diags, doc, "", "k")
+            _power_of_two(diags, doc, "", "m")
             _positive_int(diags, doc, "", "num_frames")
         else:
             _positive_int(diags, doc, "", "num_symbols")
 
     elif experiment == "equivalent_channel_report":
         _validate_channel(diags, doc.get("channel"), "channel")
-        criterion = doc.get("criterion", "zf")
-        if criterion not in ("mrt", "zf", "rzf", "mmse"):
-            diags.append(f"criterion: must be mrt, zf, rzf or mmse, got {criterion!r}")
-        mode = doc.get("mode", "path_based")
-        if mode not in ("path_based", "tap_based"):
-            diags.append(f"mode: must be path_based or tap_based, got {mode!r}")
+        _validate_ddam_options(diags, doc)
 
     elif experiment == "complexity_table":
         for key in ("mt", "k", "l"):

@@ -25,10 +25,14 @@ from .ddam import (
     build_compensation_plan,
     ddam_modulate,
 )
-from .ofdm import OfdmConfig, ofdm_demodulate, ofdm_equalize_one_tap, ofdm_modulate
-from .otfs import OtfsConfig, dd_effective_matrix, mmse_equalize_dd
-from .otfs import otfs_modulate_isfft, otfs_modulate_zak
-from .otfs import otfs_demodulate_isfft, otfs_demodulate_zak
+from .ofdm import (
+    OfdmConfig,
+    _symbol_rows,
+    ofdm_demodulate,
+    ofdm_equalize_one_tap,
+    ofdm_modulate,
+)
+from .otfs import OtfsConfig, dd_effective_matrix, mmse_equalize_dd, otfs_modem
 
 
 @dataclass(frozen=True)
@@ -90,13 +94,9 @@ def ddam_ofdm_transmit(freq_symbols: np.ndarray, psi: PathStateInfo,
 
 
 def ddam_ofdm_transmit_with_link(freq_symbols: np.ndarray, link: DdamOfdmLink) -> Frame:
-    grids = np.atleast_2d(np.asarray(freq_symbols, dtype=np.complex128))
-    if grids.shape[1] != link.ofdm_cfg.num_subcarriers:
-        raise ValueError(
-            f"each OFDM symbol needs {link.ofdm_cfg.num_subcarriers} subcarriers")
-    stream = np.concatenate([
-        ofdm_modulate(link.subcarrier_weights * row, link.ofdm_cfg).row()
-        for row in grids])
+    """Phase-align and OFDM-modulate (S x K) symbol rows, then DDAM-transmit them."""
+    grids = _symbol_rows(freq_symbols, link.ofdm_cfg.num_subcarriers)
+    stream = ofdm_modulate(link.subcarrier_weights * grids, link.ofdm_cfg).row()
     frame_cfg = DdamFrameConfig(block_len=len(stream))
     return ddam_modulate(stream, link.psi, link.beams, frame_cfg, plan=link.plan)
 
@@ -105,11 +105,12 @@ def ddam_ofdm_receive(rx, link: DdamOfdmLink, num_symbols: int,
                       pilot_symbol: np.ndarray = None) -> np.ndarray:
     """Align at the residual window, demodulate and one-tap equalize.
 
-    The transmit power normalization leaves an unknown scalar on the link;
-    when the first OFDM symbol is a known pilot, a least-squares scalar fit
-    on it removes that factor from every returned symbol.  The fit is
-    weighted by |H|^2, which equals fitting the bins before the one-tap
-    division, so a near-null subcarrier cannot rotate the scale.
+    Returns the (num_symbols x K) equalized symbols.  The transmit power
+    normalization leaves an unknown scalar on the link; when the first OFDM
+    symbol is a known pilot, a least-squares scalar fit on it removes that
+    factor from every returned symbol.  The fit is weighted by |H|^2, which
+    equals fitting the bins before the one-tap division, so a near-null
+    subcarrier cannot rotate the scale.
     """
     samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
     stream = samples[link.align_start:]
@@ -117,11 +118,9 @@ def ddam_ofdm_receive(rx, link: DdamOfdmLink, num_symbols: int,
     need = num_symbols * stride
     if len(stream) < need:
         stream = np.concatenate([stream, np.zeros(need - len(stream), dtype=complex)])
-    out = np.empty((num_symbols, link.ofdm_cfg.num_subcarriers), dtype=np.complex128)
+    bins = ofdm_demodulate(stream[:need].reshape(num_symbols, stride), link.ofdm_cfg)
     effective = link.subcarrier_response * link.subcarrier_weights
-    for i in range(num_symbols):
-        bins = ofdm_demodulate(stream[i * stride:(i + 1) * stride], link.ofdm_cfg)
-        out[i], _ = ofdm_equalize_one_tap(bins, effective)
+    out, _ = ofdm_equalize_one_tap(bins, effective)
     if pilot_symbol is not None:
         pilot = np.asarray(pilot_symbol, dtype=np.complex128)
         fit = np.abs(effective) ** 2 * pilot.conj()
@@ -157,7 +156,7 @@ def ddam_otfs_transmit(grid: np.ndarray, psi: PathStateInfo, beams: BeamformerSe
                        mode: str = "path_based", variant: str = "zak",
                        half_length: int = DEFAULT_HALF_LENGTH) -> Frame:
     """OTFS-modulate the DD grid, then apply the DDAM time-domain chain."""
-    modulate = otfs_modulate_zak if variant == "zak" else otfs_modulate_isfft
+    modulate, _ = otfs_modem(variant)
     stream = modulate(grid, otfs_cfg).row()
     plan = build_compensation_plan(psi, mode=mode, window=window,
                                    half_length=half_length)
@@ -183,7 +182,7 @@ def ddam_otfs_receive(rx, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig,
     need = otfs_cfg.frame_len + otfs_cfg.cp_len
     if len(samples) < need:
         samples = np.concatenate([samples, np.zeros(need - len(samples), dtype=complex)])
-    demodulate = otfs_demodulate_zak if variant == "zak" else otfs_demodulate_isfft
+    _, demodulate = otfs_modem(variant)
     grid = demodulate(samples, otfs_cfg)
     return mmse_equalize_dd(grid, effective_matrix, noise_var)
 

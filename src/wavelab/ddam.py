@@ -49,6 +49,7 @@ SIGNIFICANT_TAP_REL_POWER = 1e-8
 PILOT_LEN = 32
 
 BEAMFORMER_CRITERIA = ("mrt", "zf", "rzf", "mmse")
+COMPENSATION_MODES = ("path_based", "tap_based")
 
 
 @dataclass(frozen=True)
@@ -303,7 +304,7 @@ def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
     compensation removes each path's shift down to the +-w_nu/2 residual
     window (exactly, for the zero window).
     """
-    if mode not in ("path_based", "tap_based"):
+    if mode not in COMPENSATION_MODES:
         raise ValueError("mode must be 'path_based' or 'tap_based'")
     window = window or AlignmentWindow()
     n_max = psi.n_max

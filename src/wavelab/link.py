@@ -45,9 +45,14 @@ from .ddam import (
 )
 from .metrics import fft_multiplies
 from .modulation import qpsk_demodulate, qpsk_modulate, random_qpsk
-from .ofdm import OfdmConfig, ofdm_demodulate, ofdm_equalize_one_tap
-from .otfs import OtfsConfig, dd_effective_matrix, mmse_equalize_dd
-from .otfs import otfs_modulate_isfft, otfs_modulate_zak
+from .ofdm import (
+    OfdmConfig,
+    _add_cyclic_prefix,
+    _symbol_rows,
+    ofdm_demodulate,
+    ofdm_equalize_one_tap,
+)
+from .otfs import OtfsConfig, dd_effective_matrix, mmse_equalize_dd, otfs_modem
 
 WAVEFORMS = ("ofdm", "otfs_isfft", "otfs_zak", "ddam", "ddam_ofdm", "ddam_otfs")
 
@@ -89,35 +94,39 @@ def ofdm_miso_precoder(channel: MultipathChannel, cfg: OfdmConfig) -> np.ndarray
 
 def ofdm_miso_modulate(freq_symbols: np.ndarray, weights: np.ndarray,
                        cfg: OfdmConfig, counter=None) -> Frame:
-    """Weight each subcarrier per antenna, IFFT per antenna, prepend the CP."""
-    x = np.asarray(freq_symbols, dtype=np.complex128)
+    """Weight each subcarrier per antenna, IFFT per antenna, prepend the CP.
+
+    freq_symbols is one (K,) symbol vector or an (S x K) block, one OFDM
+    symbol per row; weights is (M_t x K).  Returns (M_t x S * (K + cp_len))
+    samples, the S symbols back to back on every antenna.
+    """
     k = cfg.num_subcarriers
-    if x.shape != (k,):
-        raise ValueError(f"expected {k} frequency symbols")
+    x = _symbol_rows(freq_symbols, k)
     mt = weights.shape[0]
-    grid = weights * x[np.newaxis, :]
+    grid = weights[:, np.newaxis, :] * x[np.newaxis, :, :]
     if counter is not None:
-        counter.add(mt * k + mt * fft_multiplies(k))
-    time = np.fft.ifft(grid, axis=1, norm="ortho")
-    if cfg.cp_len:
-        prefix = time[:, np.arange(-cfg.cp_len, 0) % k]
-        time = np.concatenate([prefix, time], axis=1)
-    return Frame(samples=time, sample_rate=cfg.sample_rate)
+        counter.add(len(x) * (mt * k + mt * fft_multiplies(k)))
+    time = _add_cyclic_prefix(np.fft.ifft(grid, axis=-1, norm="ortho"), cfg.cp_len)
+    return Frame(samples=time.reshape(mt, -1), sample_rate=cfg.sample_rate)
 
 
 def ofdm_genie_response(channel: MultipathChannel, weights: np.ndarray,
-                        cfg: OfdmConfig, symbol_index: int) -> np.ndarray:
-    """One-tap response per subcarrier, channel frozen at the symbol center."""
+                        cfg: OfdmConfig, symbol_index) -> np.ndarray:
+    """One-tap response per subcarrier, channel frozen at each symbol center.
+
+    symbol_index is one index, giving a (K,) response, or an array of S
+    indices, giving an (S x K) response with one row per index.
+    """
     k, cp = cfg.num_subcarriers, cfg.cp_len
-    t_center = symbol_index * (k + cp) + cp + k / 2.0
+    t_center = np.asarray(symbol_index) * (k + cp) + cp + k / 2.0
     alpha = np.array([p.gain for p in channel.paths])
     dopplers = np.array([p.doppler_hz for p in channel.paths])
-    ramp = np.exp(2j * np.pi * dopplers * t_center / channel.sample_rate)
+    ramp = np.exp(2j * np.pi * dopplers * t_center[..., np.newaxis] / channel.sample_rate)
     steer = np.stack([steering_vector(p.aod, channel.array) for p in channel.paths],
                      axis=1)
     phases = _path_dft_phases(channel, k)
     cross = steer.conj().T @ weights
-    return np.sum((alpha * ramp)[:, None] * phases * cross, axis=0)
+    return (ramp * alpha) @ (phases * cross)
 
 
 def run_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
@@ -128,18 +137,12 @@ def run_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
     weights = ofdm_miso_precoder(channel, cfg)
     bits = rng.integers(0, 2, size=2 * k * num_symbols)
     symbols = qpsk_modulate(bits).reshape(num_symbols, k)
-    tx = np.concatenate(
-        [ofdm_miso_modulate(row, weights, cfg).samples for row in symbols], axis=1)
-    rx = apply_channel(channel, Frame(tx, cfg.sample_rate))
+    rx = apply_channel(channel, ofdm_miso_modulate(symbols, weights, cfg))
     noisy = add_awgn(rx, snr_db, rng_seed=rng.integers(2 ** 63)).row()
-    errors = 0
-    for i in range(num_symbols):
-        window = noisy[i * stride:(i + 1) * stride]
-        bins = ofdm_demodulate(window, cfg)
-        equalized, _ = ofdm_equalize_one_tap(
-            bins, ofdm_genie_response(channel, weights, cfg, i))
-        errors += int(np.sum(qpsk_demodulate(equalized)
-                             != bits[2 * k * i:2 * k * (i + 1)]))
+    bins = ofdm_demodulate(noisy[:num_symbols * stride].reshape(num_symbols, stride), cfg)
+    equalized, _ = ofdm_equalize_one_tap(
+        bins, ofdm_genie_response(channel, weights, cfg, np.arange(num_symbols)))
+    errors = int(np.sum(qpsk_demodulate(equalized.reshape(-1)) != bits))
     return LinkResult(snr_db=snr_db, bits=2 * k * num_symbols, bit_errors=errors)
 
 
@@ -225,11 +228,12 @@ def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
     beam = otfs_miso_beam(channel)
     scalar = otfs_scalar_taps(channel, beam)
     h_dd = dd_effective_matrix(scalar, cfg, variant=variant)
-    modulate = otfs_modulate_zak if variant == "zak" else otfs_modulate_isfft
+    modulate, demodulate = otfs_modem(variant)
     noise_var = 10 ** (-snr_db / 10)
     seeds = np.random.SeedSequence(rng_seed)
     errors = 0
     per_frame = 2 * cfg.frame_len
+    need = cfg.frame_len + cfg.cp_len
     for _ in range(num_frames):
         child = np.random.default_rng(seeds.spawn(1)[0])
         bits = child.integers(0, 2, size=per_frame)
@@ -239,11 +243,8 @@ def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
         rx = add_awgn(apply_channel(channel, tx), snr_db,
                       rng_seed=child.integers(2 ** 63))
         samples = rx.row()
-        need = cfg.frame_len + cfg.cp_len
         if len(samples) < need:
             samples = np.concatenate([samples, np.zeros(need - len(samples), complex)])
-        from .otfs import otfs_demodulate_isfft, otfs_demodulate_zak
-        demodulate = otfs_demodulate_zak if variant == "zak" else otfs_demodulate_isfft
         grid_rx = demodulate(samples, cfg)
         equalized = mmse_equalize_dd(grid_rx, h_dd, noise_var)
         errors += int(np.sum(qpsk_demodulate(equalized.reshape(-1)) != bits))
@@ -317,7 +318,7 @@ def make_papr_generator(waveform: str, **params):
         cfg = OtfsConfig(num_doppler_bins=params["num_doppler_bins"],
                          num_delay_bins=params["num_delay_bins"],
                          cp_len=0, sample_rate=params.get("sample_rate", 1e6))
-        modulate = otfs_modulate_zak if waveform == "otfs_zak" else otfs_modulate_isfft
+        modulate, _ = otfs_modem(waveform.split("_")[1])
 
         def gen(rng):
             grid = random_qpsk(rng, cfg.frame_len).reshape(

@@ -117,32 +117,55 @@ def check_parameters(cfg: OfdmConfig, tau_d: float, nu_d: float, xi: float = 10.
     return violations
 
 
+def _symbol_rows(freq_symbols: np.ndarray, k: int) -> np.ndarray:
+    """A (K,) symbol vector or an (S x K) block as complex (S x K) rows."""
+    x = np.asarray(freq_symbols, dtype=np.complex128)
+    if x.ndim == 1:
+        x = x[np.newaxis, :]
+    if x.ndim != 2 or x.shape[1] != k:
+        raise ValueError(f"expected {k} frequency symbols per row, got shape {x.shape}")
+    return x
+
+
+def _add_cyclic_prefix(time: np.ndarray, cp_len: int) -> np.ndarray:
+    """Prepend the last cp_len samples of every row (along the last axis)."""
+    if not cp_len:
+        return time
+    # modular indexing keeps the extension cyclic even for cp_len > K
+    prefix = time[..., np.arange(-cp_len, 0) % time.shape[-1]]
+    return np.concatenate([prefix, time], axis=-1)
+
+
 def ofdm_modulate(freq_symbols: np.ndarray, cfg: OfdmConfig, counter=None) -> Frame:
-    """Unitary inverse DFT of one symbol vector plus cyclic prefix."""
-    freq_symbols = np.asarray(freq_symbols, dtype=np.complex128)
-    if freq_symbols.shape != (cfg.num_subcarriers,):
-        raise ValueError(
-            f"expected {cfg.num_subcarriers} frequency symbols, got {freq_symbols.shape}")
+    """Unitary inverse DFT plus cyclic prefix of each OFDM symbol.
+
+    freq_symbols is one (K,) symbol vector or an (S x K) block, one OFDM
+    symbol per row.  The result is one row of S * (K + cp_len) samples, the
+    S symbols back to back, each with its own prefix.
+    """
+    x = _symbol_rows(freq_symbols, cfg.num_subcarriers)
     if counter is not None:
-        counter.add(fft_multiplies(cfg.num_subcarriers))
-    time = np.fft.ifft(freq_symbols, norm="ortho")
-    if cfg.cp_len:
-        # modular indexing keeps the extension cyclic even for cp_len > K
-        prefix = time[np.arange(-cfg.cp_len, 0) % cfg.num_subcarriers]
-        time = np.concatenate([prefix, time])
-    return Frame(samples=time[np.newaxis, :], sample_rate=cfg.sample_rate)
+        counter.add(len(x) * fft_multiplies(cfg.num_subcarriers))
+    time = _add_cyclic_prefix(np.fft.ifft(x, axis=1, norm="ortho"), cfg.cp_len)
+    return Frame(samples=time.reshape(1, -1), sample_rate=cfg.sample_rate)
 
 
 def ofdm_demodulate(rx, cfg: OfdmConfig, counter=None) -> np.ndarray:
-    """Drop the cyclic prefix and apply the unitary DFT to one symbol window."""
+    """Drop the cyclic prefix and apply the unitary DFT to symbol windows.
+
+    rx is a Frame or 1-D stream, of which the first K + cp_len samples are
+    one symbol window and a (K,) vector is returned, or an (S x (K + cp_len))
+    array of S windows, one per row, and an (S x K) array is returned.
+    """
     samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
     need = cfg.num_subcarriers + cfg.cp_len
-    if len(samples) < need:
-        raise ValueError(f"need at least {need} samples, got {len(samples)}")
+    if samples.ndim == 1 and len(samples) >= need:
+        samples = samples[:need]
+    elif samples.ndim != 2 or samples.shape[1] != need:
+        raise ValueError(f"need {need}-sample symbol windows, got shape {samples.shape}")
     if counter is not None:
-        counter.add(fft_multiplies(cfg.num_subcarriers))
-    window = samples[cfg.cp_len:need]
-    return np.fft.fft(window, norm="ortho")
+        counter.add(samples.size // need * fft_multiplies(cfg.num_subcarriers))
+    return np.fft.fft(samples[..., cfg.cp_len:], axis=-1, norm="ortho")
 
 
 # One-tap responses below this magnitude are reported as erasures.
@@ -152,13 +175,17 @@ ERASURE_THRESHOLD = 1e-15
 def ofdm_equalize_one_tap(freq_symbols: np.ndarray, channel_freq_response: np.ndarray):
     """Element-wise division by the per-subcarrier response.
 
-    Returns (equalized, erasure_mask); bins whose response magnitude falls
-    below the erasure threshold are zeroed and flagged instead of divided.
+    freq_symbols is a (K,) vector or an (S x K) block; the response has the
+    same shape, or is one (K,) response shared by every row.  Returns
+    (equalized, erasure_mask) in the shape of freq_symbols; bins whose
+    response magnitude falls below the erasure threshold are zeroed and
+    flagged instead of divided.
     """
     x = np.asarray(freq_symbols, dtype=np.complex128)
     h = np.asarray(channel_freq_response, dtype=np.complex128)
-    if x.shape != h.shape:
+    if h.shape != x.shape and h.shape != x.shape[-1:]:
         raise ValueError("symbol and response vectors must have equal length")
+    h = np.broadcast_to(h, x.shape)
     erased = np.abs(h) < ERASURE_THRESHOLD
     out = np.zeros_like(x)
     ok = ~erased

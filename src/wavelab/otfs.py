@@ -47,14 +47,6 @@ class OtfsConfig:
         """Samples per frame excluding the cyclic prefix."""
         return self.num_doppler_bins * self.num_delay_bins
 
-    @property
-    def delay_resolution(self) -> float:
-        return 1.0 / self.sample_rate
-
-    @property
-    def doppler_resolution(self) -> float:
-        return self.sample_rate / self.frame_len
-
 
 def _check_grid(grid: np.ndarray, cfg: OtfsConfig) -> np.ndarray:
     grid = np.asarray(grid, dtype=np.complex128)
@@ -121,6 +113,21 @@ def otfs_demodulate_zak(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
     return np.fft.fft(z, axis=1, norm="ortho")
 
 
+VARIANTS = ("zak", "isfft")
+
+
+def otfs_modem(variant: str):
+    """(modulate, demodulate) functions of the "zak" or "isfft" variant."""
+    # Built on each call from the module attributes, so a wrapper installed
+    # on them (as the benchmark's tracer does) sees every call.
+    modems = {"zak": (otfs_modulate_zak, otfs_demodulate_zak),
+              "isfft": (otfs_modulate_isfft, otfs_demodulate_isfft)}
+    if variant not in modems:
+        raise ValueError(f"unknown OTFS variant {variant!r}, expected one of "
+                         f"{', '.join(VARIANTS)}")
+    return modems[variant]
+
+
 def dd_effective_matrix(channel, cfg: OtfsConfig, variant: str = "zak") -> np.ndarray:
     """Exact end-to-end DD-domain map of a scalar channel, column by column.
 
@@ -132,8 +139,7 @@ def dd_effective_matrix(channel, cfg: OtfsConfig, variant: str = "zak") -> np.nd
     size = k * m
     if size > MAX_DENSE_GRID:
         raise ValueError(f"grid size {size} exceeds dense limit {MAX_DENSE_GRID}")
-    modulate = otfs_modulate_zak if variant == "zak" else otfs_modulate_isfft
-    demodulate = otfs_demodulate_zak if variant == "zak" else otfs_demodulate_isfft
+    modulate, demodulate = otfs_modem(variant)
     h = np.empty((size, size), dtype=np.complex128)
     for j in range(size):
         grid = np.zeros((k, m), dtype=np.complex128)

@@ -84,6 +84,27 @@ class TestValidate:
         assert any("channel.paths[0]" in d for d in diags)
 
 
+    @pytest.mark.parametrize("waveform,field,value", [
+        ("ddam", "criterion", "zz"),
+        ("ddam", "mode", "zz"),
+        ("ddam", "half_length", -3),
+        ("ofdm", "k", 63),
+        ("otfs_zak", "m", 6),
+        ("ddam_otfs", "variant", "zz"),
+    ])
+    def test_bad_ber_field_exits_config_error(self, tmp_path, capsys, waveform,
+                                              field, value):
+        doc = {
+            "experiment": "ber_vs_snr", "seed": 1, "waveform": waveform,
+            "snr_db": [10.0], "channel": channel_doc(), "num_symbols": 4,
+            "k": 16, "m": 4, "cp_len": 4, "num_frames": 1, field: value,
+        }
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"{field}: ")
+
+
 class TestRunExperiment:
     def test_feasibility_matches_module(self, tmp_path):
         cfg = write_config(tmp_path, feasibility_config())

@@ -3,6 +3,7 @@ import pytest
 
 from wavelab.channel import (
     ArrayConfig,
+    Frame,
     PathParams,
     ScalarChannel,
     add_awgn,
@@ -32,8 +33,8 @@ from wavelab.ddam import (
     psi_from_channel,
 )
 from wavelab.metrics import ber
-from wavelab.modulation import qpsk_demodulate, qpsk_slice, random_qpsk
-from wavelab.ofdm import OfdmConfig
+from wavelab.modulation import qpsk_demodulate, qpsk_modulate, qpsk_slice, random_qpsk
+from wavelab.ofdm import OfdmConfig, ofdm_demodulate, ofdm_equalize_one_tap, ofdm_modulate
 from wavelab.otfs import OtfsConfig, dd_effective_matrix
 from wavelab.otfs import otfs_modulate_zak
 
@@ -141,26 +142,8 @@ class TestDdamOfdm:
         assert ber(qpsk_demodulate(out.ravel()), bits) == 0.0
 
     def test_pilot_fit_ignores_near_null_subcarrier(self):
-        # two residual taps one sample apart, sized and phased so that
-        # subcarrier 5 of 16 sits 60 dB below the others
         k, null_bin = 16, 5
-        aods = sample_separated_aods(np.random.default_rng(13), 2, ArrayConfig(16))
-        window = AlignmentWindow(w_tau_samples=2)
-
-        def scenario(g2):
-            paths = [PathParams(g, d / RATE, 0.0, a)
-                     for g, d, a in zip([1.0, g2], [5, 6], aods)]
-            channel = build_channel(ArrayConfig(16), paths, RATE)
-            psi = psi_from_channel(channel)
-            beams = path_beamformers(psi, "zf")
-            return channel, psi, beams, equivalent_channel(channel, psi, beams,
-                                                           window=window)
-
-        taps = scenario(1.0)[3].taps[5:7]  # each tap is gain * |gain| * c_l
-        ratio = -(1 - 1e-3) * np.exp(2j * np.pi * null_bin / k) * taps[0] / taps[1]
-        g2 = np.sqrt(abs(ratio)) * np.exp(1j * np.angle(ratio))
-        channel, psi, beams, eq = scenario(g2)
-        link = ddam_ofdm_link(psi, beams, OfdmConfig(k, 4, RATE), eq, window=window)
+        channel, link = near_null_scenario(k, null_bin)
         magnitude = np.abs(link.subcarrier_response)
         assert magnitude[null_bin] < 1e-2 * np.median(magnitude)
 
@@ -206,6 +189,96 @@ class TestDdamOfdm:
             rx = apply_channel(channel, ddam_ofdm_transmit_with_link(symbols, link))
             out = ddam_ofdm_receive(rx, link, 2)
             assert np.array_equal(qpsk_slice(out), symbols), f"scenario {trial}"
+
+
+def per_symbol_receive(rx, link, num_symbols, pilot_symbol=None):
+    """The per-symbol ddam_ofdm_receive loop."""
+    samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
+    stream = samples[link.align_start:]
+    stride = link.symbol_stride
+    need = num_symbols * stride
+    if len(stream) < need:
+        stream = np.concatenate([stream, np.zeros(need - len(stream), dtype=complex)])
+    out = np.empty((num_symbols, link.ofdm_cfg.num_subcarriers), dtype=np.complex128)
+    effective = link.subcarrier_response * link.subcarrier_weights
+    for i in range(num_symbols):
+        bins = ofdm_demodulate(stream[i * stride:(i + 1) * stride], link.ofdm_cfg)
+        out[i], _ = ofdm_equalize_one_tap(bins, effective)
+    if pilot_symbol is not None:
+        pilot = np.asarray(pilot_symbol, dtype=np.complex128)
+        fit = np.abs(effective) ** 2 * pilot.conj()
+        out /= (fit @ out[0]) / (fit @ pilot)
+    return out
+
+
+def near_null_scenario(k=16, null_bin=5):
+    """Two residual taps one sample apart; subcarrier null_bin 60 dB down."""
+    aods = sample_separated_aods(np.random.default_rng(13), 2, ArrayConfig(16))
+    window = AlignmentWindow(w_tau_samples=2)
+
+    def scenario(g2):
+        paths = [PathParams(g, d / RATE, 0.0, a)
+                 for g, d, a in zip([1.0, g2], [5, 6], aods)]
+        channel = build_channel(ArrayConfig(16), paths, RATE)
+        psi = psi_from_channel(channel)
+        beams = path_beamformers(psi, "zf")
+        return channel, psi, beams, equivalent_channel(channel, psi, beams,
+                                                       window=window)
+
+    taps = scenario(1.0)[3].taps[5:7]  # each tap is gain * |gain| * c_l
+    ratio = -(1 - 1e-3) * np.exp(2j * np.pi * null_bin / k) * taps[0] / taps[1]
+    channel, psi, beams, eq = scenario(np.sqrt(abs(ratio)) * np.exp(1j * np.angle(ratio)))
+    link = ddam_ofdm_link(psi, beams, OfdmConfig(k, 4, RATE), eq, window=window)
+    return channel, link
+
+
+def doppler_scenario():
+    rng = np.random.default_rng(40)
+    channel, psi, beams = make_scenario(rng, [1, 4.5, 9], dopplers=[900.0, -600.0, 250.0])
+    window = AlignmentWindow(w_tau_samples=4)
+    eq = equivalent_channel(channel, psi, beams, window=window)
+    return channel, ddam_ofdm_link(psi, beams, OfdmConfig(16, 4, RATE), eq, window=window)
+
+
+class TestDdamOfdmSymbolBlocks:
+    """The batched DDAM-OFDM transmitter and receiver against per-symbol loops."""
+
+    def test_transmit_equals_stacked_rows(self):
+        channel, link = doppler_scenario()
+        symbols = random_qpsk(np.random.default_rng(41), 9 * 16).reshape(9, 16)
+        stream = np.concatenate([
+            ofdm_modulate(link.subcarrier_weights * row, link.ofdm_cfg).row()
+            for row in symbols])
+        ref = ddam_modulate(stream, link.psi, link.beams,
+                            DdamFrameConfig(len(stream)), plan=link.plan)
+        tx = ddam_ofdm_transmit_with_link(symbols, link)
+        assert np.array_equal(tx.samples, ref.samples)
+
+    @pytest.mark.parametrize("scenario,snr_db", [(doppler_scenario, 6.0),
+                                                 (near_null_scenario, 25.0)])
+    def test_receive_matches_per_symbol_loop(self, scenario, snr_db):
+        channel, link = scenario()
+        n_sym = 40
+        rng = np.random.default_rng(42)
+        bits = rng.integers(0, 2, size=2 * 16 * n_sym)
+        symbols = qpsk_modulate(bits).reshape(n_sym, 16)
+        tx = ddam_ofdm_transmit_with_link(symbols, link)
+        rx = add_awgn(apply_channel(channel, tx), snr_db, rng_seed=43)
+        ref = per_symbol_receive(rx, link, n_sym, pilot_symbol=symbols[0])
+        out = ddam_ofdm_receive(rx, link, n_sym, pilot_symbol=symbols[0])
+        assert np.array_equal(out, ref)
+        errors = np.sum(qpsk_demodulate(out[1:].ravel()) != bits[2 * 16:])
+        assert errors == np.sum(qpsk_demodulate(ref[1:].ravel()) != bits[2 * 16:])
+        # a stream shorter than the symbols is zero-padded alike
+        short = rx.row()[:-100]
+        assert np.array_equal(ddam_ofdm_receive(short, link, n_sym),
+                              per_symbol_receive(short, link, n_sym))
+
+    def test_transmit_shape_errors(self):
+        _, link = doppler_scenario()
+        for bad in (np.zeros((3, 15)), np.zeros((3, 1)), np.zeros((2, 3, 16))):
+            with pytest.raises(ValueError):
+                ddam_ofdm_transmit_with_link(bad, link)
 
 
 class TestDdamOtfs:

@@ -1,8 +1,23 @@
 import numpy as np
 import pytest
 
-from wavelab.channel import ArrayConfig, PathParams, build_channel, apply_channel
-from wavelab.modulation import random_qpsk
+from wavelab.channel import (
+    ArrayConfig,
+    Frame,
+    PathParams,
+    add_awgn,
+    apply_channel,
+    build_channel,
+    sample_separated_aods,
+)
+from wavelab.link import (
+    ofdm_genie_response,
+    ofdm_miso_modulate,
+    ofdm_miso_precoder,
+    run_ofdm_ber,
+)
+from wavelab.metrics import OpCounter
+from wavelab.modulation import qpsk_demodulate, qpsk_modulate, random_qpsk
 from wavelab.ofdm import (
     FeasibilityThresholds,
     OfdmConfig,
@@ -187,3 +202,149 @@ class TestEqualizer:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ofdm_equalize_one_tap(np.ones(4), np.ones(5))
+
+
+RATE = 1e6
+
+
+def doppler_channel():
+    """Four paths on eight antennas, fractional delays, Dopplers up to 1 kHz."""
+    rng = np.random.default_rng(21)
+    aods = sample_separated_aods(rng, 4, ArrayConfig(8))
+    gains = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    paths = [PathParams(g, d / RATE, f, a) for g, d, f, a in
+             zip(gains / np.linalg.norm(gains), [0.0, 2.5, 5.25, 9.0],
+                 [800.0, -1000.0, 350.0, -120.0], aods)]
+    return build_channel(ArrayConfig(8), paths, RATE)
+
+
+def near_null_channel(k=16, null_bin=5):
+    """One antenna, taps at 0 and 1 sample, subcarrier null_bin 60 dB down."""
+    g2 = -(1 - 1e-3) * np.exp(2j * np.pi * null_bin / k)
+    paths = [PathParams(1.0, 0.0, 0.0, 0.0), PathParams(g2, 1 / RATE, 0.0, 0.0)]
+    return build_channel(ArrayConfig(1), paths, RATE)
+
+
+def per_symbol_ofdm_ber(channel, cfg, snr_db, num_symbols, rng_seed):
+    """The per-symbol run_ofdm_ber loop: (bit errors, equalized symbols)."""
+    rng = np.random.default_rng(rng_seed)
+    k, stride = cfg.num_subcarriers, cfg.num_subcarriers + cfg.cp_len
+    weights = ofdm_miso_precoder(channel, cfg)
+    bits = rng.integers(0, 2, size=2 * k * num_symbols)
+    symbols = qpsk_modulate(bits).reshape(num_symbols, k)
+    tx = np.concatenate(
+        [ofdm_miso_modulate(row, weights, cfg).samples for row in symbols], axis=1)
+    rx = apply_channel(channel, Frame(tx, cfg.sample_rate))
+    noisy = add_awgn(rx, snr_db, rng_seed=rng.integers(2 ** 63)).row()
+    errors = 0
+    equalized = np.empty((num_symbols, k), dtype=np.complex128)
+    for i in range(num_symbols):
+        bins = ofdm_demodulate(noisy[i * stride:(i + 1) * stride], cfg)
+        equalized[i], _ = ofdm_equalize_one_tap(
+            bins, ofdm_genie_response(channel, weights, cfg, i))
+        errors += int(np.sum(qpsk_demodulate(equalized[i])
+                             != bits[2 * k * i:2 * k * (i + 1)]))
+    return errors, equalized
+
+
+class TestSymbolBlocks:
+    """(S x K) blocks against the stacked per-symbol calls."""
+
+    cfg = OfdmConfig(16, 5, RATE)
+
+    def block(self, s=7, seed=30):
+        return random_qpsk(np.random.default_rng(seed), s * 16).reshape(s, 16)
+
+    def test_modulate_equals_stacked_rows(self):
+        x = self.block()
+        stacked = np.concatenate([ofdm_modulate(row, self.cfg).row() for row in x])
+        batch = ofdm_modulate(x, self.cfg)
+        assert batch.samples.shape == (1, 7 * 21)
+        assert np.array_equal(batch.row(), stacked)
+
+    def test_demodulate_equals_stacked_rows(self):
+        rng = np.random.default_rng(31)
+        windows = rng.standard_normal((7, 21)) + 1j * rng.standard_normal((7, 21))
+        stacked = np.stack([ofdm_demodulate(w, self.cfg) for w in windows])
+        assert np.array_equal(ofdm_demodulate(windows, self.cfg), stacked)
+
+    def test_miso_modulate_equals_stacked_rows(self):
+        x = self.block()
+        rng = np.random.default_rng(32)
+        weights = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+        stacked = np.concatenate(
+            [ofdm_miso_modulate(row, weights, self.cfg).samples for row in x], axis=1)
+        batch = ofdm_miso_modulate(x, weights, self.cfg)
+        assert batch.samples.shape == (4, 7 * 21)
+        assert np.array_equal(batch.samples, stacked)
+
+    def test_genie_response_equals_stacked_indices(self):
+        channel = doppler_channel()
+        weights = ofdm_miso_precoder(channel, self.cfg)
+        indices = np.arange(40)
+        stacked = np.stack([ofdm_genie_response(channel, weights, self.cfg, int(i))
+                            for i in indices])
+        batch = ofdm_genie_response(channel, weights, self.cfg, indices)
+        assert batch.shape == (40, 16)
+        assert np.max(np.abs(batch - stacked)) < 1e-12
+
+    def test_equalize_broadcasts_one_response(self):
+        x = self.block()
+        h = np.linspace(0.5, 2.0, 16) * np.exp(1j * np.arange(16))
+        h[3] = 0.0
+        out, erased = ofdm_equalize_one_tap(x, h)
+        for i, row in enumerate(x):
+            ref, ref_erased = ofdm_equalize_one_tap(row, h)
+            assert np.array_equal(out[i], ref)
+            assert np.array_equal(erased[i], ref_erased)
+
+    def test_op_counts_scale_with_rows(self):
+        x = self.block()
+        weights = np.ones((4, 16)) / 2.0
+        for run in (lambda rows, c: ofdm_modulate(rows, self.cfg, counter=c),
+                    lambda rows, c: ofdm_miso_modulate(rows, weights, self.cfg, counter=c),
+                    lambda rows, c: ofdm_demodulate(
+                        np.zeros((len(rows), 21), dtype=complex), self.cfg, counter=c)):
+            one, many = OpCounter(), OpCounter()
+            run(x[:1], one)
+            run(x, many)
+            assert one.total > 0
+            assert many.total == 7 * one.total
+
+    def test_shape_errors(self):
+        cfg, weights = self.cfg, np.ones((4, 16))
+        for bad in (np.zeros((3, 15)), np.zeros((2, 3, 16)), np.zeros(17)):
+            with pytest.raises(ValueError):
+                ofdm_modulate(bad, cfg)
+            with pytest.raises(ValueError):
+                ofdm_miso_modulate(bad, weights, cfg)
+        for bad in (np.zeros((3, 20)), np.zeros((2, 3, 21)), np.zeros(20)):
+            with pytest.raises(ValueError):
+                ofdm_demodulate(bad, cfg)
+        with pytest.raises(ValueError):
+            ofdm_equalize_one_tap(np.ones((3, 16)), np.ones((3, 15)))
+
+    @pytest.mark.parametrize("channel,snr_db", [(doppler_channel(), 8.0),
+                                                (near_null_channel(), 20.0)])
+    def test_run_ofdm_ber_matches_per_symbol_loop(self, channel, snr_db):
+        num_symbols = 50
+        errors, equalized = per_symbol_ofdm_ber(channel, self.cfg, snr_db,
+                                                num_symbols, 33)
+        result = run_ofdm_ber(channel, self.cfg, snr_db, num_symbols, 33)
+        assert result.bits == 2 * 16 * num_symbols
+        assert result.bit_errors == errors
+        assert errors > 0
+
+        # the same received symbols through the batched receiver
+        rng = np.random.default_rng(33)
+        weights = ofdm_miso_precoder(channel, self.cfg)
+        bits = rng.integers(0, 2, size=2 * 16 * num_symbols)
+        symbols = qpsk_modulate(bits).reshape(num_symbols, 16)
+        rx = apply_channel(channel, ofdm_miso_modulate(symbols, weights, self.cfg))
+        noisy = add_awgn(rx, snr_db, rng_seed=rng.integers(2 ** 63)).row()
+        bins = ofdm_demodulate(noisy[:num_symbols * 21].reshape(num_symbols, 21),
+                               self.cfg)
+        batch, _ = ofdm_equalize_one_tap(
+            bins, ofdm_genie_response(channel, weights, self.cfg,
+                                      np.arange(num_symbols)))
+        assert np.max(np.abs(batch - equalized)) < 1e-9

@@ -12,6 +12,7 @@ from wavelab.otfs import (
     otfs_demodulate_isfft,
     otfs_demodulate_zak,
     otfs_modulate_isfft,
+    otfs_modem,
     otfs_modulate_zak,
 )
 
@@ -120,6 +121,16 @@ class TestEffectiveMatrix:
         cfg = OtfsConfig(64, 128, 0, 1e6)
         with pytest.raises(ValueError):
             dd_effective_matrix(ScalarChannel(((1.0, 0, 0.0),), 1e6), cfg)
+
+
+    def test_variant_lookup(self):
+        assert otfs_modem("zak") == (otfs_modulate_zak, otfs_demodulate_zak)
+        assert otfs_modem("isfft") == (otfs_modulate_isfft, otfs_demodulate_isfft)
+        with pytest.raises(ValueError, match="variant"):
+            otfs_modem("zz")
+        with pytest.raises(ValueError, match="variant"):
+            dd_effective_matrix(ScalarChannel(((1.0, 0.0, 0.0),), 1e6),
+                                OtfsConfig(4, 8, 0, 1e6), variant="zz")
 
 
 class TestMmse:
