@@ -4,12 +4,18 @@ The channel is a sum of L discrete paths, each with a complex gain, a
 propagation delay, a Doppler shift and an angle of departure seen from a
 uniform linear transmit array.  Delays are applied as integer sample shifts
 plus a windowed-sinc interpolation filter for the fractional residue.
+
+After beamforming every link is a short list of scalar (gain, delay,
+Doppler) taps, so ScalarChannel is the one place taps are applied:
+apply_channel projects the antenna rows onto each path's steering vector
+and hands the per-path rows to the channel's own tap list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,10 +110,27 @@ class MultipathChannel:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
         object.__setattr__(self, "paths", tuple(self.paths))
+        object.__setattr__(self, "_taps", {})
 
     @property
     def num_paths(self) -> int:
         return len(self.paths)
+
+    @cached_property
+    def steering_matrix(self) -> np.ndarray:
+        """(M_t x L) array responses, one column per path."""
+        return np.stack([steering_vector(p.aod, self.array) for p in self.paths], axis=1)
+
+    def scalar_taps(self, half_length: int = DEFAULT_HALF_LENGTH,
+                    fractional_tol: float = FRACTIONAL_TOL) -> "ScalarChannel":
+        """The paths as (gain, delay_samples, doppler_hz) taps, built once per filter."""
+        key = (half_length, fractional_tol)
+        if key not in self._taps:
+            taps = tuple((p.gain, p.delay_s * self.sample_rate, p.doppler_hz)
+                         for p in self.paths)
+            self._taps[key] = ScalarChannel(taps, self.sample_rate, half_length,
+                                            fractional_tol)
+        return self._taps[key]
 
     def delay_spread(self) -> float:
         delays = [p.delay_s for p in self.paths]
@@ -212,22 +235,88 @@ def fractional_delay_taps(fractional_delay: float, half_length: int = DEFAULT_HA
     return taps / taps.sum()
 
 
-def _delayed_segment(signal: np.ndarray, delay_samples: float, half_length: int,
-                     fractional_tol: float):
-    """Return (start_index, segment) realizing a delay of the given samples.
+def _delay_filter(delay_samples: float, half_length: int, fractional_tol: float):
+    """(start, fir) realizing a delay of the given samples.
 
-    Integer delays are exact shifts; fractional residues go through the
-    windowed-sinc filter, whose transient extends half_length samples on
-    each side of the nominal arrival.
+    Integer delays are exact shifts (fir None); fractional residues use the
+    windowed-sinc filter, whose output starts half_length samples before the
+    integer part of the delay.
     """
     nearest = round_half_up(delay_samples)
-    residue = delay_samples - nearest
-    if abs(residue) <= fractional_tol:
-        return nearest, signal
+    if abs(delay_samples - nearest) <= fractional_tol:
+        return nearest, None
     base = int(math.floor(delay_samples))
-    frac = delay_samples - base
-    taps = fractional_delay_taps(frac, half_length)
-    return base - half_length, np.convolve(signal, taps)
+    return base - half_length, fractional_delay_taps(delay_samples - base, half_length)
+
+
+@dataclass(frozen=True)
+class ScalarChannel:
+    """Scalar channel of (gain, delay_samples, doppler_hz) taps.
+
+    y[n] = sum_l gain_l * exp(j*2*pi*doppler_l*n/B) * x_l[n - delay_l], with
+    the Doppler ramp indexed by the receiver clock.  A 1-D signal goes
+    through every tap; an (L x N) block sends row l through tap l.  Each
+    tap's shift and interpolation filter are built once, with the object.
+    The output is longer than the input by the largest integer delay plus
+    any interpolation transient; acausal leakage of the interpolator for
+    near-zero delays is truncated.
+    """
+
+    taps: tuple
+    sample_rate: float
+    half_length: int = DEFAULT_HALF_LENGTH
+    fractional_tol: float = FRACTIONAL_TOL
+
+    def __post_init__(self):
+        object.__setattr__(self, "taps", tuple(self.taps))
+        filters = tuple(_delay_filter(float(delay), self.half_length, self.fractional_tol)
+                        for _, delay, _ in self.taps)
+        object.__setattr__(self, "_filters", filters)
+        # samples the output runs past the input's end
+        object.__setattr__(self, "_tail", max(
+            [0] + [start + (0 if fir is None else len(fir) - 1) for start, fir in filters]))
+
+    @property
+    def gains(self) -> np.ndarray:
+        return np.array([t[0] for t in self.taps])
+
+    @property
+    def dopplers(self) -> np.ndarray:
+        return np.array([t[2] for t in self.taps])
+
+    def __call__(self, signal: np.ndarray) -> np.ndarray:
+        signal = np.asarray(signal, dtype=np.complex128)
+        if signal.ndim == 2 and len(signal) != len(self.taps):
+            raise ValueError(f"{len(signal)} input rows for {len(self.taps)} taps")
+        y = np.zeros(signal.shape[-1] + self._tail, dtype=np.complex128)
+        for l, ((gain, _, doppler_hz), (start, fir)) in enumerate(
+                zip(self.taps, self._filters)):
+            segment = signal[l] if signal.ndim == 2 else signal
+            if fir is not None:
+                segment = np.convolve(segment, fir)
+            if start < 0:
+                segment, start = segment[-start:], 0
+            n = np.arange(start, start + len(segment))
+            y[start:start + len(segment)] += gain * np.exp(
+                2j * np.pi * doppler_hz * n / self.sample_rate) * segment
+        return y
+
+    def frequency_response(self, k: int) -> np.ndarray:
+        """(L x K) K-point DFT of each tap's delay filter, gain and Doppler excluded."""
+        bins = np.arange(k)
+        response = np.empty((len(self.taps), k), dtype=np.complex128)
+        for l, (start, fir) in enumerate(self._filters):
+            fir = np.ones(1) if fir is None else fir
+            positions = start + np.arange(len(fir))
+            response[l] = np.exp(-2j * np.pi * np.outer(bins, positions) / k) @ fir
+        return response
+
+
+def apply_scalar_paths(signal: np.ndarray, paths, sample_rate: float,
+                       half_length: int = DEFAULT_HALF_LENGTH,
+                       fractional_tol: float = FRACTIONAL_TOL) -> np.ndarray:
+    """One-shot ScalarChannel: send a signal through (gain, delay_samples, doppler_hz) taps."""
+    return ScalarChannel(paths, sample_rate, half_length, fractional_tol)(signal)
 
 
 def apply_channel(channel: MultipathChannel, tx: Frame,
@@ -235,11 +324,9 @@ def apply_channel(channel: MultipathChannel, tx: Frame,
                   fractional_tol: float = FRACTIONAL_TOL) -> Frame:
     """Propagate an M_t-row frame through the channel, returning one row.
 
-    y[n] = sum_l gain_l * exp(j*2*pi*doppler_l*n/B) * a(aod_l)^H x[n - delay_l]
-    with the Doppler ramp indexed by the receiver clock.  The output is
-    longer than the input by the largest integer delay plus any
-    interpolation transient; acausal leakage of the interpolator for
-    near-zero delays is truncated.
+    y[n] = sum_l gain_l * exp(j*2*pi*doppler_l*n/B) * a(aod_l)^H x[n - delay_l]:
+    the steering projection A^H x gives one row per path, which the
+    channel's scalar taps delay, rotate and sum (see ScalarChannel).
     """
     if tx.num_antennas != channel.array.num_tx_antennas:
         raise ValueError(
@@ -247,63 +334,9 @@ def apply_channel(channel: MultipathChannel, tx: Frame,
             f"{channel.array.num_tx_antennas}")
     if tx.sample_rate != channel.sample_rate:
         raise ValueError("tx frame and channel sample rates differ")
-
-    rate = channel.sample_rate
-    pieces = []
-    total = tx.num_samples
-    for path in channel.paths:
-        a = steering_vector(path.aod, channel.array)
-        scalar = a.conj() @ tx.samples
-        start, segment = _delayed_segment(
-            scalar, path.delay_s * rate, half_length, fractional_tol)
-        if start < 0:
-            segment = segment[-start:]
-            start = 0
-        pieces.append((path, start, segment))
-        total = max(total, start + len(segment))
-
-    y = np.zeros(total, dtype=np.complex128)
-    for path, start, segment in pieces:
-        n = np.arange(start, start + len(segment))
-        ramp = np.exp(2j * np.pi * path.doppler_hz * n / rate)
-        y[start:start + len(segment)] += path.gain * ramp * segment
-    return Frame(samples=y[np.newaxis, :], sample_rate=rate)
-
-
-def apply_scalar_paths(signal: np.ndarray, paths, sample_rate: float,
-                       half_length: int = DEFAULT_HALF_LENGTH,
-                       fractional_tol: float = FRACTIONAL_TOL) -> np.ndarray:
-    """Scalar counterpart of apply_channel for (gain, delay_samples, doppler_hz) taps."""
-    signal = np.asarray(signal, dtype=np.complex128)
-    pieces = []
-    total = len(signal)
-    for gain, delay_samples, doppler_hz in paths:
-        start, segment = _delayed_segment(signal, float(delay_samples),
-                                          half_length, fractional_tol)
-        if start < 0:
-            segment = segment[-start:]
-            start = 0
-        pieces.append((gain, doppler_hz, start, segment))
-        total = max(total, start + len(segment))
-    y = np.zeros(total, dtype=np.complex128)
-    for gain, doppler_hz, start, segment in pieces:
-        n = np.arange(start, start + len(segment))
-        y[start:start + len(segment)] += gain * np.exp(
-            2j * np.pi * doppler_hz * n / sample_rate) * segment
-    return y
-
-
-@dataclass(frozen=True)
-class ScalarChannel:
-    """Post-beamforming scalar channel: (gain, delay_samples, doppler_hz) taps."""
-
-    taps: tuple
-    sample_rate: float
-    half_length: int = DEFAULT_HALF_LENGTH
-
-    def __call__(self, signal: np.ndarray) -> np.ndarray:
-        return apply_scalar_paths(signal, self.taps, self.sample_rate,
-                                  half_length=self.half_length)
+    rows = channel.steering_matrix.conj().T @ tx.samples
+    y = channel.scalar_taps(half_length, fractional_tol)(rows)
+    return Frame(samples=y[np.newaxis, :], sample_rate=channel.sample_rate)
 
 
 def add_awgn(frame: Frame, snr_db: float, rng_seed) -> Frame:

@@ -9,8 +9,8 @@ byte-identical CSVs.
     wavelab run --config scenario.json --out results/ [--seed-override N]
                 [--validate-only]
 
-Exit codes: 0 ok, 2 config error, 3 runtime error.  WAVELAB_THREADS caps
-internal parallelism.
+Exit codes: 0 ok, 2 config error (each diagnostic names its field),
+3 runtime error.
 """
 
 from __future__ import annotations
@@ -72,25 +72,14 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.diagnostics))
 
 
-def worker_count() -> int:
-    """Parallelism cap from WAVELAB_THREADS (default 1)."""
-    raw = os.environ.get("WAVELAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------- validation
-
-def _check(diags, cond, path, message):
-    if not cond:
-        diags.append(f"{path}: {message}")
-    return cond
-
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _positive_int(diags, doc, path, key, default=None):
@@ -119,10 +108,25 @@ def _one_of(diags, doc, key, choices, default):
 
 
 def _validate_ddam_options(diags, doc):
-    """Beam criterion, compensation mode and interpolator half length."""
+    """Beam criterion, compensation mode, interpolator half length and the
+    alignment window; returns the window's w_tau when it is valid."""
     _one_of(diags, doc, "criterion", BEAMFORMER_CRITERIA, "zf")
     _one_of(diags, doc, "mode", COMPENSATION_MODES, "path_based")
     _positive_int(diags, doc, "", "half_length", default=32)
+    window = doc.get("window")
+    if not window:  # absent, null or empty: no window
+        return 0
+    if not isinstance(window, dict):
+        diags.append(f"window: must be an object, got {window!r}")
+        return None
+    w_nu = window.get("w_nu_hz", 0.0)
+    if not _is_number(w_nu) or w_nu < 0:
+        diags.append(f"window.w_nu_hz: must be a nonnegative number, got {w_nu!r}")
+    w_tau = window.get("w_tau", 0)
+    if not _is_int(w_tau) or w_tau < 0:
+        diags.append(f"window.w_tau: must be a nonnegative integer, got {w_tau!r}")
+        return None
+    return w_tau
 
 
 def _number_list(diags, doc, path, key, allow_negative=True):
@@ -163,10 +167,21 @@ def _validate_channel(diags, doc, path):
         _positive_int(diags, doc["array"], f"{path}.array", "mt")
     if isinstance(doc.get("paths"), list):
         for i, p in enumerate(doc["paths"]):
-            for key in ("gain_re", "gain_im", "delay_s", "doppler_hz", "aod"):
-                if not isinstance(p, dict) or key not in p:
-                    diags.append(f"{path}.paths[{i}].{key}: required field missing")
-                    break
+            label = f"{path}.paths[{i}]"
+            keys = ("gain_re", "gain_im", "delay_s", "doppler_hz", "aod")
+            missing = [k for k in keys if not isinstance(p, dict) or k not in p]
+            if missing:
+                diags.append(f"{label}.{missing[0]}: required field missing")
+                continue
+            bad = [k for k in keys if not _is_number(p[k])]
+            for key in bad:
+                diags.append(f"{label}.{key}: must be a number, got {p[key]!r}")
+            if "aod" not in bad and not -1.0 <= p["aod"] < 1.0:
+                diags.append(f"{label}.aod: must lie in [-1, 1), got {p['aod']!r}")
+            if "delay_s" not in bad and p["delay_s"] < 0:
+                diags.append(f"{label}.delay_s: must be >= 0, got {p['delay_s']!r}")
+            if not bad and p["gain_re"] == 0 and p["gain_im"] == 0:
+                diags.append(f"{label}.gain_re: gain_re and gain_im must not both be 0")
 
 
 def validate_config(doc) -> list:
@@ -236,13 +251,15 @@ def validate_config(doc) -> list:
                          f"got {waveform!r}")
         _number_list(diags, doc, "", "snr_db")  # negative SNR values are fine
         _validate_channel(diags, doc.get("channel"), "channel")
-        _validate_ddam_options(diags, doc)
+        w_tau = _validate_ddam_options(diags, doc)
         _one_of(diags, doc, "variant", VARIANTS, "zak")
         if waveform in ("ofdm", "ddam_ofdm"):
             _power_of_two(diags, doc, "", "k")
             cp = doc.get("cp_len", 0)
             if not _is_int(cp) or cp < 0:
                 diags.append("cp_len: must be a nonnegative integer")
+            elif waveform == "ddam_ofdm" and w_tau is not None and w_tau > cp:
+                diags.append(f"window.w_tau: must not exceed cp_len {cp}, got {w_tau!r}")
             _positive_int(diags, doc, "", "num_symbols")
         elif waveform in ("otfs_isfft", "otfs_zak", "ddam_otfs"):
             _power_of_two(diags, doc, "", "k")
@@ -348,7 +365,7 @@ def _run_papr_ccdf(doc, seed, out_dir):
             label = entry.get("label", f"ddam_l{entry['l']}_mt{entry['mt']}")
         ccdf = papr_ccdf(gen, int(doc["trials"]),
                          rng_seed=np.random.SeedSequence([int(seed), idx]),
-                         oversample=oversample, workers=worker_count())
+                         oversample=oversample)
         rows.extend((label, t, p) for t, p in
                     zip(ccdf.thresholds_db, ccdf.exceed_probability))
     return [_write_csv(os.path.join(out_dir, "papr_ccdf.csv"),
@@ -371,46 +388,48 @@ def _run_se_sweep(doc, seed, out_dir):
                        ["n_max", "waveform", "efficiency"], rows)]
 
 
+def _ofdm_config(doc, rate):
+    return OfdmConfig(int(doc["k"]), int(doc.get("cp_len", 0)), rate)
+
+
+def _otfs_config(doc, rate):
+    return OtfsConfig(int(doc["m"]), int(doc["k"]), int(doc.get("cp_len", 0)), rate)
+
+
+# waveform -> one BER point of (channel, doc, snr_db, seed, DDAM options).  The
+# runners are looked up when called, so a wrapper installed on them (as the
+# benchmark's tracer does) sees every call.
+_BER_POINTS = {
+    "ofdm": lambda ch, doc, snr, seed, ddam: run_ofdm_ber(
+        ch, _ofdm_config(doc, ch.sample_rate), snr, int(doc["num_symbols"]), seed),
+    "otfs_isfft": lambda ch, doc, snr, seed, ddam: run_otfs_ber(
+        ch, _otfs_config(doc, ch.sample_rate), snr, int(doc["num_frames"]), seed,
+        variant="isfft"),
+    "otfs_zak": lambda ch, doc, snr, seed, ddam: run_otfs_ber(
+        ch, _otfs_config(doc, ch.sample_rate), snr, int(doc["num_frames"]), seed,
+        variant="zak"),
+    "ddam": lambda ch, doc, snr, seed, ddam: run_ddam_ber(
+        ch, snr, int(doc["num_symbols"]), seed, **ddam),
+    "ddam_ofdm": lambda ch, doc, snr, seed, ddam: run_ddam_ofdm_ber(
+        ch, _ofdm_config(doc, ch.sample_rate), snr, int(doc["num_symbols"]), seed,
+        **ddam),
+    "ddam_otfs": lambda ch, doc, snr, seed, ddam: run_ddam_otfs_ber(
+        ch, _otfs_config(doc, ch.sample_rate), snr, int(doc["num_frames"]), seed,
+        variant=doc.get("variant", "zak"), **ddam),
+}
+
+
 def _run_ber_vs_snr(doc, seed, out_dir):
-    waveform = doc["waveform"]
     channel = _build_channel_from_config(doc["channel"], seed)
-    window = _window_from_config(doc)
-    criterion = doc.get("criterion", "zf")
-    mode = doc.get("mode", "path_based")
-    half_length = int(doc.get("half_length", 32))
-    rate = channel.sample_rate
+    ddam = {"criterion": doc.get("criterion", "zf"),
+            "mode": doc.get("mode", "path_based"),
+            "window": _window_from_config(doc),
+            "half_length": int(doc.get("half_length", 32))}
+    ber_point = _BER_POINTS[doc["waveform"]]
     rows = []
     for i, snr_db in enumerate(doc["snr_db"]):
         run_seed = np.random.SeedSequence([int(seed), i]).generate_state(1)[0]
-        if waveform == "ofdm":
-            cfg = OfdmConfig(int(doc["k"]), int(doc.get("cp_len", 0)), rate)
-            result = run_ofdm_ber(channel, cfg, float(snr_db),
-                                  int(doc["num_symbols"]), run_seed)
-        elif waveform in ("otfs_isfft", "otfs_zak"):
-            cfg = OtfsConfig(int(doc["m"]), int(doc["k"]),
-                             int(doc.get("cp_len", 0)), rate)
-            result = run_otfs_ber(channel, cfg, float(snr_db),
-                                  int(doc["num_frames"]), run_seed,
-                                  variant=waveform.split("_")[1])
-        elif waveform == "ddam":
-            result = run_ddam_ber(channel, float(snr_db), int(doc["num_symbols"]),
-                                  run_seed, criterion=criterion, mode=mode,
-                                  window=window, half_length=half_length)
-        elif waveform == "ddam_ofdm":
-            cfg = OfdmConfig(int(doc["k"]), int(doc.get("cp_len", 0)), rate)
-            result = run_ddam_ofdm_ber(channel, cfg, float(snr_db),
-                                       int(doc["num_symbols"]), run_seed,
-                                       criterion=criterion, mode=mode,
-                                       window=window, half_length=half_length)
-        else:
-            cfg = OtfsConfig(int(doc["m"]), int(doc["k"]),
-                             int(doc.get("cp_len", 0)), rate)
-            result = run_ddam_otfs_ber(channel, cfg, float(snr_db),
-                                       int(doc["num_frames"]), run_seed,
-                                       criterion=criterion, mode=mode,
-                                       window=window,
-                                       variant=doc.get("variant", "zak"),
-                                       half_length=half_length)
+        result = ber_point(channel, doc, float(snr_db), run_seed, ddam)
         rows.append((float(snr_db), result.ber))
     return [_write_csv(os.path.join(out_dir, "ber_vs_snr.csv"),
                        ["snr_db", "ber"], rows)]

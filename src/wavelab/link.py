@@ -3,7 +3,9 @@
 These tie the modems to the channel: MISO OFDM with per-subcarrier MRT and
 genie one-tap equalization frozen at each symbol's center time, DDAM with
 genie gain from the noiseless receive, OTFS with a wideband MRT beam and
-dense DD-domain MMSE, and the combined pipelines.
+dense DD-domain MMSE, and the combined pipelines.  Every BER runner is a
+(transmit, receive, frames) triple fed to one frame loop: draw bits, QPSK,
+transmit, apply_channel, add_awgn, receive, count bit errors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .channel import (
     Frame,
     MultipathChannel,
     ScalarChannel,
-    _delayed_segment,
     add_awgn,
     apply_channel,
     sample_random_channel,
@@ -68,27 +69,39 @@ class LinkResult:
         return self.bit_errors / self.bits
 
 
-def _path_dft_phases(channel: MultipathChannel, k: int,
-                     half_length: int = DEFAULT_HALF_LENGTH) -> np.ndarray:
-    """(L x K) per-subcarrier response of each path's discrete delay taps."""
-    bins = np.arange(k)
-    phases = np.empty((channel.num_paths, k), dtype=np.complex128)
-    for l, path in enumerate(channel.paths):
-        start, segment = _delayed_segment(
-            np.array([1.0 + 0.0j]), path.delay_s * channel.sample_rate,
-            half_length, 1e-9)
-        positions = start + np.arange(len(segment))
-        phases[l] = np.exp(-2j * np.pi * np.outer(bins, positions) / k) @ segment
-    return phases
+def _run_frames(channel: MultipathChannel, snr_db: float, rngs, frame_symbols,
+                transmit, receive,
+                half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
+    """Monte Carlo BER: one frame of frame_symbols[i] QPSK symbols per rngs[i].
+
+    Per frame: draw the bits, transmit(symbols) -> Frame, apply_channel,
+    add_awgn (seeded from the frame's generator), then
+    receive(noisy, clean, symbols) -> equalized symbols, and count the bit
+    errors of their hard decisions.
+    """
+    errors = total = 0
+    for rng, n in zip(rngs, frame_symbols):
+        bits = rng.integers(0, 2, size=2 * n)
+        symbols = qpsk_modulate(bits)
+        clean = apply_channel(channel, transmit(symbols), half_length=half_length)
+        noisy = add_awgn(clean, snr_db, rng_seed=rng.integers(2 ** 63))
+        detected = receive(noisy, clean, symbols)
+        errors += int(np.sum(qpsk_demodulate(detected.reshape(-1)) != bits))
+        total += 2 * n
+    return LinkResult(snr_db=snr_db, bits=total, bit_errors=errors)
+
+
+def _spawned_rngs(rng_seed, count: int) -> list:
+    """One generator per frame, from the seed's spawned children in order."""
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(rng_seed).spawn(count)]
 
 
 def ofdm_miso_precoder(channel: MultipathChannel, cfg: OfdmConfig) -> np.ndarray:
     """Per-subcarrier MRT toward the composite response, (M_t x K) unit columns."""
-    steer = np.stack([steering_vector(p.aod, channel.array) for p in channel.paths],
-                     axis=1)
-    alpha = np.array([p.gain for p in channel.paths])
-    phases = _path_dft_phases(channel, cfg.num_subcarriers)
-    w = steer @ np.conj(alpha[:, None] * phases)
+    taps = channel.scalar_taps()
+    response = taps.gains[:, np.newaxis] * taps.frequency_response(cfg.num_subcarriers)
+    w = channel.steering_matrix @ np.conj(response)
     return w / np.linalg.norm(w, axis=0)
 
 
@@ -118,66 +131,55 @@ def ofdm_genie_response(channel: MultipathChannel, weights: np.ndarray,
     indices, giving an (S x K) response with one row per index.
     """
     k, cp = cfg.num_subcarriers, cfg.cp_len
+    taps = channel.scalar_taps()
     t_center = np.asarray(symbol_index) * (k + cp) + cp + k / 2.0
-    alpha = np.array([p.gain for p in channel.paths])
-    dopplers = np.array([p.doppler_hz for p in channel.paths])
-    ramp = np.exp(2j * np.pi * dopplers * t_center[..., np.newaxis] / channel.sample_rate)
-    steer = np.stack([steering_vector(p.aod, channel.array) for p in channel.paths],
-                     axis=1)
-    phases = _path_dft_phases(channel, k)
-    cross = steer.conj().T @ weights
-    return (ramp * alpha) @ (phases * cross)
+    ramp = np.exp(2j * np.pi * taps.dopplers * t_center[..., np.newaxis]
+                  / channel.sample_rate)
+    cross = channel.steering_matrix.conj().T @ weights
+    return (ramp * taps.gains) @ (taps.frequency_response(k) * cross)
 
 
 def run_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
                  num_symbols: int, rng_seed) -> LinkResult:
     """Uncoded QPSK over MISO OFDM with per-symbol genie equalization."""
-    rng = np.random.default_rng(rng_seed)
     k, stride = cfg.num_subcarriers, cfg.num_subcarriers + cfg.cp_len
     weights = ofdm_miso_precoder(channel, cfg)
-    bits = rng.integers(0, 2, size=2 * k * num_symbols)
-    symbols = qpsk_modulate(bits).reshape(num_symbols, k)
-    rx = apply_channel(channel, ofdm_miso_modulate(symbols, weights, cfg))
-    noisy = add_awgn(rx, snr_db, rng_seed=rng.integers(2 ** 63)).row()
-    bins = ofdm_demodulate(noisy[:num_symbols * stride].reshape(num_symbols, stride), cfg)
-    equalized, _ = ofdm_equalize_one_tap(
-        bins, ofdm_genie_response(channel, weights, cfg, np.arange(num_symbols)))
-    errors = int(np.sum(qpsk_demodulate(equalized.reshape(-1)) != bits))
-    return LinkResult(snr_db=snr_db, bits=2 * k * num_symbols, bit_errors=errors)
+
+    def transmit(symbols):
+        return ofdm_miso_modulate(symbols.reshape(num_symbols, k), weights, cfg)
+
+    def receive(noisy, clean, symbols):
+        bins = ofdm_demodulate(
+            noisy.row()[:num_symbols * stride].reshape(num_symbols, stride), cfg)
+        response = ofdm_genie_response(channel, weights, cfg, np.arange(num_symbols))
+        return ofdm_equalize_one_tap(bins, response)[0]
+
+    return _run_frames(channel, snr_db, [np.random.default_rng(rng_seed)],
+                       [k * num_symbols], transmit, receive)
 
 
 def run_ddam_ber(channel: MultipathChannel, snr_db: float, num_symbols: int,
                  rng_seed, criterion: str = "zf", mode: str = "path_based",
                  block_len: int = 100_000, window: AlignmentWindow = None,
-                 noise_var_hint: float = None,
                  half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
     """Uncoded QPSK over DDAM, genie gain taken from the noiseless receive."""
     psi = psi_from_channel(channel)
-    noise_var = noise_var_hint if noise_var_hint is not None else 10 ** (-snr_db / 10)
-    beams = path_beamformers(psi, criterion, noise_var=noise_var)
+    beams = path_beamformers(psi, criterion, noise_var=10 ** (-snr_db / 10))
     plan = build_compensation_plan(psi, mode=mode, window=window,
                                    half_length=half_length)
-    seeds = np.random.SeedSequence(rng_seed)
-    errors = 0
-    total_bits = 0
-    remaining = num_symbols
-    block_id = 0
-    while remaining > 0:
-        n = min(block_len, remaining)
-        child = np.random.default_rng(seeds.spawn(1)[0])
-        bits = child.integers(0, 2, size=2 * n)
-        symbols = qpsk_modulate(bits)
-        frame = ddam_modulate(symbols, psi, beams, DdamFrameConfig(n), plan=plan,
-                              half_length=half_length)
-        clean = apply_channel(channel, frame, half_length=half_length)
+
+    def transmit(symbols):
+        return ddam_modulate(symbols, psi, beams, DdamFrameConfig(len(symbols)),
+                             plan=plan, half_length=half_length)
+
+    def receive(noisy, clean, symbols):
         gain = estimate_gain(clean.row(), symbols, plan.n_max)
-        noisy = add_awgn(clean, snr_db, rng_seed=child.integers(2 ** 63))
-        detected = ddam_demodulate(noisy, gain, DdamFrameConfig(n), plan.n_max)
-        errors += int(np.sum(qpsk_demodulate(detected) != bits))
-        total_bits += 2 * n
-        remaining -= n
-        block_id += 1
-    return LinkResult(snr_db=snr_db, bits=total_bits, bit_errors=errors)
+        return ddam_demodulate(noisy, gain, DdamFrameConfig(len(symbols)), plan.n_max)
+
+    blocks = [min(block_len, num_symbols - start)
+              for start in range(0, num_symbols, block_len)]
+    return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, len(blocks)),
+                       blocks, transmit, receive, half_length=half_length)
 
 
 def otfs_miso_modulate_isfft(grid: np.ndarray, weights: np.ndarray,
@@ -214,11 +216,10 @@ def otfs_miso_beam(channel: MultipathChannel) -> np.ndarray:
 
 
 def otfs_scalar_taps(channel: MultipathChannel, beam: np.ndarray) -> ScalarChannel:
-    """Post-beamforming scalar view of the physical channel."""
-    taps = tuple(
-        (p.gain * (steering_vector(p.aod, channel.array).conj() @ beam),
-         p.delay_s * channel.sample_rate, p.doppler_hz)
-        for p in channel.paths)
+    """Post-beamforming scalar view: the channel's taps weighted by a_l^H beam."""
+    cross = channel.steering_matrix.conj().T @ beam
+    taps = tuple((gain * c, delay, doppler)
+                 for (gain, delay, doppler), c in zip(channel.scalar_taps().taps, cross))
     return ScalarChannel(taps, channel.sample_rate)
 
 
@@ -226,29 +227,19 @@ def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                  num_frames: int, rng_seed, variant: str = "zak") -> LinkResult:
     """Uncoded QPSK over MISO OTFS with dense DD-domain MMSE equalization."""
     beam = otfs_miso_beam(channel)
-    scalar = otfs_scalar_taps(channel, beam)
-    h_dd = dd_effective_matrix(scalar, cfg, variant=variant)
+    h_dd = dd_effective_matrix(otfs_scalar_taps(channel, beam), cfg, variant=variant)
     modulate, demodulate = otfs_modem(variant)
     noise_var = 10 ** (-snr_db / 10)
-    seeds = np.random.SeedSequence(rng_seed)
-    errors = 0
-    per_frame = 2 * cfg.frame_len
-    need = cfg.frame_len + cfg.cp_len
-    for _ in range(num_frames):
-        child = np.random.default_rng(seeds.spawn(1)[0])
-        bits = child.integers(0, 2, size=per_frame)
-        grid = qpsk_modulate(bits).reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
-        stream = modulate(grid, cfg).row()
-        tx = Frame(np.outer(beam, stream), cfg.sample_rate)
-        rx = add_awgn(apply_channel(channel, tx), snr_db,
-                      rng_seed=child.integers(2 ** 63))
-        samples = rx.row()
-        if len(samples) < need:
-            samples = np.concatenate([samples, np.zeros(need - len(samples), complex)])
-        grid_rx = demodulate(samples, cfg)
-        equalized = mmse_equalize_dd(grid_rx, h_dd, noise_var)
-        errors += int(np.sum(qpsk_demodulate(equalized.reshape(-1)) != bits))
-    return LinkResult(snr_db=snr_db, bits=per_frame * num_frames, bit_errors=errors)
+
+    def transmit(symbols):
+        grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
+        return Frame(np.outer(beam, modulate(grid, cfg).row()), cfg.sample_rate)
+
+    def receive(noisy, clean, symbols):
+        return mmse_equalize_dd(demodulate(noisy.row(), cfg), h_dd, noise_var)
+
+    return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
+                       [cfg.frame_len] * num_frames, transmit, receive)
 
 
 def run_ddam_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
@@ -262,18 +253,18 @@ def run_ddam_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
                             half_length=half_length)
     link = ddam_ofdm_link(psi, beams, cfg, eq, window=window, mode=mode,
                           half_length=half_length)
-    rng = np.random.default_rng(rng_seed)
     k = cfg.num_subcarriers
-    bits = rng.integers(0, 2, size=2 * k * num_symbols)
-    data = qpsk_modulate(bits).reshape(num_symbols, k)
     pilot = random_qpsk(np.random.default_rng(0xBEEF), k)
-    grid = np.concatenate([pilot[np.newaxis, :], data], axis=0)
-    tx = ddam_ofdm_transmit_with_link(grid, link)
-    rx = add_awgn(apply_channel(channel, tx, half_length=half_length), snr_db,
-                  rng_seed=rng.integers(2 ** 63))
-    out = ddam_ofdm_receive(rx, link, num_symbols + 1, pilot_symbol=pilot)
-    errors = int(np.sum(qpsk_demodulate(out[1:].reshape(-1)) != bits))
-    return LinkResult(snr_db=snr_db, bits=2 * k * num_symbols, bit_errors=errors)
+
+    def transmit(symbols):
+        grid = np.concatenate([pilot[np.newaxis, :], symbols.reshape(num_symbols, k)])
+        return ddam_ofdm_transmit_with_link(grid, link)
+
+    def receive(noisy, clean, symbols):
+        return ddam_ofdm_receive(noisy, link, num_symbols + 1, pilot_symbol=pilot)[1:]
+
+    return _run_frames(channel, snr_db, [np.random.default_rng(rng_seed)],
+                       [k * num_symbols], transmit, receive, half_length=half_length)
 
 
 def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
@@ -283,25 +274,23 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                       half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
     """Uncoded QPSK over DDAM-OTFS with the compensated-channel DD MMSE."""
     psi = psi_from_channel(channel)
-    beams = path_beamformers(psi, criterion, noise_var=10 ** (-snr_db / 10))
+    noise_var = 10 ** (-snr_db / 10)
+    beams = path_beamformers(psi, criterion, noise_var=noise_var)
     h_dd = ddam_otfs_effective_matrix(channel, psi, beams, cfg, window=window,
                                       mode=mode, variant=variant,
                                       half_length=half_length)
-    noise_var = 10 ** (-snr_db / 10)
-    seeds = np.random.SeedSequence(rng_seed)
-    errors = 0
-    per_frame = 2 * cfg.frame_len
-    for _ in range(num_frames):
-        child = np.random.default_rng(seeds.spawn(1)[0])
-        bits = child.integers(0, 2, size=per_frame)
-        grid = qpsk_modulate(bits).reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
-        tx = ddam_otfs_transmit(grid, psi, beams, cfg, window=window, mode=mode,
-                                variant=variant, half_length=half_length)
-        rx = add_awgn(apply_channel(channel, tx, half_length=half_length), snr_db,
-                      rng_seed=child.integers(2 ** 63))
-        out = ddam_otfs_receive(rx, h_dd, cfg, noise_var, variant=variant)
-        errors += int(np.sum(qpsk_demodulate(out.reshape(-1)) != bits))
-    return LinkResult(snr_db=snr_db, bits=per_frame * num_frames, bit_errors=errors)
+
+    def transmit(symbols):
+        grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
+        return ddam_otfs_transmit(grid, psi, beams, cfg, window=window, mode=mode,
+                                  variant=variant, half_length=half_length)
+
+    def receive(noisy, clean, symbols):
+        return ddam_otfs_receive(noisy, h_dd, cfg, noise_var, variant=variant)
+
+    return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
+                       [cfg.frame_len] * num_frames, transmit, receive,
+                       half_length=half_length)
 
 
 def make_papr_generator(waveform: str, **params):

@@ -108,14 +108,12 @@ class PaprCcdf:
 
 
 def papr_ccdf(waveform_generator, num_trials: int, rng_seed,
-              thresholds_db=None, oversample: int = 1,
-              workers: int = 1) -> PaprCcdf:
+              thresholds_db=None, oversample: int = 1) -> PaprCcdf:
     """Monte Carlo CCDF of PAPR for a seeded waveform generator.
 
-    The generator is called once per trial with a child Generator and must
-    return the samples to measure (guard/CP already excluded).  Trials may
-    run on several threads; per-trial seeds keep the result independent of
-    the worker count.
+    The generator is called once per trial with a child Generator, spawned
+    from rng_seed in trial order, and must return the samples to measure
+    (guard/CP already excluded).
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
@@ -123,20 +121,9 @@ def papr_ccdf(waveform_generator, num_trials: int, rng_seed,
                   else np.asarray(thresholds_db, dtype=float))
     root = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
             else np.random.SeedSequence(rng_seed))
-    seeds = root.spawn(num_trials)
-    values = np.empty(num_trials)
-
-    def run_trial(i):
-        values[i] = papr_db(waveform_generator(np.random.default_rng(seeds[i])),
-                            oversample=oversample)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_trial, range(num_trials)))
-    else:
-        for i in range(num_trials):
-            run_trial(i)
+    values = np.array([papr_db(waveform_generator(np.random.default_rng(seed)),
+                               oversample=oversample)
+                       for seed in root.spawn(num_trials)])
     exceed = np.array([(values > t).mean() for t in thresholds])
     return PaprCcdf(thresholds_db=thresholds, exceed_probability=exceed)
 

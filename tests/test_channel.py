@@ -1,12 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import wavelab.channel
 from wavelab.channel import (
     ArrayConfig,
     Frame,
     PathParams,
+    ScalarChannel,
     add_awgn,
     apply_channel,
     build_channel,
@@ -273,6 +276,138 @@ class TestFractionalDelay:
         expected = np.exp(2j * np.pi * 0.02 * (n - 10.3))
         mid = slice(80, 320)
         assert np.max(np.abs(y[mid] - expected[mid])) < 1e-4
+
+
+def reference_delayed_segment(signal, delay_samples, half_length, fractional_tol=1e-9):
+    """(start, segment): exact shift, or the windowed-sinc FIR output."""
+    nearest = int(math.floor(delay_samples + 0.5))
+    if abs(delay_samples - nearest) <= fractional_tol:
+        return nearest, signal
+    base = int(math.floor(delay_samples))
+    taps = fractional_delay_taps(delay_samples - base, half_length)
+    return base - half_length, np.convolve(signal, taps)
+
+
+def reference_apply_channel(channel, tx, half_length=32):
+    """Per-path oracle: project, delay, truncate acausal leakage, ramp, sum."""
+    rate = channel.sample_rate
+    pieces = []
+    total = tx.num_samples
+    for path in channel.paths:
+        scalar = steering_vector(path.aod, channel.array).conj() @ tx.samples
+        start, segment = reference_delayed_segment(scalar, path.delay_s * rate,
+                                                   half_length)
+        if start < 0:
+            segment = segment[-start:]
+            start = 0
+        pieces.append((path, start, segment))
+        total = max(total, start + len(segment))
+    y = np.zeros(total, dtype=np.complex128)
+    for path, start, segment in pieces:
+        n = np.arange(start, start + len(segment))
+        ramp = np.exp(2j * np.pi * path.doppler_hz * n / rate)
+        y[start:start + len(segment)] += path.gain * ramp * segment
+    return y
+
+
+def assert_close_relative(actual, expected, rel=1e-12):
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+class TestScalarTapOracle:
+    RATE = 1e6
+
+    def channel(self, mt, delays, seed=0):
+        rng = np.random.default_rng(seed)
+        aods = np.linspace(-0.9, 0.7, len(delays))
+        paths = [PathParams(rng.standard_normal() + 1j * rng.standard_normal(),
+                            d / self.RATE, rng.uniform(-900.0, 900.0), a)
+                 for d, a in zip(delays, aods)]
+        return build_channel(ArrayConfig(mt), paths, self.RATE)
+
+    def frame(self, mt, n=96, seed=1):
+        rng = np.random.default_rng(seed)
+        return Frame(rng.standard_normal((mt, n)) + 1j * rng.standard_normal((mt, n)),
+                     self.RATE)
+
+    @pytest.mark.parametrize("mt", [1, 8])
+    @pytest.mark.parametrize("delays", [
+        (0.0, 3.0, 7.0),          # integer
+        (1.25, 4.6, 9.5),         # fractional, including a half-sample tie
+        (0.0, 2.4, 5.0, 11.75),   # mixed
+    ])
+    @pytest.mark.parametrize("half_length", [4, 32])
+    def test_matches_per_path_loop(self, mt, delays, half_length):
+        channel = self.channel(mt, delays)
+        tx = self.frame(mt)
+        y = apply_channel(channel, tx, half_length=half_length).row()
+        assert_close_relative(y, reference_apply_channel(channel, tx, half_length))
+
+    @pytest.mark.parametrize("delay", [0.2, 0.7, 1e-3])
+    def test_acausal_leakage_truncated(self, delay):
+        # floor(delay) = 0 < half_length, so the FIR output starts half_length
+        # samples before sample 0; those are cut and N + half_length remain.
+        channel = self.channel(4, (delay, 3.0))
+        tx = self.frame(4, n=40)
+        y = apply_channel(channel, tx, half_length=8).row()
+        expected = reference_apply_channel(channel, tx, 8)
+        assert len(y) == len(expected) == 40 + 8
+        assert_close_relative(y, expected)
+
+    def test_row_block_matches_shared_signal(self):
+        taps = ((0.8, 0.0, 0.0), (0.3 - 0.2j, 2.4, 350.0), (0.1j, 6.0, -90.0))
+        scalar = ScalarChannel(taps, self.RATE, half_length=6)
+        s = self.frame(1, n=50).row()
+        assert np.array_equal(scalar(np.tile(s, (3, 1))), scalar(s))
+
+    def test_row_block_is_sum_of_single_taps(self):
+        taps = ((0.8, 0.0, 0.0), (0.3 - 0.2j, 2.4, 350.0), (0.1j, 6.0, -90.0))
+        rows = self.frame(3, n=50).samples
+        y = ScalarChannel(taps, self.RATE, half_length=6)(rows)
+        expected = np.zeros(len(y), dtype=np.complex128)
+        for tap, row in zip(taps, rows):
+            single = ScalarChannel((tap,), self.RATE, half_length=6)(row)
+            expected[:len(single)] += single
+        assert_close_relative(y, expected)
+
+    def test_row_count_must_match_taps(self):
+        scalar = ScalarChannel(((1.0, 0.0, 0.0), (0.5, 1.0, 0.0)), self.RATE)
+        with pytest.raises(ValueError, match="3 input rows for 2 taps"):
+            scalar(np.ones((3, 8)))
+
+    @pytest.mark.parametrize("half_length", [3, 32])
+    def test_frequency_response_matches_impulse_dft(self, half_length):
+        channel = self.channel(2, (0.0, 0.4, 3.0, 5.5, 12.9))
+        k = 64
+        bins = np.arange(k)
+        expected = np.empty((channel.num_paths, k), dtype=np.complex128)
+        for l, path in enumerate(channel.paths):
+            start, segment = reference_delayed_segment(
+                np.array([1.0 + 0.0j]), path.delay_s * self.RATE, half_length)
+            positions = start + np.arange(len(segment))
+            expected[l] = np.exp(-2j * np.pi * np.outer(bins, positions) / k) @ segment
+        actual = channel.scalar_taps(half_length).frequency_response(k)
+        assert_close_relative(actual, expected)
+
+    def test_filters_built_once_per_channel_and_half_length(self, monkeypatch):
+        calls = []
+        original = wavelab.channel.fractional_delay_taps
+
+        def counting(frac, half_length=32):
+            calls.append((frac, half_length))
+            return original(frac, half_length)
+
+        monkeypatch.setattr(wavelab.channel, "fractional_delay_taps", counting)
+        channel = self.channel(2, (0.0, 1.5, 4.25))  # two fractional taps
+        tx = self.frame(2, n=24)
+        for _ in range(5):
+            apply_channel(channel, tx)
+        assert len(calls) == 2
+        apply_channel(channel, tx, half_length=4)
+        apply_channel(channel, tx, half_length=4)
+        assert len(calls) == 4
+        assert channel.scalar_taps() is channel.scalar_taps(32)
 
 
 class TestAwgn:

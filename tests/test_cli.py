@@ -91,6 +91,11 @@ class TestValidate:
         ("ofdm", "k", 63),
         ("otfs_zak", "m", 6),
         ("ddam_otfs", "variant", "zz"),
+        ("ddam", "window", {"w_tau": -2}),
+        ("ddam", "window", {"w_tau": 1.5}),
+        ("ddam", "window", {"w_nu_hz": "x"}),
+        ("ddam", "window", {"w_nu_hz": -10.0}),
+        ("ddam_ofdm", "window", {"w_tau": 8}),  # longer than cp_len 4
     ])
     def test_bad_ber_field_exits_config_error(self, tmp_path, capsys, waveform,
                                               field, value):
@@ -102,7 +107,36 @@ class TestValidate:
         cfg = write_config(tmp_path, doc)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"{field}: ")
+        label = f"{field}.{next(iter(value))}" if isinstance(value, dict) else field
+        assert capsys.readouterr().err.startswith(f"{label}: ")
+
+    def test_bad_window_in_equivalent_channel_report(self):
+        doc = {"experiment": "equivalent_channel_report", "seed": 1,
+               "channel": channel_doc(), "window": {"w_tau": -1}}
+        assert validate_config(doc) == [
+            "window.w_tau: must be a nonnegative integer, got -1"]
+        doc["window"] = {"w_tau": 2, "w_nu_hz": 50.0}
+        assert validate_config(doc) == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("aod", 1.5),
+        ("aod", "0.2"),
+        ("delay_s", -1e-6),
+        ("doppler_hz", None),
+        ("gain_re", 0.0),  # with gain_im 0: a zero gain
+    ])
+    def test_bad_channel_path_exits_config_error(self, tmp_path, capsys, key, value):
+        channel = channel_doc()
+        path = channel["paths"][1]
+        path[key] = value
+        if key == "gain_re":
+            path["gain_im"] = 0.0
+        doc = {"experiment": "ber_vs_snr", "seed": 1, "waveform": "ddam",
+               "snr_db": [10.0], "channel": channel, "num_symbols": 4}
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"channel.paths[1].{key}: ")
 
 
 class TestRunExperiment:
@@ -275,16 +309,3 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "feasibility_region.csv" in proc.stdout
-
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        doc = {
-            "experiment": "papr_ccdf", "seed": 3, "trials": 100,
-            "waveforms": [{"waveform": "ofdm", "k": 64}],
-        }
-        cfg = write_config(tmp_path, doc)
-        monkeypatch.setenv("WAVELAB_THREADS", "1")
-        run_experiment(cfg, tmp_path / "one")
-        monkeypatch.setenv("WAVELAB_THREADS", "4")
-        run_experiment(cfg, tmp_path / "four")
-        assert ((tmp_path / "one" / "papr_ccdf.csv").read_bytes()
-                == (tmp_path / "four" / "papr_ccdf.csv").read_bytes())
