@@ -119,7 +119,7 @@ class MultipathChannel:
     @cached_property
     def steering_matrix(self) -> np.ndarray:
         """(M_t x L) array responses, one column per path."""
-        return np.stack([steering_vector(p.aod, self.array) for p in self.paths], axis=1)
+        return steering_vector(np.array([p.aod for p in self.paths]), self.array)
 
     def scalar_taps(self, half_length: int = DEFAULT_HALF_LENGTH,
                     fractional_tol: float = FRACTIONAL_TOL) -> "ScalarChannel":
@@ -155,14 +155,19 @@ class MultipathChannel:
         return int(self.integer_delays().max())
 
 
-def steering_vector(aod: float, array: ArrayConfig) -> np.ndarray:
+def steering_vector(aod, array: ArrayConfig) -> np.ndarray:
     """Array response for a normalized spatial frequency in [-1, 1).
 
-    Element m is exp(j*pi*m*(2*spacing)*aod); element 0 is always 1.
+    Element m is exp(j*pi*m*(2*spacing)*aod); element 0 is always 1.  One
+    AoD gives an (M_t,) vector; an (..., L) array of AoDs gives an
+    (..., M_t, L) stack with one column per AoD.
     """
-    if not -1.0 <= aod < 1.0:
+    aod = np.asarray(aod, dtype=float)
+    if np.any((aod < -1.0) | (aod >= 1.0)):
         raise ValueError(f"aod {aod} outside [-1, 1)")
     m = np.arange(array.num_tx_antennas)
+    if aod.ndim:
+        m, aod = m[:, np.newaxis], aod[..., np.newaxis, :]
     return np.exp(1j * np.pi * m * (2.0 * array.element_spacing) * aod)
 
 
@@ -192,13 +197,14 @@ def sample_separated_aods(rng, num_paths: int, array: ArrayConfig,
     )
 
 
-def sample_random_channel(array: ArrayConfig, num_paths: int, delay_range,
-                          doppler_range, rng_seed,
-                          sample_rate: float = 1.0) -> MultipathChannel:
-    """Random scenario: uniform delays/Dopplers, separated AoDs, unit-energy gains.
+def draw_random_paths(array: ArrayConfig, num_paths: int, delay_range,
+                      doppler_range, rng_seed):
+    """(aods, delays_s, dopplers_hz, gains) of one random scenario.
 
-    Gains are i.i.d. circular Gaussian normalized so sum |gain|^2 = 1.
-    Deterministic for a fixed seed.
+    The draws, in order from default_rng(rng_seed): separated AoDs, uniform
+    delays, uniform Dopplers, then i.i.d. circular Gaussian gains
+    normalized so sum |gain|^2 = 1.  A degenerate range (low == high) draws
+    nothing.  Deterministic for a fixed seed.
     """
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
@@ -211,7 +217,18 @@ def sample_random_channel(array: ArrayConfig, num_paths: int, delay_range,
     delays = rng.uniform(lo_d, hi_d, size=num_paths) if hi_d > lo_d else np.full(num_paths, lo_d)
     dopplers = rng.uniform(lo_f, hi_f, size=num_paths) if hi_f > lo_f else np.full(num_paths, lo_f)
     gains = (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)) / np.sqrt(2.0)
-    gains = gains / np.linalg.norm(gains)
+    return aods, delays, dopplers, gains / np.linalg.norm(gains)
+
+
+def sample_random_channel(array: ArrayConfig, num_paths: int, delay_range,
+                          doppler_range, rng_seed,
+                          sample_rate: float = 1.0) -> MultipathChannel:
+    """Random scenario: uniform delays/Dopplers, separated AoDs, unit-energy gains.
+
+    The paths come from draw_random_paths.  Deterministic for a fixed seed.
+    """
+    aods, delays, dopplers, gains = draw_random_paths(
+        array, num_paths, delay_range, doppler_range, rng_seed)
     paths = [PathParams(gain=g, delay_s=d, doppler_hz=f, aod=a)
              for g, d, f, a in zip(gains, delays, dopplers, aods)]
     return build_channel(array, paths, sample_rate=sample_rate)

@@ -94,6 +94,26 @@ def _positive_int(diags, doc, path, key, default=None):
     return v
 
 
+def _nonnegative_int(diags, doc, path, key, default):
+    label = f"{path}.{key}" if path else key
+    v = doc.get(key, default)
+    if not _is_int(v) or v < 0:
+        diags.append(f"{label}: must be a nonnegative integer, got {v!r}")
+        return None
+    return v
+
+
+def _number(diags, doc, path, key, default=None, positive=True):
+    """A number, > 0 when positive else >= 0; required when there is no default."""
+    label = f"{path}.{key}" if path else key
+    v = doc.get(key, default)
+    if v is None and default is None:
+        diags.append(f"{label}: required field missing")
+    elif not _is_number(v) or (v <= 0 if positive else v < 0):
+        kind = "positive" if positive else "nonnegative"
+        diags.append(f"{label}: must be a {kind} number, got {v!r}")
+
+
 def _power_of_two(diags, doc, path, key):
     v = _positive_int(diags, doc, path, key)
     if v is not None and v & (v - 1):
@@ -101,17 +121,18 @@ def _power_of_two(diags, doc, path, key):
         diags.append(f"{label}: must be a power of two, got {v!r}")
 
 
-def _one_of(diags, doc, key, choices, default):
+def _one_of(diags, doc, path, key, choices, default):
+    label = f"{path}.{key}" if path else key
     v = doc.get(key, default)
     if v not in choices:
-        diags.append(f"{key}: must be one of {', '.join(choices)}, got {v!r}")
+        diags.append(f"{label}: must be one of {', '.join(choices)}, got {v!r}")
 
 
 def _validate_ddam_options(diags, doc):
     """Beam criterion, compensation mode, interpolator half length and the
     alignment window; returns the window's w_tau when it is valid."""
-    _one_of(diags, doc, "criterion", BEAMFORMER_CRITERIA, "zf")
-    _one_of(diags, doc, "mode", COMPENSATION_MODES, "path_based")
+    _one_of(diags, doc, "", "criterion", BEAMFORMER_CRITERIA, "zf")
+    _one_of(diags, doc, "", "mode", COMPENSATION_MODES, "path_based")
     _positive_int(diags, doc, "", "half_length", default=32)
     window = doc.get("window")
     if not window:  # absent, null or empty: no window
@@ -119,14 +140,8 @@ def _validate_ddam_options(diags, doc):
     if not isinstance(window, dict):
         diags.append(f"window: must be an object, got {window!r}")
         return None
-    w_nu = window.get("w_nu_hz", 0.0)
-    if not _is_number(w_nu) or w_nu < 0:
-        diags.append(f"window.w_nu_hz: must be a nonnegative number, got {w_nu!r}")
-    w_tau = window.get("w_tau", 0)
-    if not _is_int(w_tau) or w_tau < 0:
-        diags.append(f"window.w_tau: must be a nonnegative integer, got {w_tau!r}")
-        return None
-    return w_tau
+    _number(diags, window, "window", "w_nu_hz", 0.0, positive=False)
+    return _nonnegative_int(diags, window, "window", "w_tau", 0)
 
 
 def _number_list(diags, doc, path, key, allow_negative=True):
@@ -157,14 +172,17 @@ def _validate_channel(diags, doc, path):
             v = rnd.get(key)
             if not (isinstance(v, list) and len(v) == 2):
                 diags.append(f"{path}.random.{key}: must be a [low, high] pair")
-        if not isinstance(rnd.get("sample_rate_hz"), (int, float)):
-            diags.append(f"{path}.random.sample_rate_hz: required number")
+        _number(diags, rnd, f"{path}.random", "sample_rate_hz")
+        _number(diags, rnd, f"{path}.random", "spacing", 0.5)
         return
     for key in ("array", "sample_rate_hz", "paths"):
         if key not in doc:
             diags.append(f"{path}.{key}: required field missing")
+    if "sample_rate_hz" in doc:
+        _number(diags, doc, path, "sample_rate_hz")
     if isinstance(doc.get("array"), dict):
         _positive_int(diags, doc["array"], f"{path}.array", "mt")
+        _number(diags, doc["array"], f"{path}.array", "spacing", 0.5)
     if isinstance(doc.get("paths"), list):
         for i, p in enumerate(doc["paths"]):
             label = f"{path}.paths[{i}]"
@@ -234,8 +252,13 @@ def validate_config(doc) -> list:
                     _power_of_two(diags, entry, f"waveforms[{i}]", "k")
                     _power_of_two(diags, entry, f"waveforms[{i}]", "m")
                 else:
-                    _positive_int(diags, entry, f"waveforms[{i}]", "l")
-                    _positive_int(diags, entry, f"waveforms[{i}]", "mt")
+                    label = f"waveforms[{i}]"
+                    _positive_int(diags, entry, label, "l")
+                    _positive_int(diags, entry, label, "mt")
+                    _one_of(diags, entry, label, "criterion", BEAMFORMER_CRITERIA, "zf")
+                    _positive_int(diags, entry, label, "block_len", default=512)
+                    _nonnegative_int(diags, entry, label, "max_delay_samples", 32)
+                    _number(diags, entry, label, "max_doppler_hz", 0.0, positive=False)
 
     elif experiment == "se_sweep":
         n_max = doc.get("n_max")
@@ -252,7 +275,7 @@ def validate_config(doc) -> list:
         _number_list(diags, doc, "", "snr_db")  # negative SNR values are fine
         _validate_channel(diags, doc.get("channel"), "channel")
         w_tau = _validate_ddam_options(diags, doc)
-        _one_of(diags, doc, "variant", VARIANTS, "zak")
+        _one_of(diags, doc, "", "variant", VARIANTS, "zak")
         if waveform in ("ofdm", "ddam_ofdm"):
             _power_of_two(diags, doc, "", "k")
             cp = doc.get("cp_len", 0)

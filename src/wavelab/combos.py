@@ -154,24 +154,29 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
 def ddam_otfs_transmit(grid: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
                        otfs_cfg: OtfsConfig, window: AlignmentWindow = None,
                        mode: str = "path_based", variant: str = "zak",
-                       half_length: int = DEFAULT_HALF_LENGTH) -> Frame:
-    """OTFS-modulate the DD grid, then apply the DDAM time-domain chain."""
+                       half_length: int = DEFAULT_HALF_LENGTH,
+                       plan: CompensationPlan = None) -> Frame:
+    """OTFS-modulate the DD grid, then apply the DDAM time-domain chain.
+
+    A given plan is used as is; otherwise one is built from window, mode
+    and half_length.
+    """
     modulate, _ = otfs_modem(variant)
     stream = modulate(grid, otfs_cfg).row()
-    plan = build_compensation_plan(psi, mode=mode, window=window,
-                                   half_length=half_length)
     frame_cfg = DdamFrameConfig(block_len=len(stream))
-    return ddam_modulate(stream, psi, beams, frame_cfg, plan=plan)
+    return ddam_modulate(stream, psi, beams, frame_cfg, mode=mode, window=window,
+                         plan=plan, half_length=half_length)
 
 
 def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,
                                beams: BeamformerSet, otfs_cfg: OtfsConfig,
                                window: AlignmentWindow = None,
                                mode: str = "path_based", variant: str = "zak",
-                               half_length: int = DEFAULT_HALF_LENGTH) -> np.ndarray:
+                               half_length: int = DEFAULT_HALF_LENGTH,
+                               plan: CompensationPlan = None) -> np.ndarray:
     """DD effective matrix of the compensated end-to-end channel."""
     chain = ddam_chain_callable(channel, psi, beams, window=window, mode=mode,
-                                half_length=half_length)
+                                half_length=half_length, plan=plan)
     return dd_effective_matrix(chain, otfs_cfg, variant=variant)
 
 

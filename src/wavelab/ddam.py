@@ -68,7 +68,11 @@ class PsiPerturbation:
 
 @dataclass(frozen=True)
 class PathStateInfo:
-    """Transmitter-side knowledge of the paths, on the TX sample grid."""
+    """Transmitter-side knowledge of the paths, on the TX sample grid.
+
+    The per-path arrays are (L,), or (..., L) for a stack of channels,
+    which path_beamformers and path_based_blocks take.
+    """
 
     array: ArrayConfig
     sample_rate: float
@@ -88,8 +92,8 @@ class PathStateInfo:
             a.flags.writeable = False
             arrays[name] = a
             object.__setattr__(self, name, a)
-        lengths = {len(a) for a in arrays.values()}
-        if len(lengths) != 1 or 0 in lengths:
+        shape = arrays["delay_samples"].shape
+        if any(a.shape != shape for a in arrays.values()) or not shape or not shape[-1]:
             raise ValueError("per-path arrays must share a common nonzero length")
         if np.any(arrays["delay_samples"] < 0):
             raise ValueError("delay_samples must be >= 0")
@@ -98,7 +102,7 @@ class PathStateInfo:
 
     @property
     def num_paths(self) -> int:
-        return len(self.delay_samples)
+        return self.delay_samples.shape[-1]
 
     def nearest_delays(self) -> np.ndarray:
         """Strongest on-grid delay tap per path: round(tau * B)."""
@@ -131,9 +135,16 @@ def psi_from_channel(channel: MultipathChannel, perturbation: PsiPerturbation = 
         aods = np.clip(aods + perturbation.aod_err * rng.standard_normal(n), -1.0, np.nextafter(1.0, 0))
         gains = gains + perturbation.gain_err * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    return psi_from_paths(channel.array, rate, delays, dopplers, aods, gains, genie)
+
+
+def psi_from_paths(array: ArrayConfig, sample_rate: float, delays: np.ndarray,
+                   dopplers: np.ndarray, aods: np.ndarray, gains: np.ndarray,
+                   genie: bool = True) -> PathStateInfo:
+    """PSI from per-path arrays, delays in samples; (..., L) arrays stack channels."""
     base = np.floor(delays).astype(np.int64)
     return PathStateInfo(
-        array=channel.array, sample_rate=rate,
+        array=array, sample_rate=sample_rate,
         delay_samples=base, fractional_delay=delays - base,
         doppler_hz=dopplers, aod=aods, gain_estimate=gains, genie=genie)
 
@@ -160,23 +171,22 @@ def psi_to_json(psi: PathStateInfo) -> dict:
 def psi_from_json(doc: dict) -> PathStateInfo:
     """Inverse of psi_to_json."""
     rate = float(doc["sample_rate_hz"])
-    delays = np.array([p["delay_s"] for p in doc["paths"]]) * rate
-    base = np.floor(delays).astype(np.int64)
-    return PathStateInfo(
-        array=ArrayConfig(int(doc["array"]["mt"]), float(doc["array"].get("spacing", 0.5))),
-        sample_rate=rate,
-        delay_samples=base,
-        fractional_delay=delays - base,
-        doppler_hz=np.array([p["doppler_hz"] for p in doc["paths"]]),
-        aod=np.array([p["aod"] for p in doc["paths"]]),
-        gain_estimate=np.array([complex(p["gain_re"], p["gain_im"]) for p in doc["paths"]]),
-        genie=bool(doc["genie"]),
-    )
+    return psi_from_paths(
+        ArrayConfig(int(doc["array"]["mt"]), float(doc["array"].get("spacing", 0.5))),
+        rate,
+        np.array([p["delay_s"] for p in doc["paths"]]) * rate,
+        np.array([p["doppler_hz"] for p in doc["paths"]]),
+        np.array([p["aod"] for p in doc["paths"]]),
+        np.array([complex(p["gain_re"], p["gain_im"]) for p in doc["paths"]]),
+        bool(doc["genie"]))
 
 
 @dataclass(frozen=True)
 class BeamformerSet:
-    """Per-path unit-norm beam vectors plus the power split across paths."""
+    """Per-path unit-norm beam vectors plus the power split across paths.
+
+    A stack of channels adds the same leading axes to both arrays.
+    """
 
     vectors: np.ndarray           # (M_t, L), column l is f_l
     criterion: str
@@ -185,12 +195,12 @@ class BeamformerSet:
     def __post_init__(self):
         v = np.array(self.vectors, dtype=np.complex128)
         p = np.array(self.power_allocation, dtype=float)
-        if v.ndim != 2 or v.shape[1] != len(p):
+        if v.ndim < 2 or v.shape[:-2] + v.shape[-1:] != p.shape:
             raise ValueError("vectors must be (M_t x L) matching the power allocation")
-        norms = np.linalg.norm(v, axis=0)
+        norms = np.linalg.norm(v, axis=-2)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("beam vectors must be unit norm")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        if np.any(p < 0) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-12):
             raise ValueError("power allocation must be nonnegative and sum to 1")
         v.flags.writeable = False
         p.flags.writeable = False
@@ -199,7 +209,7 @@ class BeamformerSet:
 
     @property
     def num_paths(self) -> int:
-        return self.vectors.shape[1]
+        return self.vectors.shape[-1]
 
 
 def path_beamformers(psi: PathStateInfo, criterion: str, noise_var: float = 0.0,
@@ -211,47 +221,52 @@ def path_beamformers(psi: PathStateInfo, criterion: str, noise_var: float = 0.0,
           other paths' steering span, so a_{l'}^H f_l = 0 for l' != l.
     rzf:  f_l ~ (A A^H + L*noise_var I)^-1 a_l, unit-normalized.
     mmse: same matrix form with regularizer noise_var.
+
+    The math runs over the leading axes of a stacked PSI: (..., L) paths
+    give (..., M_t, L) beams, one design per channel, and one channel is
+    the case without leading axes.
     """
     criterion = criterion.lower()
     if criterion not in BEAMFORMER_CRITERIA:
         raise ValueError(f"criterion must be one of {BEAMFORMER_CRITERIA}")
     mt, L = psi.array.num_tx_antennas, psi.num_paths
-    a = np.stack([steering_vector(w, psi.array) for w in psi.aod], axis=1)
+    a = steering_vector(psi.aod, psi.array)
+    a_h = np.swapaxes(a.conj(), -1, -2)
+    designs = a.size // (mt * L)
 
     if criterion == "mrt":
-        vectors = a / np.linalg.norm(a, axis=0)
-        if counter is not None:
-            counter.add(mt * L)
+        w = a
+        ops = mt * L
     elif criterion == "zf":
         if L > mt:
             raise ValueError(f"zero-forcing needs L <= M_t, got L={L} > M_t={mt}")
-        gram = a.conj().T @ a
+        gram = a_h @ a
         cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > 1e12:
-            off = np.abs(gram) / mt
+        rank_deficient = ~np.isfinite(cond) | (cond > 1e12)
+        if np.any(rank_deficient):
+            off = np.abs(gram.reshape(-1, L, L)[np.argmax(rank_deficient)]) / mt
             np.fill_diagonal(off, 0.0)
             i, j = np.unravel_index(np.argmax(off), off.shape)
             raise ValueError(
                 f"steering vectors of paths {i} and {j} are nearly collinear "
                 f"(|a_i^H a_j|/M_t = {off[i, j]:.4f}); zero-forcing is rank deficient")
         w = a @ np.linalg.inv(gram)
-        vectors = w / np.linalg.norm(w, axis=0)
-        if counter is not None:
-            counter.add(mt * L ** 2 + L ** 3 + mt * L ** 2 + mt * L)
+        ops = mt * L ** 2 + L ** 3 + mt * L ** 2 + mt * L
     else:
         lam = (L * noise_var) if criterion == "rzf" else noise_var
-        m = a @ a.conj().T + lam * np.eye(mt)
+        m = a @ a_h + lam * np.eye(mt)
         inv = np.linalg.pinv(m) if lam == 0 else np.linalg.inv(m)
         w = inv @ a
-        vectors = w / np.linalg.norm(w, axis=0)
-        if counter is not None:
-            counter.add(mt ** 2 * L + mt ** 3 + mt ** 2 * L + mt * L)
+        ops = mt ** 2 * L + mt ** 3 + mt ** 2 * L + mt * L
+    vectors = w / np.linalg.norm(w, axis=-2, keepdims=True)
+    if counter is not None:
+        counter.add(designs * ops)
 
     if power_allocation == "gain":
         p = np.abs(psi.gain_estimate) ** 2
-        p = p / p.sum()
+        p = p / p.sum(axis=-1, keepdims=True)
     elif power_allocation == "uniform":
-        p = np.full(L, 1.0 / L)
+        p = np.full(psi.gain_estimate.shape, 1.0 / L)
     else:
         raise ValueError("power_allocation must be 'gain' or 'uniform'")
     return BeamformerSet(vectors=vectors, criterion=criterion, power_allocation=p)
@@ -310,18 +325,14 @@ def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
     n_max = psi.n_max
     target = n_max - window.w_tau_samples // 2
     nearest = psi.nearest_delays()
-
-    def doppler_comp(nu):
-        residual = min(max(nu, -window.w_nu_hz / 2.0), window.w_nu_hz / 2.0)
-        return nu - residual
+    kappa, doppler_comp = _path_alignment(psi, window)
 
     terms = []
     if mode == "path_based":
         for l in range(psi.num_paths):
-            q = int(nearest[l])
-            terms.append(PlanTerm(path_index=l, grid_delay=q,
-                                  kappa=max(0, target - q),
-                                  doppler_comp_hz=doppler_comp(psi.doppler_hz[l]),
+            terms.append(PlanTerm(path_index=l, grid_delay=int(nearest[l]),
+                                  kappa=int(kappa[l]),
+                                  doppler_comp_hz=doppler_comp[l],
                                   amplitude=1.0 + 0.0j))
     else:
         keep = 10.0 ** (tap_threshold_db / 10.0)
@@ -336,14 +347,27 @@ def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
                 positions = base + np.arange(-half_length, half_length + 1)
             power = np.abs(amps) ** 2
             mask = (power >= keep * power.max()) & (positions >= 0)
-            comp = doppler_comp(psi.doppler_hz[l])
             for q, amp in zip(positions[mask], amps[mask]):
                 terms.append(PlanTerm(path_index=l, grid_delay=int(q),
                                       kappa=max(0, target - int(q)),
-                                      doppler_comp_hz=comp,
+                                      doppler_comp_hz=doppler_comp[l],
                                       amplitude=complex(amp)))
     return CompensationPlan(terms=tuple(terms), n_max=n_max, target=target,
                             mode=mode, window=window)
+
+
+def _path_alignment(psi: PathStateInfo, window: AlignmentWindow):
+    """(kappa, doppler_comp) per path of path-based alignment, over (..., L) paths.
+
+    Each path's strongest on-grid tap aims at the midpoint of the delay
+    target region [n_max - w_tau, n_max], n_max taken per channel, and its
+    Doppler shift is removed down to the +-w_nu/2 residual window.
+    """
+    nearest = psi.nearest_delays()
+    target = nearest.max(axis=-1, keepdims=True) - window.w_tau_samples // 2
+    half = window.w_nu_hz / 2.0
+    return (np.maximum(0, target - nearest),
+            psi.doppler_hz - np.clip(psi.doppler_hz, -half, half))
 
 
 def delay_doppler_window(psi: PathStateInfo, w_tau_samples: int, w_nu_hz: float,
@@ -410,7 +434,7 @@ def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSe
         out = row[lo:lo + len(fir) - 1 + n]
         out[:] = np.convolve(symbols, fir)
         if nu != 0.0:
-            out *= np.exp(-2j * np.pi * nu * np.arange(lo, lo + len(out)) / sample_rate)
+            out *= _doppler_ramp(nu, lo, len(out), sample_rate)
         if counter is not None:
             counter.add(len(fir) * n + (len(out) if nu != 0.0 else 0))
     paths = [path for path, _ in groups]
@@ -419,11 +443,51 @@ def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSe
         counter.add(mt * len(paths) * total_len)
     active = n + plan.max_kappa
     if normalize:
-        power = np.sum(np.abs(x[:, :active]) ** 2) / active
-        x *= 1.0 / math.sqrt(power)
+        _unit_power(x, active)
         if counter is not None:
             counter.add(mt * total_len)
     return x, active
+
+
+def _doppler_ramp(nu: float, start: int, length: int, sample_rate: float) -> np.ndarray:
+    """Doppler pre-rotation exp(-j*2*pi*nu*n/B) at samples start .. start + length - 1."""
+    return np.exp(-2j * np.pi * nu * np.arange(start, start + length) / sample_rate)
+
+
+def _unit_power(x: np.ndarray, active: int):
+    """Scale the antenna rows in place to unit mean power over the first active samples."""
+    power = np.sum(np.abs(x[:, :active]) ** 2) / active
+    x *= 1.0 / math.sqrt(power)
+
+
+def path_based_blocks(symbols: np.ndarray, psi: PathStateInfo,
+                      beams: BeamformerSet):
+    """ddam_modulate over a stack of channels: path-based plans, zero windows.
+
+    symbols is (T, N), one block per channel of the stacked psi (T, L) and
+    beams (T, M_t, L).  The alignment and the path weights are derived once
+    for the stack; each block then takes the arithmetic of ddam_modulate
+    (streams over the default guard, one beam product, unit power), so its
+    samples equal ddam_modulate's bit for bit.  Returns (samples
+    (T, M_t, W), span (T,)): block t over its active span N + its largest
+    kappa, zero past it, W the widest span.
+    """
+    kappa, doppler_comp = _path_alignment(psi, AlignmentWindow())
+    n = symbols.shape[-1]
+    span = n + kappa.max(axis=-1)
+    total = n + 2 * psi.nearest_delays().max(axis=-1)
+    weighted = symbols[:, np.newaxis, :] * np.sqrt(beams.power_allocation)[..., np.newaxis]
+    out = np.zeros((*beams.vectors.shape[:-1], span.max()), dtype=np.complex128)
+    for t, active in enumerate(span):
+        streams = np.zeros((psi.num_paths, total[t]), dtype=np.complex128)
+        for row, k, nu, stream in zip(streams, kappa[t], doppler_comp[t], weighted[t]):
+            row[k:k + n] = stream
+            if nu != 0.0:
+                row[k:k + n] *= _doppler_ramp(nu, k, n, psi.sample_rate)
+        x = beams.vectors[t] @ streams
+        _unit_power(x, active)
+        out[t, :, :active] = x[:, :active]
+    return out, span
 
 
 def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,

@@ -5,12 +5,15 @@ genie one-tap equalization frozen at each symbol's center time, DDAM with
 genie gain from the noiseless receive, OTFS with a wideband MRT beam and
 dense DD-domain MMSE, and the combined pipelines.  Every BER runner is a
 (transmit, receive, frames) triple fed to one frame loop: draw bits, QPSK,
-transmit, apply_channel, add_awgn, receive, count bit errors.
+transmit, apply_channel, add_awgn, receive, count bit errors.  The PAPR
+generators draw each trial's random values from its own generator and
+run everything after the draws over stacked chunks of trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .channel import (
     ScalarChannel,
     add_awgn,
     apply_channel,
-    sample_random_channel,
+    draw_random_paths,
     steering_vector,
 )
 from .combos import (
@@ -41,8 +44,10 @@ from .ddam import (
     ddam_modulate,
     equivalent_channel,
     estimate_gain,
+    path_based_blocks,
     path_beamformers,
     psi_from_channel,
+    psi_from_paths,
 )
 from .metrics import fft_multiplies
 from .modulation import qpsk_demodulate, qpsk_modulate, random_qpsk
@@ -53,9 +58,19 @@ from .ofdm import (
     ofdm_demodulate,
     ofdm_equalize_one_tap,
 )
-from .otfs import OtfsConfig, dd_effective_matrix, mmse_equalize_dd, otfs_modem
+from .otfs import (
+    OtfsConfig,
+    dd_effective_matrix,
+    mmse_equalize_dd,
+    otfs_modem,
+    otfs_samples,
+)
 
 WAVEFORMS = ("ofdm", "otfs_isfft", "otfs_zak", "ddam", "ddam_ofdm", "ddam_otfs")
+
+# A PAPR chunk holds as many trials as fit about this many bytes of
+# (trials x rows x N) complex samples.
+PAPR_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -276,14 +291,14 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
     psi = psi_from_channel(channel)
     noise_var = 10 ** (-snr_db / 10)
     beams = path_beamformers(psi, criterion, noise_var=noise_var)
-    h_dd = ddam_otfs_effective_matrix(channel, psi, beams, cfg, window=window,
-                                      mode=mode, variant=variant,
-                                      half_length=half_length)
+    plan = build_compensation_plan(psi, mode=mode, window=window,
+                                   half_length=half_length)
+    h_dd = ddam_otfs_effective_matrix(channel, psi, beams, cfg, variant=variant,
+                                      half_length=half_length, plan=plan)
 
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
-        return ddam_otfs_transmit(grid, psi, beams, cfg, window=window, mode=mode,
-                                  variant=variant, half_length=half_length)
+        return ddam_otfs_transmit(grid, psi, beams, cfg, variant=variant, plan=plan)
 
     def receive(noisy, clean, symbols):
         return ddam_otfs_receive(noisy, h_dd, cfg, noise_var, variant=variant)
@@ -293,49 +308,74 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                        half_length=half_length)
 
 
+def _chunks(rngs, rows: int, width: int):
+    """The per-trial generators in lists that fill about PAPR_CHUNK_BYTES
+    of (trials x rows x width) complex samples."""
+    size = max(1, PAPR_CHUNK_BYTES // (16 * rows * width))
+    rngs = iter(rngs)
+    while chunk := list(islice(rngs, size)):
+        yield chunk
+
+
 def make_papr_generator(waveform: str, **params):
-    """Build a seeded one-trial waveform generator (guard/CP excluded).
+    """Build a seeded chunk generator of PAPR trials (guard/CP excluded).
+
+    The generator takes the per-trial Generators and yields, for papr_ccdf,
+    one (samples (T x rows x N), span (T,)) chunk per T consecutive trials,
+    T sized from PAPR_CHUNK_BYTES.  Each trial draws from its own generator
+    in the order of a trial run on its own; everything after the draws runs
+    once per chunk, and each trial's samples equal the one-trial chain's.
 
     ofdm: one OFDM symbol body of K subcarriers.  otfs_*: one frame body.
-    ddam: one block over a fresh random channel, all antennas returned.
+    ddam: one block over a fresh random channel, all antennas, over its
+    active span N + max kappa; one path_beamformers call per chunk.
     """
     if waveform == "ofdm":
         k = params["num_subcarriers"]
-        return lambda rng: np.fft.ifft(random_qpsk(rng, k), norm="ortho")
+
+        def gen(rngs):
+            for chunk in _chunks(rngs, 1, k):
+                x = np.fft.ifft([random_qpsk(rng, k) for rng in chunk], norm="ortho")
+                yield x[:, np.newaxis, :], np.full(len(chunk), k)
+
+        return gen
 
     if waveform in ("otfs_zak", "otfs_isfft"):
         cfg = OtfsConfig(num_doppler_bins=params["num_doppler_bins"],
                          num_delay_bins=params["num_delay_bins"],
                          cp_len=0, sample_rate=params.get("sample_rate", 1e6))
-        modulate, _ = otfs_modem(waveform.split("_")[1])
+        k, m = cfg.num_delay_bins, cfg.num_doppler_bins
+        variant = waveform.split("_")[1]
 
-        def gen(rng):
-            grid = random_qpsk(rng, cfg.frame_len).reshape(
-                cfg.num_delay_bins, cfg.num_doppler_bins)
-            return modulate(grid, cfg).row()
+        def gen(rngs):
+            for chunk in _chunks(rngs, 1, k * m):
+                grids = np.array([random_qpsk(rng, k * m).reshape(k, m) for rng in chunk])
+                x = otfs_samples(grids, variant)
+                yield x[:, np.newaxis, :], np.full(len(chunk), k * m)
 
         return gen
 
     if waveform == "ddam":
         num_paths = params["num_paths"]
-        mt = params["mt"]
+        array = ArrayConfig(params["mt"])
         block = params.get("block_len", 512)
         criterion = params.get("criterion", "zf")
         max_delay = params.get("max_delay_samples", 32)
         rate = params.get("sample_rate", 1e6)
         doppler = params.get("max_doppler_hz", 0.0)
 
-        def gen(rng):
-            channel = sample_random_channel(
-                ArrayConfig(mt), num_paths, (0.0, max_delay / rate),
-                (-doppler, doppler), rng.integers(2 ** 63), sample_rate=rate)
-            psi = psi_from_channel(channel)
-            beams = path_beamformers(psi, criterion, noise_var=0.01)
-            plan = build_compensation_plan(psi)
-            symbols = random_qpsk(rng, block)
-            frame = ddam_modulate(symbols, psi, beams, DdamFrameConfig(block),
-                                  plan=plan)
-            return frame.samples[:, :block + plan.max_kappa]
+        def gen(rngs):
+            for chunk in _chunks(rngs, array.num_tx_antennas, block + max_delay):
+                paths, symbols = [], []
+                for rng in chunk:
+                    paths.append(draw_random_paths(
+                        array, num_paths, (0.0, max_delay / rate), (-doppler, doppler),
+                        rng.integers(2 ** 63)))
+                    symbols.append(random_qpsk(rng, block))
+                aods, delays, dopplers, gains = (np.array(v) for v in zip(*paths))
+                psi = psi_from_paths(array, rate, delays * rate, dopplers, aods, gains)
+                beams = path_beamformers(psi, criterion, noise_var=0.01)
+                yield path_based_blocks(np.array(symbols), psi, beams)
 
         return gen
 

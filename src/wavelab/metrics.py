@@ -36,41 +36,54 @@ def qfunc(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def papr_db(samples: np.ndarray, oversample: int = 1) -> float:
+def papr_db(samples: np.ndarray, oversample: int = 1, span=None):
     """Peak-to-average power ratio in dB.
 
-    Accepts one row or a (rows x N) matrix; with several rows (antennas)
-    the maximum per-row PAPR is returned.  Guard or CP samples are the
-    caller's responsibility to exclude.  oversample > 1 interpolates each
-    row by zero-padding its spectrum before peak picking.
+    Accepts one row, a (rows x N) matrix or a stack (..., rows, N) of such
+    matrices.  A matrix's PAPR is the maximum per-row PAPR (rows are
+    antennas): a float for one matrix, an array over the leading axes for a
+    stack.  span (one count per matrix, default N) is each matrix's active
+    length: the mean power is taken over its first span samples, and the
+    samples past it must be zero.  Guard or CP samples are the caller's
+    responsibility to exclude.  oversample > 1 interpolates each row's
+    active span by zero-padding its spectrum before peak picking.
     """
-    x = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
-    if x.shape[1] == 0:
+    x = np.asarray(samples, dtype=np.complex128)
+    if x.shape[-1] == 0:
         raise ValueError("empty signal")
-    mean_power = np.mean(np.abs(x) ** 2, axis=1)
+    lead = x.shape[:-2]
+    x = x.reshape(-1, *x.shape[-2:]) if x.ndim > 1 else x.reshape(1, 1, -1)
+    span = np.broadcast_to(x.shape[-1] if span is None else span, lead).reshape(-1)
+    power = np.abs(x) ** 2
+    mean_power = np.empty(power.shape[:-1])
+    peak_power = np.max(power, axis=-1)  # the zeros past a span never peak
+    for n in np.unique(span):  # one pass per active length
+        pick = span == n
+        mean_power[pick] = np.mean(power[pick, :, :n], axis=-1)
+        if oversample > 1:
+            peak_power[pick] = np.max(
+                np.abs(_interpolate_rows(x[pick, :, :n], oversample)) ** 2, axis=-1)
     if np.any(mean_power == 0):
         raise ValueError("zero-power signal")
-    if oversample > 1:
-        x = _interpolate_rows(x, oversample)
-    peak_power = np.max(np.abs(x) ** 2, axis=1)
-    return float(np.max(10.0 * np.log10(peak_power / mean_power)))
+    papr = np.max(10.0 * np.log10(peak_power / mean_power), axis=-1).reshape(lead)
+    return float(papr) if papr.ndim == 0 else papr
 
 
 def _interpolate_rows(x: np.ndarray, factor: int) -> np.ndarray:
-    """Fourier interpolation to at least factor x the input rate.
+    """Fourier interpolation along the last axis to at least factor x the input rate.
 
     The padded length is rounded up to a power of two, which changes only
     the (dense) sampling grid of the trigonometric interpolant, not its
     envelope, and keeps the inverse FFT fast for any input length.
     """
-    rows, n = x.shape
-    spectrum = np.fft.fft(x, axis=1)
+    n = x.shape[-1]
+    spectrum = np.fft.fft(x, axis=-1)
     out_len = 1 << (factor * n - 1).bit_length()
-    padded = np.zeros((rows, out_len), dtype=np.complex128)
+    padded = np.zeros((*x.shape[:-1], out_len), dtype=np.complex128)
     half = n // 2
-    padded[:, :half] = spectrum[:, :half]
-    padded[:, out_len - (n - half):] = spectrum[:, half:]
-    return (out_len / n) * np.fft.ifft(padded, axis=1)
+    padded[..., :half] = spectrum[..., :half]
+    padded[..., out_len - (n - half):] = spectrum[..., half:]
+    return (out_len / n) * np.fft.ifft(padded, axis=-1)
 
 
 DEFAULT_CCDF_THRESHOLDS = np.arange(0.0, 14.0 + 0.25 / 2, 0.25)
@@ -109,11 +122,15 @@ class PaprCcdf:
 
 def papr_ccdf(waveform_generator, num_trials: int, rng_seed,
               thresholds_db=None, oversample: int = 1) -> PaprCcdf:
-    """Monte Carlo CCDF of PAPR for a seeded waveform generator.
+    """Monte Carlo CCDF of PAPR for a seeded chunk generator.
 
-    The generator is called once per trial with a child Generator, spawned
-    from rng_seed in trial order, and must return the samples to measure
-    (guard/CP already excluded).
+    The generator (see link.make_papr_generator) is called once with an
+    iterator of num_trials child Generators, spawned from rng_seed in
+    trial order, one per trial.  It yields (samples, span) chunks, one per
+    group of consecutive trials: samples is (T x rows x N) with guard/CP
+    already excluded, and span the T active lengths (see papr_db).  A
+    threshold's exceed probability is the fraction of trials whose PAPR
+    lies strictly above it.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
@@ -121,10 +138,11 @@ def papr_ccdf(waveform_generator, num_trials: int, rng_seed,
                   else np.asarray(thresholds_db, dtype=float))
     root = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
             else np.random.SeedSequence(rng_seed))
-    values = np.array([papr_db(waveform_generator(np.random.default_rng(seed)),
-                               oversample=oversample)
-                       for seed in root.spawn(num_trials)])
-    exceed = np.array([(values > t).mean() for t in thresholds])
+    rngs = (np.random.default_rng(root.spawn(1)[0]) for _ in range(num_trials))
+    values = np.sort(np.concatenate([papr_db(samples, oversample, span)
+                                     for samples, span in waveform_generator(rngs)]))
+    at_or_below = np.searchsorted(values, thresholds, side="right")
+    exceed = (len(values) - at_or_below) / len(values)
     return PaprCcdf(thresholds_db=thresholds, exceed_probability=exceed)
 
 

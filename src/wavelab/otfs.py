@@ -77,9 +77,7 @@ def otfs_modulate_isfft(grid: np.ndarray, cfg: OtfsConfig, counter=None) -> Fram
     if counter is not None:
         counter.add(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
         counter.add(m * fft_multiplies(k))                          # Heisenberg step
-    tf = np.fft.ifft(np.fft.fft(grid, axis=0, norm="ortho"), axis=1, norm="ortho")
-    chunks = np.fft.ifft(tf, axis=0, norm="ortho")
-    return _prepend_cp(chunks.T.reshape(-1), cfg)
+    return _prepend_cp(otfs_samples(grid, "isfft"), cfg)
 
 
 def otfs_demodulate_isfft(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
@@ -99,8 +97,7 @@ def otfs_modulate_zak(grid: np.ndarray, cfg: OtfsConfig, counter=None) -> Frame:
     k, m = cfg.num_delay_bins, cfg.num_doppler_bins
     if counter is not None:
         counter.add(k * fft_multiplies(m))
-    z = np.fft.ifft(grid, axis=1, norm="ortho")
-    return _prepend_cp(z.reshape(-1, order="F"), cfg)
+    return _prepend_cp(otfs_samples(grid, "zak"), cfg)
 
 
 def otfs_demodulate_zak(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
@@ -114,6 +111,24 @@ def otfs_demodulate_zak(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
 
 
 VARIANTS = ("zak", "isfft")
+
+
+def otfs_samples(grids: np.ndarray, variant: str) -> np.ndarray:
+    """CP-free transmit samples of (..., K, M) DD grids: (..., K*M), delay fastest.
+
+    zak: inverse Zak transform, an IDFT over the Doppler axis.  isfft: the
+    ISFFT to the TF grid, then an IDFT of size K per column.  A stack of
+    grids is one batched transform per step.
+    """
+    if variant == "zak":
+        z = np.fft.ifft(grids, axis=-1, norm="ortho")
+    elif variant == "isfft":
+        tf = np.fft.ifft(np.fft.fft(grids, axis=-2, norm="ortho"), axis=-1, norm="ortho")
+        z = np.fft.ifft(tf, axis=-2, norm="ortho")
+    else:
+        raise ValueError(f"unknown OTFS variant {variant!r}, expected one of "
+                         f"{', '.join(VARIANTS)}")
+    return np.swapaxes(z, -1, -2).reshape(*z.shape[:-2], -1)
 
 
 def otfs_modem(variant: str):

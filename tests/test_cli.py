@@ -139,6 +139,47 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(f"channel.paths[1].{key}: ")
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("channel.sample_rate_hz", 0),
+        ("channel.sample_rate_hz", "x"),
+        ("channel.array.spacing", -1),
+        ("channel.random.sample_rate_hz", 0),
+    ])
+    def test_bad_channel_number_exits_config_error(self, tmp_path, capsys, field, value):
+        channel = channel_doc()
+        if field.startswith("channel.random."):
+            channel = {"random": {"num_paths": 2, "mt": 4, "delay_range_s": [0, 1e-6],
+                                  "doppler_range_hz": [0, 0], "sample_rate_hz": 1e6}}
+        doc = {"experiment": "ber_vs_snr", "seed": 1, "waveform": "ddam",
+               "snr_db": [10.0], "channel": channel, "num_symbols": 4}
+        *parents, key = field.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"{field}: ")
+
+    @pytest.mark.parametrize("field,value", [
+        ("criterion", "foo"),
+        ("block_len", 0),
+        ("max_delay_samples", -4),
+        ("max_delay_samples", "x"),
+        ("max_doppler_hz", -5),
+    ])
+    def test_bad_papr_ddam_field_exits_config_error(self, tmp_path, capsys, field, value):
+        doc = {"experiment": "papr_ccdf", "seed": 0, "trials": 3,
+               "waveforms": [{"waveform": "ofdm", "k": 16},
+                             {"waveform": "ddam", "l": 2, "mt": 4, "block_len": 16,
+                              field: value}]}
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"waveforms[1].{field}: ")
+
+
 class TestRunExperiment:
     def test_feasibility_matches_module(self, tmp_path):
         cfg = write_config(tmp_path, feasibility_config())

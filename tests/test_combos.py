@@ -355,6 +355,31 @@ class TestDdamOtfs:
         power = np.sum(np.abs(tx.samples[:, :active]) ** 2) / active
         assert power == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["path_based", "tap_based"])
+    def test_one_plan_per_ber_point(self, monkeypatch, mode):
+        import wavelab.combos
+        import wavelab.ddam
+        import wavelab.link
+
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(None)
+            return build_compensation_plan(*args, **kwargs)
+
+        for module in (wavelab.ddam, wavelab.combos, wavelab.link):
+            monkeypatch.setattr(module, "build_compensation_plan", counting)
+        rng = np.random.default_rng(17)
+        channel, _, _ = make_scenario(rng, [1.3, 4.6], dopplers=[300.0, -200.0], mt=8)
+        cfg = OtfsConfig(4, 8, 8, RATE)
+        counts = []
+        for frames in (1, 3):
+            builds.clear()
+            wavelab.link.run_ddam_otfs_ber(channel, cfg, 10.0, frames, rng_seed=5,
+                                           mode=mode)
+            counts.append(len(builds))
+        assert counts == [1, 1]
+
     def test_chain_callable_matches_modulate(self):
         rng = np.random.default_rng(16)
         channel, psi, beams = make_scenario(rng, [1, 5])
