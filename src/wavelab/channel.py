@@ -318,6 +318,25 @@ class ScalarChannel:
                 2j * np.pi * doppler_hz * n / self.sample_rate) * segment
         return y
 
+    def matrix(self, n_in: int) -> np.ndarray:
+        """((n_in + tail) x n_in) time-domain matrix: column j equals self(e_j).
+
+        Each tap adds gain * Doppler ramp * FIR on a band of diagonals, one
+        diagonal per FIR coefficient, in the order __call__ sums the taps.
+        """
+        n_out = n_in + self._tail
+        h = np.zeros((n_out, n_in), dtype=np.complex128)
+        n = np.arange(n_out)
+        for (gain, _, doppler_hz), (start, fir) in zip(self.taps, self._filters):
+            fir = np.ones(1) if fir is None else fir
+            ramp = gain * np.exp(2j * np.pi * doppler_hz * n / self.sample_rate)
+            lag, col = np.indices((len(fir), n_in)).reshape(2, -1)
+            row = start + lag + col
+            keep = row >= 0
+            lag, col, row = lag[keep], col[keep], row[keep]
+            h[row, col] += ramp[row] * fir[lag]
+        return h
+
     def frequency_response(self, k: int) -> np.ndarray:
         """(L x K) K-point DFT of each tap's delay filter, gain and Doppler excluded."""
         bins = np.arange(k)

@@ -46,7 +46,7 @@ from .link import (
 )
 from .metrics import ComplexityParams, complexity_model, measured_complexity, papr_ccdf
 from .ofdm import FeasibilityThresholds, OfdmConfig, feasible_region
-from .otfs import VARIANTS, OtfsConfig
+from .otfs import MAX_DENSE_GRID, VARIANTS, OtfsConfig
 
 EXPERIMENTS = (
     "feasibility_region",
@@ -119,6 +119,31 @@ def _power_of_two(diags, doc, path, key):
     if v is not None and v & (v - 1):
         label = f"{path}.{key}" if path else key
         diags.append(f"{label}: must be a power of two, got {v!r}")
+        return None
+    return v
+
+
+def _otfs_grid(diags, doc, path):
+    """Power-of-two k and m and a cp_len of at most k*m samples; returns
+    k*m when k and m are valid."""
+    k = _power_of_two(diags, doc, path, "k")
+    m = _power_of_two(diags, doc, path, "m")
+    cp = _nonnegative_int(diags, doc, path, "cp_len", 0)
+    if k is None or m is None:
+        return None
+    if cp is not None and cp > k * m:
+        label = f"{path}.cp_len" if path else "cp_len"
+        diags.append(f"{label}: must not exceed the frame length k*m = {k * m}, "
+                     f"got {cp!r}")
+    return k * m
+
+
+def _paths_fit_array(diags, path, key, num_paths, mt):
+    """AoDs are drawn 2/mt apart on [-1, 1), room for at most mt paths."""
+    if num_paths is not None and mt is not None and num_paths > mt:
+        label = f"{path}.{key}" if path else key
+        diags.append(f"{label}: must not exceed mt {mt} (AoDs 2/mt apart), "
+                     f"got {num_paths!r}")
 
 
 def _one_of(diags, doc, path, key, choices, default):
@@ -166,8 +191,9 @@ def _validate_channel(diags, doc, path):
         return
     if "random" in doc:
         rnd = doc["random"]
-        _positive_int(diags, rnd, f"{path}.random", "num_paths")
-        _positive_int(diags, rnd, f"{path}.random", "mt")
+        num_paths = _positive_int(diags, rnd, f"{path}.random", "num_paths")
+        mt = _positive_int(diags, rnd, f"{path}.random", "mt")
+        _paths_fit_array(diags, f"{path}.random", "num_paths", num_paths, mt)
         for key in ("delay_range_s", "doppler_range_hz"):
             v = rnd.get(key)
             if not (isinstance(v, list) and len(v) == 2):
@@ -249,12 +275,12 @@ def validate_config(doc) -> list:
                 if name == "ofdm":
                     _positive_int(diags, entry, f"waveforms[{i}]", "k")
                 elif name in ("otfs_isfft", "otfs_zak"):
-                    _power_of_two(diags, entry, f"waveforms[{i}]", "k")
-                    _power_of_two(diags, entry, f"waveforms[{i}]", "m")
+                    _otfs_grid(diags, entry, f"waveforms[{i}]")
                 else:
                     label = f"waveforms[{i}]"
-                    _positive_int(diags, entry, label, "l")
-                    _positive_int(diags, entry, label, "mt")
+                    num_paths = _positive_int(diags, entry, label, "l")
+                    mt = _positive_int(diags, entry, label, "mt")
+                    _paths_fit_array(diags, label, "l", num_paths, mt)
                     _one_of(diags, entry, label, "criterion", BEAMFORMER_CRITERIA, "zf")
                     _positive_int(diags, entry, label, "block_len", default=512)
                     _nonnegative_int(diags, entry, label, "max_delay_samples", 32)
@@ -285,8 +311,10 @@ def validate_config(doc) -> list:
                 diags.append(f"window.w_tau: must not exceed cp_len {cp}, got {w_tau!r}")
             _positive_int(diags, doc, "", "num_symbols")
         elif waveform in ("otfs_isfft", "otfs_zak", "ddam_otfs"):
-            _power_of_two(diags, doc, "", "k")
-            _power_of_two(diags, doc, "", "m")
+            size = _otfs_grid(diags, doc, "")
+            if size is not None and size > MAX_DENSE_GRID:
+                diags.append(f"k: k*m = {size} exceeds the dense DD-matrix limit "
+                             f"{MAX_DENSE_GRID}")
             _positive_int(diags, doc, "", "num_frames")
         else:
             _positive_int(diags, doc, "", "num_symbols")

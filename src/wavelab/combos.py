@@ -4,8 +4,9 @@ DDAM-OFDM weights each subcarrier by the conjugate phase of the residual
 equivalent channel, OFDM-modulates with a reduced cyclic prefix sized to
 the residual delay window, and feeds the scalar stream through the DDAM
 time-domain chain.  DDAM-OTFS multiplexes symbols on the delay-Doppler
-grid and equalizes with the brute-force effective matrix of the
-compensated end-to-end channel.
+grid and equalizes with the DD effective matrix of the compensated
+end-to-end channel, whose time-domain matrix comes from probing the chain
+with one unit impulse per transmitted sample.
 """
 
 from __future__ import annotations
@@ -174,22 +175,30 @@ def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,
                                mode: str = "path_based", variant: str = "zak",
                                half_length: int = DEFAULT_HALF_LENGTH,
                                plan: CompensationPlan = None) -> np.ndarray:
-    """DD effective matrix of the compensated end-to-end channel."""
+    """DD effective matrix of the compensated end-to-end channel.
+
+    The unnormalized chain is probed with one unit impulse per transmitted
+    sample (see otfs.dd_effective_matrix).
+    """
     chain = ddam_chain_callable(channel, psi, beams, window=window, mode=mode,
                                 half_length=half_length, plan=plan)
     return dd_effective_matrix(chain, otfs_cfg, variant=variant)
 
 
 def ddam_otfs_receive(rx, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig,
-                      noise_var: float, variant: str = "zak") -> np.ndarray:
-    """Demodulate to the DD grid and MMSE-equalize with the effective matrix."""
+                      noise_var: float, variant: str = "zak",
+                      gram: np.ndarray = None) -> np.ndarray:
+    """Demodulate to the DD grid and MMSE-equalize with the effective matrix.
+
+    A given MMSE gram (otfs.mmse_gram) is used as is; otherwise one is built.
+    """
     samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
     need = otfs_cfg.frame_len + otfs_cfg.cp_len
     if len(samples) < need:
         samples = np.concatenate([samples, np.zeros(need - len(samples), dtype=complex)])
     _, demodulate = otfs_modem(variant)
     grid = demodulate(samples, otfs_cfg)
-    return mmse_equalize_dd(grid, effective_matrix, noise_var)
+    return mmse_equalize_dd(grid, effective_matrix, noise_var, gram=gram)
 
 
 def dominant_entries_per_column(matrix: np.ndarray, threshold_db: float = -30.0) -> np.ndarray:

@@ -3,7 +3,8 @@
 These tie the modems to the channel: MISO OFDM with per-subcarrier MRT and
 genie one-tap equalization frozen at each symbol's center time, DDAM with
 genie gain from the noiseless receive, OTFS with a wideband MRT beam and
-dense DD-domain MMSE, and the combined pipelines.  Every BER runner is a
+dense DD-domain MMSE (one effective matrix and one MMSE Gram per BER
+point), and the combined pipelines.  Every BER runner is a
 (transmit, receive, frames) triple fed to one frame loop: draw bits, QPSK,
 transmit, apply_channel, add_awgn, receive, count bit errors.  The PAPR
 generators draw each trial's random values from its own generator and
@@ -62,6 +63,7 @@ from .otfs import (
     OtfsConfig,
     dd_effective_matrix,
     mmse_equalize_dd,
+    mmse_gram,
     otfs_modem,
     otfs_samples,
 )
@@ -245,13 +247,14 @@ def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
     h_dd = dd_effective_matrix(otfs_scalar_taps(channel, beam), cfg, variant=variant)
     modulate, demodulate = otfs_modem(variant)
     noise_var = 10 ** (-snr_db / 10)
+    gram = mmse_gram(h_dd, noise_var)
 
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
         return Frame(np.outer(beam, modulate(grid, cfg).row()), cfg.sample_rate)
 
     def receive(noisy, clean, symbols):
-        return mmse_equalize_dd(demodulate(noisy.row(), cfg), h_dd, noise_var)
+        return mmse_equalize_dd(demodulate(noisy.row(), cfg), h_dd, noise_var, gram=gram)
 
     return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
                        [cfg.frame_len] * num_frames, transmit, receive)
@@ -295,13 +298,15 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                                    half_length=half_length)
     h_dd = ddam_otfs_effective_matrix(channel, psi, beams, cfg, variant=variant,
                                       half_length=half_length, plan=plan)
+    gram = mmse_gram(h_dd, noise_var)
 
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
         return ddam_otfs_transmit(grid, psi, beams, cfg, variant=variant, plan=plan)
 
     def receive(noisy, clean, symbols):
-        return ddam_otfs_receive(noisy, h_dd, cfg, noise_var, variant=variant)
+        return ddam_otfs_receive(noisy, h_dd, cfg, noise_var, variant=variant,
+                                 gram=gram)
 
     return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
                        [cfg.frame_len] * num_frames, transmit, receive,

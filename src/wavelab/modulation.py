@@ -6,14 +6,16 @@ import numpy as np
 
 _SCALE = 1.0 / np.sqrt(2.0)
 
+# Constellation point of the bit pair (b0, b1), indexed by 2 * b0 + b1.
+_QPSK = _SCALE * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+
 
 def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
     """Map bit pairs (b0, b1) to ((1-2*b0) + j(1-2*b1)) / sqrt(2)."""
     bits = np.asarray(bits).ravel()
     if len(bits) % 2:
         raise ValueError("bit stream length must be even")
-    b = bits.reshape(-1, 2)
-    return _SCALE * ((1 - 2 * b[:, 0]) + 1j * (1 - 2 * b[:, 1]))
+    return _QPSK[2 * bits[0::2] + bits[1::2]]
 
 
 def qpsk_demodulate(symbols: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 Information symbols live on a (delay bins x Doppler bins) grid.  Both
 modulation chains are unitary and map the grid to M*K time samples with
 delay fastest (sample n = k + K*m), plus one cyclic prefix per frame.
-The delay-Doppler effective matrix is built brute force, column by column,
-to serve as an exact linear oracle for equalization.
+The delay-Doppler effective matrix is the exact linear map for
+equalization: the channel's time-domain matrix between two unitary OTFS
+transforms, each one batched FFT pass over blocks of rows or columns.
 """
 
 from __future__ import annotations
@@ -14,11 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Frame
+from .channel import Frame, ScalarChannel
 from .metrics import fft_multiplies
 
 # Dense effective-matrix construction is capped at this grid size.
 MAX_DENSE_GRID = 4096
+
+# The effective-matrix transforms run over blocks of rows (then columns) of
+# about this many bytes, so their temporaries stay small.
+TRANSFORM_BLOCK_BYTES = 1 << 20
 
 GRID_MAGIC = b"DDG1"
 
@@ -39,6 +44,9 @@ class OtfsConfig:
                 raise ValueError(f"{name} must be a positive power of two")
         if self.cp_len < 0:
             raise ValueError("cp_len must be >= 0")
+        if self.cp_len > self.frame_len:
+            raise ValueError(f"cp_len {self.cp_len} exceeds the frame length "
+                             f"{self.frame_len} (num_doppler_bins * num_delay_bins)")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
 
@@ -87,8 +95,7 @@ def otfs_demodulate_isfft(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
     if counter is not None:
         counter.add(m * fft_multiplies(k))
         counter.add(m * fft_multiplies(k) + k * fft_multiplies(m))
-    tf = np.fft.fft(body.reshape(m, k).T, axis=0, norm="ortho")
-    return np.fft.ifft(np.fft.fft(tf, axis=1, norm="ortho"), axis=0, norm="ortho")
+    return otfs_grids(body, cfg, "isfft")
 
 
 def otfs_modulate_zak(grid: np.ndarray, cfg: OtfsConfig, counter=None) -> Frame:
@@ -106,11 +113,16 @@ def otfs_demodulate_zak(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
     k, m = cfg.num_delay_bins, cfg.num_doppler_bins
     if counter is not None:
         counter.add(k * fft_multiplies(m))
-    z = body.reshape((k, m), order="F")
-    return np.fft.fft(z, axis=1, norm="ortho")
+    return otfs_grids(body, cfg, "zak")
 
 
 VARIANTS = ("zak", "isfft")
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown OTFS variant {variant!r}, expected one of "
+                         f"{', '.join(VARIANTS)}")
 
 
 def otfs_samples(grids: np.ndarray, variant: str) -> np.ndarray:
@@ -120,73 +132,123 @@ def otfs_samples(grids: np.ndarray, variant: str) -> np.ndarray:
     ISFFT to the TF grid, then an IDFT of size K per column.  A stack of
     grids is one batched transform per step.
     """
+    _check_variant(variant)
     if variant == "zak":
         z = np.fft.ifft(grids, axis=-1, norm="ortho")
-    elif variant == "isfft":
+    else:
         tf = np.fft.ifft(np.fft.fft(grids, axis=-2, norm="ortho"), axis=-1, norm="ortho")
         z = np.fft.ifft(tf, axis=-2, norm="ortho")
-    else:
-        raise ValueError(f"unknown OTFS variant {variant!r}, expected one of "
-                         f"{', '.join(VARIANTS)}")
     return np.swapaxes(z, -1, -2).reshape(*z.shape[:-2], -1)
+
+
+def otfs_grids(samples: np.ndarray, cfg: OtfsConfig, variant: str) -> np.ndarray:
+    """(..., K, M) DD grids of (..., K*M) CP-free samples, inverse of otfs_samples.
+
+    zak: the Zak transform, a DFT over the Doppler axis.  isfft: a DFT of
+    size K per column, then the SFFT back to the DD grid.  A stack is one
+    batched transform per step.
+    """
+    _check_variant(variant)
+    k, m = cfg.num_delay_bins, cfg.num_doppler_bins
+    z = np.swapaxes(samples.reshape(*samples.shape[:-1], m, k), -1, -2)
+    if variant == "zak":
+        return np.fft.fft(z, axis=-1, norm="ortho")
+    tf = np.fft.fft(z, axis=-2, norm="ortho")
+    return np.fft.ifft(np.fft.fft(tf, axis=-1, norm="ortho"), axis=-2, norm="ortho")
 
 
 def otfs_modem(variant: str):
     """(modulate, demodulate) functions of the "zak" or "isfft" variant."""
-    # Built on each call from the module attributes, so a wrapper installed
-    # on them (as the benchmark's tracer does) sees every call.
-    modems = {"zak": (otfs_modulate_zak, otfs_demodulate_zak),
-              "isfft": (otfs_modulate_isfft, otfs_demodulate_isfft)}
-    if variant not in modems:
-        raise ValueError(f"unknown OTFS variant {variant!r}, expected one of "
-                         f"{', '.join(VARIANTS)}")
-    return modems[variant]
+    _check_variant(variant)
+    # Looked up on each call from the module attributes, so a wrapper
+    # installed on them (as the benchmark's tracer does) sees every call.
+    if variant == "zak":
+        return otfs_modulate_zak, otfs_demodulate_zak
+    return otfs_modulate_isfft, otfs_demodulate_isfft
+
+
+def _time_matrix(channel, cfg: OtfsConfig) -> np.ndarray:
+    """(N x N) map from the CP-free frame body to the received body.
+
+    The body rows of the channel's matrix over the N + cp transmitted
+    samples, with each CP column added to the column of the body sample it
+    repeats (the last cp).  A ScalarChannel builds its matrix from its
+    taps; any other callable is probed with one unit impulse per
+    transmitted sample.
+    """
+    n, cp = cfg.frame_len, cfg.cp_len
+    if isinstance(channel, ScalarChannel):
+        rows = channel.matrix(n + cp)[cp:cp + n]
+    else:
+        rows = np.zeros((n, n + cp), dtype=np.complex128)
+        for j in range(n + cp):
+            y = channel(np.eye(1, n + cp, j, dtype=np.complex128)[0])[cp:cp + n]
+            rows[:len(y), j] = y
+    c = rows[:, cp:].copy()
+    c[:, n - cp:] += rows[:, :cp]
+    return c
 
 
 def dd_effective_matrix(channel, cfg: OtfsConfig, variant: str = "zak") -> np.ndarray:
-    """Exact end-to-end DD-domain map of a scalar channel, column by column.
+    """Exact end-to-end DD-domain map H = M^H C M of a scalar channel.
 
-    channel is a callable mapping a 1-D time signal to the received signal
-    (e.g. a ScalarChannel).  Column j is the demodulated response to a unit
-    impulse at flattened DD bin j (row-major over the K x M grid).
+    channel is a callable mapping a 1-D time signal to the received signal.
+    A ScalarChannel gives its time-domain matrix from its taps; any other
+    callable is probed with N + cp unit impulses.  C is that matrix on the
+    frame body with the CP folded in, and M the unitary OTFS modulator, so
+    column j of H is the demodulated response to a unit impulse at
+    flattened DD bin j (row-major over the K x M grid).  C M is the
+    conjugated demodulation of the rows of conj(C), and M^H (C M) the
+    demodulation of its columns: two batched transforms over blocks.
     """
-    k, m = cfg.num_delay_bins, cfg.num_doppler_bins
-    size = k * m
+    size = cfg.frame_len
     if size > MAX_DENSE_GRID:
         raise ValueError(f"grid size {size} exceeds dense limit {MAX_DENSE_GRID}")
-    modulate, demodulate = otfs_modem(variant)
-    h = np.empty((size, size), dtype=np.complex128)
-    for j in range(size):
-        grid = np.zeros((k, m), dtype=np.complex128)
-        grid.flat[j] = 1.0
-        tx = modulate(grid, cfg)
-        rx = channel(tx.row())
-        need = cfg.frame_len + cfg.cp_len
-        if len(rx) < need:
-            rx = np.concatenate([rx, np.zeros(need - len(rx), dtype=np.complex128)])
-        h[:, j] = demodulate(rx, cfg).reshape(-1)
+    _check_variant(variant)
+    h = _time_matrix(channel, cfg)
+    block = max(1, TRANSFORM_BLOCK_BYTES // (16 * size))
+    for i in range(0, size, block):
+        rows = otfs_grids(h[i:i + block].conj(), cfg, variant)
+        h[i:i + block] = rows.reshape(-1, size).conj()
+    for j in range(0, size, block):
+        columns = otfs_grids(h[:, j:j + block].T, cfg, variant)
+        h[:, j:j + block] = columns.reshape(-1, size).T
     return h
 
 
+def mmse_gram(effective_matrix: np.ndarray, noise_var: float) -> np.ndarray:
+    """H^H H + noise_var I, the matrix mmse_equalize_dd solves against.
+
+    With noise_var 0 it must be well conditioned.
+    """
+    h = np.asarray(effective_matrix, dtype=np.complex128)
+    if noise_var < 0:
+        raise ValueError("noise_var must be >= 0")
+    gram = h.conj().T @ h + noise_var * np.eye(len(h))
+    if noise_var == 0:
+        cond = np.linalg.cond(gram)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise np.linalg.LinAlgError(
+                "singular effective matrix with noise_var=0; add regularization")
+    return gram
+
+
 def mmse_equalize_dd(received_grid: np.ndarray, effective_matrix: np.ndarray,
-                     noise_var: float) -> np.ndarray:
-    """Linear MMSE estimate (H^H H + noise_var I)^-1 H^H y, reshaped to the grid."""
+                     noise_var: float, gram: np.ndarray = None) -> np.ndarray:
+    """Linear MMSE estimate (H^H H + noise_var I)^-1 H^H y, reshaped to the grid.
+
+    A given gram (from mmse_gram with the same H and noise_var) is used as
+    is; otherwise one is built.
+    """
     y = np.asarray(received_grid, dtype=np.complex128)
     shape = y.shape
     y = y.reshape(-1)
     h = np.asarray(effective_matrix, dtype=np.complex128)
     if h.shape != (len(y), len(y)):
         raise ValueError("effective matrix does not match the grid size")
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
-    gram = h.conj().T @ h + noise_var * np.eye(len(y))
-    rhs = h.conj().T @ y
-    if noise_var == 0:
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise np.linalg.LinAlgError(
-                "singular effective matrix with noise_var=0; add regularization")
-    x = np.linalg.solve(gram, rhs)
+    if gram is None:
+        gram = mmse_gram(h, noise_var)
+    x = np.linalg.solve(gram, h.conj().T @ y)
     return x.reshape(shape)
 
 

@@ -390,6 +390,17 @@ class TestScalarTapOracle:
         actual = channel.scalar_taps(half_length).frequency_response(k)
         assert_close_relative(actual, expected)
 
+    @pytest.mark.parametrize("taps", [
+        ((0.8, 0.0, 0.0), (0.3 - 0.2j, 2.0, 350.0)),               # integer
+        ((0.8, 0.3, 120.0), (0.3 - 0.2j, 2.4, 350.0), (0.1j, 6.5, -90.0)),
+    ])
+    @pytest.mark.parametrize("n_in", [1, 13, 40])
+    def test_matrix_columns_are_impulse_responses(self, taps, n_in):
+        scalar = ScalarChannel(taps, self.RATE, half_length=6)
+        h = scalar.matrix(n_in)
+        for j, impulse in enumerate(np.eye(n_in, dtype=np.complex128)):
+            assert np.array_equal(h[:, j], scalar(impulse))
+
     def test_filters_built_once_per_channel_and_half_length(self, monkeypatch):
         calls = []
         original = wavelab.channel.fractional_delay_taps

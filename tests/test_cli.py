@@ -96,6 +96,10 @@ class TestValidate:
         ("ddam", "window", {"w_nu_hz": "x"}),
         ("ddam", "window", {"w_nu_hz": -10.0}),
         ("ddam_ofdm", "window", {"w_tau": 8}),  # longer than cp_len 4
+        ("otfs_zak", "cp_len", 65),             # longer than the 16 x 4 frame
+        ("otfs_isfft", "cp_len", -1),
+        ("ddam_otfs", "cp_len", 1.5),
+        ("ddam_otfs", "k", 2048),               # 2048 x 4 bins, over the dense limit
     ])
     def test_bad_ber_field_exits_config_error(self, tmp_path, capsys, waveform,
                                               field, value):
@@ -144,6 +148,7 @@ class TestValidate:
         ("channel.sample_rate_hz", "x"),
         ("channel.array.spacing", -1),
         ("channel.random.sample_rate_hz", 0),
+        ("channel.random.num_paths", 5),  # more paths than the 4 antennas
     ])
     def test_bad_channel_number_exits_config_error(self, tmp_path, capsys, field, value):
         channel = channel_doc()
@@ -168,6 +173,7 @@ class TestValidate:
         ("max_delay_samples", -4),
         ("max_delay_samples", "x"),
         ("max_doppler_hz", -5),
+        ("l", 5),  # more paths than the 4 antennas
     ])
     def test_bad_papr_ddam_field_exits_config_error(self, tmp_path, capsys, field, value):
         doc = {"experiment": "papr_ccdf", "seed": 0, "trials": 3,
@@ -178,6 +184,17 @@ class TestValidate:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"waveforms[1].{field}: ")
+
+    @pytest.mark.parametrize("waveform", ["otfs_zak", "otfs_isfft"])
+    def test_papr_otfs_cp_longer_than_frame(self, tmp_path, capsys, waveform):
+        doc = {"experiment": "papr_ccdf", "seed": 0, "trials": 3,
+               "waveforms": [{"waveform": waveform, "k": 8, "m": 4, "cp_len": 33}]}
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("waveforms[0].cp_len: must not exceed")
+        doc["waveforms"][0]["cp_len"] = 32
+        assert validate_config(doc) == []
 
 
 class TestRunExperiment:

@@ -35,7 +35,7 @@ from wavelab.ddam import (
 from wavelab.metrics import ber
 from wavelab.modulation import qpsk_demodulate, qpsk_modulate, qpsk_slice, random_qpsk
 from wavelab.ofdm import OfdmConfig, ofdm_demodulate, ofdm_equalize_one_tap, ofdm_modulate
-from wavelab.otfs import OtfsConfig, dd_effective_matrix
+from wavelab.otfs import OtfsConfig, dd_effective_matrix, mmse_equalize_dd, mmse_gram
 from wavelab.otfs import otfs_modulate_zak
 
 
@@ -379,6 +379,39 @@ class TestDdamOtfs:
                                            mode=mode)
             counts.append(len(builds))
         assert counts == [1, 1]
+
+    @pytest.mark.parametrize("runner", ["run_otfs_ber", "run_ddam_otfs_ber"])
+    def test_one_mmse_gram_per_ber_point(self, monkeypatch, runner):
+        import wavelab.combos
+        import wavelab.link
+        import wavelab.otfs
+
+        builds, frames_out = [], []
+
+        def counting(*args, **kwargs):
+            builds.append(None)
+            return mmse_gram(*args, **kwargs)
+
+        def recording(grid, h, noise_var, gram=None):
+            out = mmse_equalize_dd(grid, h, noise_var, gram=gram)
+            frames_out.append((grid, h, noise_var, out))
+            return out
+
+        for module in (wavelab.otfs, wavelab.combos, wavelab.link):
+            monkeypatch.setattr(module, "mmse_gram", counting, raising=False)
+            monkeypatch.setattr(module, "mmse_equalize_dd", recording, raising=False)
+        rng = np.random.default_rng(18)
+        channel, _, _ = make_scenario(rng, [1.3, 4.6], dopplers=[300.0, -200.0], mt=8)
+        cfg = OtfsConfig(4, 8, 8, RATE)
+        counts = []
+        for frames in (1, 3):
+            builds.clear()
+            getattr(wavelab.link, runner)(channel, cfg, 6.0, frames, rng_seed=5)
+            counts.append(len(builds))
+        assert counts == [1, 1]
+        assert len(frames_out) == 4
+        for grid, h, noise_var, out in frames_out:
+            assert np.array_equal(out, mmse_equalize_dd(grid, h, noise_var))
 
     def test_chain_callable_matches_modulate(self):
         rng = np.random.default_rng(16)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from wavelab.channel import ScalarChannel
+from wavelab.channel import ArrayConfig, PathParams, ScalarChannel, build_channel
+from wavelab.combos import ddam_chain_callable
+from wavelab.ddam import path_beamformers, psi_from_channel
 from wavelab.modulation import random_qpsk
 from wavelab.otfs import (
     OtfsConfig,
@@ -9,6 +11,7 @@ from wavelab.otfs import (
     grid_from_bytes,
     grid_to_bytes,
     mmse_equalize_dd,
+    mmse_gram,
     otfs_demodulate_isfft,
     otfs_demodulate_zak,
     otfs_modulate_isfft,
@@ -20,6 +23,28 @@ from wavelab.otfs import (
 def random_grid(rng, cfg):
     return random_qpsk(rng, cfg.frame_len).reshape(cfg.num_delay_bins,
                                                    cfg.num_doppler_bins)
+
+
+def column_loop_matrix(channel, cfg, variant="zak"):
+    """Oracle: one modulate -> channel -> demodulate pass per DD column."""
+    k, m = cfg.num_delay_bins, cfg.num_doppler_bins
+    modulate, demodulate = otfs_modem(variant)
+    need = cfg.frame_len + cfg.cp_len
+    h = np.empty((k * m, k * m), dtype=np.complex128)
+    for j in range(k * m):
+        grid = np.zeros((k, m), dtype=np.complex128)
+        grid.flat[j] = 1.0
+        rx = channel(modulate(grid, cfg).row())
+        if len(rx) < need:
+            rx = np.concatenate([rx, np.zeros(need - len(rx), dtype=np.complex128)])
+        h[:, j] = demodulate(rx, cfg).reshape(-1)
+    return h
+
+
+def assert_matches_oracle(channel, cfg, variant):
+    expected = column_loop_matrix(channel, cfg, variant)
+    actual = dd_effective_matrix(channel, cfg, variant)
+    assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestModulation:
@@ -123,6 +148,11 @@ class TestEffectiveMatrix:
             dd_effective_matrix(ScalarChannel(((1.0, 0, 0.0),), 1e6), cfg)
 
 
+    def test_cp_longer_than_frame_rejected(self):
+        OtfsConfig(4, 8, 32, 1e6)
+        with pytest.raises(ValueError, match="cp_len 33 exceeds the frame length 32"):
+            OtfsConfig(4, 8, 33, 1e6)
+
     def test_variant_lookup(self):
         assert otfs_modem("zak") == (otfs_modulate_zak, otfs_demodulate_zak)
         assert otfs_modem("isfft") == (otfs_modulate_isfft, otfs_demodulate_isfft)
@@ -131,6 +161,45 @@ class TestEffectiveMatrix:
         with pytest.raises(ValueError, match="variant"):
             dd_effective_matrix(ScalarChannel(((1.0, 0.0, 0.0),), 1e6),
                                 OtfsConfig(4, 8, 0, 1e6), variant="zz")
+
+
+INTEGER_TAPS = ((0.8, 0, 0.0), (0.5j, 3, 0.0), (-0.3, 6, 0.0))
+DOPPLER_TAPS = ((0.7, 1, 120.0), (0.4j, 5, -2600.0), (0.2 - 0.1j, 9, 31000.0))
+FRACTIONAL_TAPS = ((0.7, 0.3, 1500.0), (0.4j, 4.5, -20000.0), (0.2 - 0.1j, 7.81, 900.0))
+
+
+class TestEffectiveMatrixOracle:
+    @pytest.mark.parametrize("variant", ["zak", "isfft"])
+    @pytest.mark.parametrize("cp", [0, 5, 32])  # 32 = K * M
+    @pytest.mark.parametrize("taps", [INTEGER_TAPS, DOPPLER_TAPS, FRACTIONAL_TAPS])
+    def test_scalar_channel(self, variant, cp, taps):
+        assert_matches_oracle(ScalarChannel(taps, 1e6, half_length=8),
+                              OtfsConfig(4, 8, cp, 1e6), variant)
+
+    @pytest.mark.parametrize("variant", ["zak", "isfft"])
+    def test_output_shorter_than_frame(self, variant):
+        channel = ScalarChannel(FRACTIONAL_TAPS, 1e6, half_length=4)
+        # drops the last 20 received samples, so the body runs past the output
+        assert_matches_oracle(lambda s: channel(s)[:len(s) - 20],
+                              OtfsConfig(4, 8, 6, 1e6), variant)
+
+    @pytest.mark.parametrize("variant", ["zak", "isfft"])
+    def test_ddam_chain_callable(self, variant):
+        rate = 1e6
+        paths = [PathParams(0.8 + 0.2j, 1.4 / rate, 900.0, -0.6),
+                 PathParams(-0.3 + 0.5j, 4.0 / rate, -1300.0, 0.1),
+                 PathParams(0.2j, 6.7 / rate, 400.0, 0.7)]
+        channel = build_channel(ArrayConfig(8), paths, rate)
+        psi = psi_from_channel(channel)
+        chain = ddam_chain_callable(channel, psi, path_beamformers(psi, "zf"),
+                                    mode="tap_based", half_length=8)
+        cfg = OtfsConfig(4, 8, 4, rate)
+        assert_matches_oracle(chain, cfg, variant)
+
+    @pytest.mark.parametrize("variant", ["zak", "isfft"])
+    def test_64x16_grid(self, variant):
+        channel = ScalarChannel(FRACTIONAL_TAPS, 1e6)
+        assert_matches_oracle(channel, OtfsConfig(16, 64, 16, 1e6), variant)
 
 
 class TestMmse:
@@ -162,6 +231,23 @@ class TestMmse:
         h[0, 0] = 1.0
         with pytest.raises(np.linalg.LinAlgError):
             mmse_equalize_dd(np.ones((2, 2), dtype=complex), h, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            mmse_gram(h, 0.0)
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.3])
+    def test_given_gram_matches_one_shot(self, noise_var):
+        rng = np.random.default_rng(16)
+        cfg = OtfsConfig(4, 8, 4, 1e6)
+        h = dd_effective_matrix(ScalarChannel(DOPPLER_TAPS, 1e6), cfg)
+        gram = mmse_gram(h, noise_var)
+        for _ in range(3):
+            y = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+            assert np.array_equal(mmse_equalize_dd(y, h, noise_var, gram=gram),
+                                  mmse_equalize_dd(y, h, noise_var))
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ValueError, match="noise_var"):
+            mmse_gram(np.eye(4), -1.0)
 
 
 class TestSingleTapBer:
@@ -174,6 +260,7 @@ class TestSingleTapBer:
         channel = ScalarChannel(((gain, 0, 0.0),), 1e6)
         h = dd_effective_matrix(channel, cfg)
         noise_var = 10 ** (-snr_db / 10)
+        gram = mmse_gram(h, noise_var)
         seeds = np.random.SeedSequence(seed).spawn(num_frames)
         errors = 0
         for seq in seeds:
@@ -183,7 +270,8 @@ class TestSingleTapBer:
             tx = otfs_modulate_zak(grid, cfg)
             rx = add_awgn(Frame(channel(tx.row())[np.newaxis, :], 1e6), snr_db,
                           rng_seed=rng.integers(2 ** 63))
-            out = mmse_equalize_dd(otfs_demodulate_zak(rx.row(), cfg), h, noise_var)
+            out = mmse_equalize_dd(otfs_demodulate_zak(rx.row(), cfg), h, noise_var,
+                                   gram=gram)
             errors += int(np.sum(qpsk_demodulate(out.reshape(-1)) != bits))
         return errors, num_frames * 2 * cfg.frame_len
 
