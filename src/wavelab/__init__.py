@@ -39,7 +39,6 @@ from .otfs import (
     grid_from_bytes,
     grid_to_bytes,
     mmse_equalize_dd,
-    mmse_gram,
     otfs_demodulate_isfft,
     otfs_demodulate_zak,
     otfs_modulate_isfft,

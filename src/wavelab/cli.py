@@ -275,7 +275,8 @@ def validate_config(doc) -> list:
                 if name == "ofdm":
                     _positive_int(diags, entry, f"waveforms[{i}]", "k")
                 elif name in ("otfs_isfft", "otfs_zak"):
-                    _otfs_grid(diags, entry, f"waveforms[{i}]")
+                    _power_of_two(diags, entry, f"waveforms[{i}]", "k")
+                    _power_of_two(diags, entry, f"waveforms[{i}]", "m")
                 else:
                     label = f"waveforms[{i}]"
                     num_paths = _positive_int(diags, entry, label, "l")

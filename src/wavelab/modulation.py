@@ -11,8 +11,11 @@ _QPSK = _SCALE * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
 
 def qpsk_modulate(bits: np.ndarray) -> np.ndarray:
-    """Map bit pairs (b0, b1) to ((1-2*b0) + j(1-2*b1)) / sqrt(2)."""
-    bits = np.asarray(bits).ravel()
+    """Map bit pairs (b0, b1) to ((1-2*b0) + j(1-2*b1)) / sqrt(2).
+
+    Bits may be integer, bool or float 0/1 values.
+    """
+    bits = np.asarray(bits).ravel().astype(np.intp, copy=False)
     if len(bits) % 2:
         raise ValueError("bit stream length must be even")
     return _QPSK[2 * bits[0::2] + bits[1::2]]

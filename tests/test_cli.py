@@ -185,17 +185,6 @@ class TestValidate:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"waveforms[1].{field}: ")
 
-    @pytest.mark.parametrize("waveform", ["otfs_zak", "otfs_isfft"])
-    def test_papr_otfs_cp_longer_than_frame(self, tmp_path, capsys, waveform):
-        doc = {"experiment": "papr_ccdf", "seed": 0, "trials": 3,
-               "waveforms": [{"waveform": waveform, "k": 8, "m": 4, "cp_len": 33}]}
-        cfg = write_config(tmp_path, doc)
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("waveforms[0].cp_len: must not exceed")
-        doc["waveforms"][0]["cp_len"] = 32
-        assert validate_config(doc) == []
-
 
 class TestRunExperiment:
     def test_feasibility_matches_module(self, tmp_path):

@@ -23,6 +23,16 @@ class TestQpskModulate:
         assert np.array_equal(actual.view(np.float64), formula(bits).view(np.float64))
         assert np.array_equal(qpsk_demodulate(actual), bits)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.uint8])
+    def test_non_intp_bits_match_formula(self, dtype):
+        bits = np.random.default_rng(4).integers(0, 2, size=64).astype(dtype)
+        actual = qpsk_modulate(bits)
+        expected = formula(bits.astype(np.int64))
+        assert np.array_equal(actual.view(np.float64), expected.view(np.float64))
+
+    def test_empty_bits(self):
+        assert qpsk_modulate(np.asarray([])).shape == (0,)
+
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
             qpsk_modulate(np.array([0, 1, 1]))
