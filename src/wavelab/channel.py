@@ -182,19 +182,27 @@ def sample_separated_aods(rng, num_paths: int, array: ArrayConfig,
                           max_tries: int = 1000) -> np.ndarray:
     """Draw AoDs uniform on [-1, 1) with pairwise separation >= one beamwidth.
 
-    The separation floor is 2/M_t.  Raises after max_tries failed draws.
+    The separation floor is 2/M_t.  Plain uniform draws are tried up to
+    max_tries times.  When all fail, as they almost always do with
+    num_paths near M_t, the AoDs come from an exact construction on the
+    same generator: sorted uniform offsets on [0, 2 - (L-1)*2/M_t), the
+    i-th plus i*2/M_t, shifted to start at -1 and shuffled.  Raises for
+    L > M_t, where no L AoDs fit.
     """
     min_sep = 2.0 / array.num_tx_antennas
+    width = 2.0 - (num_paths - 1) * min_sep
+    if width <= 0:
+        raise ValueError(
+            f"cannot place {num_paths} AoDs separated by {min_sep:.4g} on [-1, 1); "
+            f"reduce the path count or use a larger array")
     for _ in range(max_tries):
         aods = rng.uniform(-1.0, 1.0, size=num_paths)
         diffs = np.abs(aods[:, None] - aods[None, :])
         np.fill_diagonal(diffs, np.inf)
         if diffs.min() >= min_sep:
             return aods
-    raise ValueError(
-        f"could not draw {num_paths} AoDs separated by {min_sep:.4g} after "
-        f"{max_tries} tries; reduce the path count or use a larger array"
-    )
+    offsets = np.sort(rng.uniform(0.0, width, size=num_paths))
+    return rng.permutation(offsets - 1.0 + min_sep * np.arange(num_paths))
 
 
 def draw_random_paths(array: ArrayConfig, num_paths: int, delay_range,
@@ -292,6 +300,16 @@ class ScalarChannel:
         # samples the output runs past the input's end
         object.__setattr__(self, "_tail", max(
             [0] + [start + (0 if fir is None else len(fir) - 1) for start, fir in filters]))
+
+    @property
+    def support(self) -> tuple:
+        """(lo, hi): an input impulse at j reaches output rows j + lo .. j + hi only.
+
+        lo is the earliest filter start, negative for a fractional delay
+        whose interpolator leaks before the integer part; rows below 0 are
+        truncated.  hi is the tail the output runs past the input's end.
+        """
+        return min(start for start, _ in self._filters), self._tail
 
     @property
     def gains(self) -> np.ndarray:

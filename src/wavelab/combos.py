@@ -6,7 +6,8 @@ the residual delay window, and feeds the scalar stream through the DDAM
 time-domain chain.  DDAM-OTFS multiplexes symbols on the delay-Doppler
 grid and equalizes with the DD effective matrix of the compensated
 end-to-end channel, whose time-domain matrix comes from probing the chain
-with one unit impulse per transmitted sample.
+with combs of unit impulses spaced by the chain's support, so one pass
+gives many columns.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .ddam import (
     DdamFrameConfig,
     EquivalentChannel,
     PathStateInfo,
+    _synthesize,
     build_compensation_plan,
     ddam_modulate,
 )
@@ -135,9 +137,13 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
                         mode: str = "path_based",
                         half_length: int = DEFAULT_HALF_LENGTH,
                         plan: CompensationPlan = None):
-    """Scalar end-to-end map of the unnormalized DDAM chain over the channel."""
-    from .ddam import _synthesize
+    """Scalar end-to-end map of the unnormalized DDAM chain over the channel.
 
+    The returned callable carries support = (lo, hi): an input impulse at j
+    reaches output rows j + lo .. j + hi only.  Synthesis delays each term
+    by its kappa and the channel spreads by its own support, so lo is the
+    smallest kappa plus the channel's lo and hi the largest kappa plus its hi.
+    """
     if plan is None:
         plan = build_compensation_plan(psi, mode=mode, window=window,
                                        half_length=half_length)
@@ -149,6 +155,8 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
         return apply_channel(channel, Frame(x, psi.sample_rate),
                              half_length=half_length).row()
 
+    lo, hi = channel.scalar_taps(half_length).support
+    chain.support = (min(t.kappa for t in plan.terms) + lo, plan.max_kappa + hi)
     return chain
 
 
@@ -177,8 +185,8 @@ def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,
                                plan: CompensationPlan = None) -> np.ndarray:
     """DD effective matrix of the compensated end-to-end channel.
 
-    The unnormalized chain is probed with one unit impulse per transmitted
-    sample (see otfs.dd_effective_matrix).
+    The unnormalized chain is probed with combs of unit impulses spaced by
+    its support (see otfs.dd_effective_matrix).
     """
     chain = ddam_chain_callable(channel, psi, beams, window=window, mode=mode,
                                 half_length=half_length, plan=plan)

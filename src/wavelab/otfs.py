@@ -173,17 +173,27 @@ def _time_matrix(channel, cfg: OtfsConfig) -> np.ndarray:
     The body rows of the channel's matrix over the N + cp transmitted
     samples, with each CP column added to the column of the body sample it
     repeats (the last cp).  A ScalarChannel builds its matrix from its
-    taps; any other callable is probed with one unit impulse per
-    transmitted sample.
+    taps.  Any other callable is probed with combs of unit impulses: with a
+    support (lo, hi), an impulse at j reaches rows j + lo .. j + hi only,
+    so impulses step = hi - lo + 1 apart never overlap and one pass gives
+    every step-th column, min(step, N + cp) passes in all.  A callable
+    without a support gets one impulse per pass.
     """
     n, cp = cfg.frame_len, cfg.cp_len
     if isinstance(channel, ScalarChannel):
         rows = channel.matrix(n + cp)[cp:cp + n]
     else:
+        lo, hi = getattr(channel, "support", (-(n + cp), n + cp))
+        step = hi - lo + 1
         rows = np.zeros((n, n + cp), dtype=np.complex128)
-        for j in range(n + cp):
-            y = channel(np.eye(1, n + cp, j, dtype=np.complex128)[0])[cp:cp + n]
-            rows[:len(y), j] = y
+        for r in range(min(step, n + cp)):
+            probe = np.zeros(n + cp, dtype=np.complex128)
+            probe[r::step] = 1.0
+            y = channel(probe)[cp:cp + n]
+            for j in range(r, n + cp, step):
+                top = max(j + lo - cp, 0)
+                bottom = max(top, min(j + hi + 1 - cp, len(y)))
+                rows[top:bottom, j] = y[top:bottom]
     c = rows[:, cp:].copy()
     c[:, n - cp:] += rows[:, :cp]
     return c
@@ -194,11 +204,12 @@ def dd_effective_matrix(channel, cfg: OtfsConfig, variant: str = "zak") -> np.nd
 
     channel is a callable mapping a 1-D time signal to the received signal.
     A ScalarChannel gives its time-domain matrix from its taps; any other
-    callable is probed with N + cp unit impulses.  C is that matrix on the
-    frame body with the CP folded in, and M the unitary OTFS modulator, so
-    column j of H is the demodulated response to a unit impulse at
-    flattened DD bin j (row-major over the K x M grid).  C M is the
-    conjugated demodulation of the rows of conj(C), and M^H (C M) the
+    callable is probed with combs of unit impulses spaced by its support
+    (see _time_matrix), or one impulse per pass without one.  C is that
+    matrix on the frame body with the CP folded in, and M the unitary OTFS
+    modulator, so column j of H is the demodulated response to a unit
+    impulse at flattened DD bin j (row-major over the K x M grid).  C M is
+    the conjugated demodulation of the rows of conj(C), and M^H (C M) the
     demodulation of its columns: two batched transforms over blocks.
     """
     size = cfg.frame_len

@@ -17,6 +17,7 @@ from wavelab.channel import (
     channel_to_json,
     fractional_delay_taps,
     sample_random_channel,
+    sample_separated_aods,
     steering_vector,
 )
 
@@ -130,6 +131,24 @@ class TestRandomChannel:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(aods[i] - aods[j]) >= 2.0 / 64
+
+    @pytest.mark.parametrize("num_paths", [7, 8])
+    def test_paths_up_to_mt_always_drawn(self, num_paths):
+        # A plain uniform draw almost never separates 7 or 8 AoDs on 8
+        # antennas; the exact construction after max_tries always does.
+        for seed in range(20):
+            aods = sample_separated_aods(np.random.default_rng(seed), num_paths,
+                                         ArrayConfig(8))
+            assert len(aods) == num_paths
+            assert np.all((aods >= -1.0) & (aods < 1.0))
+            gaps = np.diff(np.sort(aods))
+            assert gaps.min() >= 2.0 / 8
+
+    def test_construction_is_shuffled(self):
+        orders = {tuple(np.argsort(sample_separated_aods(
+            np.random.default_rng(seed), 6, ArrayConfig(8), max_tries=0)))
+            for seed in range(10)}
+        assert len(orders) > 1
 
     def test_impossible_separation_raises(self):
         with pytest.raises(ValueError, match="reduce the path count"):
@@ -400,6 +419,22 @@ class TestScalarTapOracle:
         h = scalar.matrix(n_in)
         for j, impulse in enumerate(np.eye(n_in, dtype=np.complex128)):
             assert np.array_equal(h[:, j], scalar(impulse))
+
+    @pytest.mark.parametrize("taps, support", [
+        (((0.8, 0.0, 0.0), (0.3 - 0.2j, 2.0, 350.0)), (0, 2)),
+        # near-zero delay: the interpolator starts half_length before sample 0
+        (((0.8, 0.02, 120.0), (0.3 - 0.2j, 2.4, 350.0), (0.1j, 6.0, -90.0)), (-6, 8)),
+    ])
+    def test_support_bounds_matrix_columns(self, taps, support):
+        scalar = ScalarChannel(taps, self.RATE, half_length=6)
+        assert scalar.support == support
+        lo, hi = support
+        h = scalar.matrix(40)
+        for j in range(40):
+            rows = np.flatnonzero(h[:, j])
+            assert rows.min() >= j + lo and rows.max() == j + hi
+            if j + lo >= 0:
+                assert rows.min() == j + lo
 
     def test_filters_built_once_per_channel_and_half_length(self, monkeypatch):
         calls = []

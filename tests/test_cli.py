@@ -341,6 +341,13 @@ class TestMainEntry:
         assert main(["run", "--config", str(bad),
                      "--out", str(tmp_path / "out2")]) == EXIT_CONFIG
 
+    def test_papr_ddam_with_as_many_paths_as_antennas(self, tmp_path):
+        # A plain AoD draw almost never separates 8 paths on 8 antennas.
+        doc = {"experiment": "papr_ccdf", "seed": 0, "trials": 5,
+               "waveforms": [{"waveform": "ddam", "l": 8, "mt": 8, "block_len": 16}]}
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_validate_only(self, tmp_path, capsys):
         cfg = write_config(tmp_path, feasibility_config())
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from wavelab.channel import ArrayConfig, PathParams, ScalarChannel, build_channel
+import wavelab.combos
+from wavelab.channel import (
+    ArrayConfig,
+    PathParams,
+    ScalarChannel,
+    build_channel,
+    sample_random_channel,
+)
 from wavelab.combos import ddam_chain_callable
-from wavelab.ddam import path_beamformers, psi_from_channel
+from wavelab.ddam import AlignmentWindow, path_beamformers, psi_from_channel
 from wavelab.modulation import random_qpsk
 from wavelab.otfs import (
     OtfsConfig,
+    _time_matrix,
     dd_effective_matrix,
     grid_from_bytes,
     grid_to_bytes,
@@ -200,6 +208,113 @@ class TestEffectiveMatrixOracle:
     def test_64x16_grid(self, variant):
         channel = ScalarChannel(FRACTIONAL_TAPS, 1e6)
         assert_matches_oracle(channel, OtfsConfig(16, 64, 16, 1e6), variant)
+
+
+RATE = 1e6
+# The first path's fractional delay is near zero, so its interpolator starts
+# half_length samples before sample 0 and the chain's support has lo < 0.
+NEAR_ZERO_PATHS = (PathParams(0.8 + 0.2j, 0.02 / RATE, 900.0, -0.6),
+                   PathParams(-0.3 + 0.5j, 3.4 / RATE, -1300.0, 0.1),
+                   PathParams(0.2j, 6.0 / RATE, 400.0, 0.7))
+
+
+def near_zero_chain(mode, window=None, half_length=32):
+    channel = build_channel(ArrayConfig(8), NEAR_ZERO_PATHS, RATE)
+    psi = psi_from_channel(channel)
+    return ddam_chain_callable(channel, psi, path_beamformers(psi, "zf"),
+                               window=window, mode=mode, half_length=half_length)
+
+
+def impulse_matrix(chain, cfg):
+    """Oracle: C from one unit impulse per transmitted sample, CP folded in."""
+    n, cp = cfg.frame_len, cfg.cp_len
+    rows = np.zeros((n, n + cp), dtype=np.complex128)
+    for j in range(n + cp):
+        y = chain(np.eye(1, n + cp, j, dtype=np.complex128)[0])[cp:cp + n]
+        rows[:len(y), j] = y
+    return rows[:, cp:] + np.pad(rows[:, :cp], ((0, 0), (n - cp, 0)))
+
+
+@pytest.fixture
+def chain_passes(monkeypatch):
+    """Counts the DDAM chain's channel passes."""
+    calls = []
+    original = wavelab.combos.apply_channel
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wavelab.combos, "apply_channel", counting)
+    return calls
+
+
+class TestCombProbing:
+    @pytest.mark.parametrize("mode", ["path_based", "tap_based"])
+    @pytest.mark.parametrize("cp", [0, 5, 32])  # 32 = K * M
+    @pytest.mark.parametrize("window", [None, AlignmentWindow(2, 500.0)])
+    def test_matches_impulse_probing_8x4(self, mode, cp, window, chain_passes):
+        chain = near_zero_chain(mode, window, half_length=4)
+        cfg = OtfsConfig(4, 8, cp, RATE)
+        lo, hi = chain.support
+        assert lo < 0 and hi - lo + 1 < cfg.frame_len  # several impulses per pass
+        expected = impulse_matrix(chain, cfg)
+        chain_passes.clear()
+        np.testing.assert_array_equal(_time_matrix(chain, cfg), expected)
+        assert len(chain_passes) == min(hi - lo + 1, cfg.frame_len + cp)
+
+    @pytest.mark.parametrize("mode", ["path_based", "tap_based"])
+    def test_matches_impulse_probing_64x16(self, mode, chain_passes):
+        chain = near_zero_chain(mode, AlignmentWindow(1, 200.0))
+        cfg = OtfsConfig(16, 64, 16, RATE)
+        lo, hi = chain.support
+        expected = impulse_matrix(chain, cfg)
+        chain_passes.clear()
+        np.testing.assert_array_equal(_time_matrix(chain, cfg), expected)
+        assert len(chain_passes) == hi - lo + 1 < 100
+
+    def test_callable_without_support_gets_one_impulse_per_pass(self, chain_passes):
+        chain = near_zero_chain("path_based", half_length=4)
+        cfg = OtfsConfig(4, 8, 5, RATE)
+        np.testing.assert_array_equal(_time_matrix(lambda s: chain(s), cfg),
+                                      _time_matrix(chain, cfg))
+        lo, hi = chain.support
+        assert len(chain_passes) == cfg.frame_len + 5 + hi - lo + 1
+
+    def test_support_wider_than_small_frame(self, chain_passes):
+        # ber_vs_snr ddam_otfs at k 8, m 4, cp 4, tap-based, over a seeded
+        # random 2-path channel on 4 antennas: the default 32-tap
+        # interpolator makes the support wider than the 36 sent samples, so
+        # every sample still gets its own pass.
+        channel = sample_random_channel(ArrayConfig(4), 2, (0.0, 4e-6),
+                                        (-500.0, 500.0), rng_seed=5, sample_rate=RATE)
+        psi = psi_from_channel(channel)
+        beams = path_beamformers(psi, "zf", noise_var=10 ** -0.6)
+        chain = ddam_chain_callable(channel, psi, beams, mode="tap_based")
+        lo, hi = chain.support
+        assert hi - lo + 1 > 36
+        dd_effective_matrix(chain, OtfsConfig(4, 8, 4, RATE))
+        assert len(chain_passes) == 36
+
+
+class TestChainSupport:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mode", ["path_based", "tap_based"])
+    @pytest.mark.parametrize("half_length", [8, 32])
+    def test_impulse_response_stays_inside_support(self, seed, mode, half_length):
+        channel = sample_random_channel(ArrayConfig(8), 3, (0.0, 10e-6),
+                                        (-2000.0, 2000.0), rng_seed=seed,
+                                        sample_rate=RATE)
+        psi = psi_from_channel(channel)
+        chain = ddam_chain_callable(channel, psi, path_beamformers(psi, "zf"),
+                                    mode=mode, half_length=half_length)
+        lo, hi = chain.support
+        n = 64 * 16 + 16  # N + cp of a 64x16 grid with CP 16
+        for j in (0, n // 2, n - 1):
+            rows = np.flatnonzero(chain(np.eye(1, n, j, dtype=np.complex128)[0]))
+            assert rows.min() >= j + lo and rows.max() <= j + hi
+            if j == n // 2:  # both ends are reached: the support is tight
+                assert rows.min() == j + lo and rows.max() == j + hi
 
 
 class TestMmse:
