@@ -68,8 +68,6 @@ from .otfs import (
     otfs_samples,
 )
 
-WAVEFORMS = ("ofdm", "otfs_isfft", "otfs_zak", "ddam", "ddam_ofdm", "ddam_otfs")
-
 # A PAPR chunk holds as many trials as fit about this many bytes of
 # (trials x rows x N) complex samples.
 PAPR_CHUNK_BYTES = 1 << 20
