@@ -27,7 +27,6 @@ from .ofdm import (
     FeasibilityThresholds,
     FeasibleRegion,
     OfdmConfig,
-    check_parameters,
     feasible_region,
     ofdm_demodulate,
     ofdm_equalize_one_tap,
@@ -36,8 +35,6 @@ from .ofdm import (
 from .otfs import (
     OtfsConfig,
     dd_effective_matrix,
-    grid_from_bytes,
-    grid_to_bytes,
     mmse_equalize_dd,
     otfs_demodulate_isfft,
     otfs_demodulate_zak,
@@ -55,18 +52,14 @@ from .ddam import (
     ddam_demodulate,
     ddam_equalize,
     ddam_modulate,
-    delay_doppler_window,
     equivalent_channel,
     estimate_gain,
     path_beamformers,
     psi_from_channel,
-    psi_from_json,
-    psi_to_json,
 )
 from .combos import (
     ddam_ofdm_link,
     ddam_ofdm_receive,
-    ddam_ofdm_transmit,
     ddam_otfs_effective_matrix,
     ddam_otfs_receive,
     ddam_otfs_transmit,

@@ -91,10 +91,6 @@ class Frame:
     def row(self, i: int = 0) -> np.ndarray:
         return self.samples[i]
 
-    def power(self) -> float:
-        """Mean per-sample power summed over antennas."""
-        return float(np.sum(np.abs(self.samples) ** 2) / self.num_samples)
-
 
 @dataclass(frozen=True)
 class MultipathChannel:
@@ -132,27 +128,8 @@ class MultipathChannel:
                                             fractional_tol)
         return self._taps[key]
 
-    def delay_spread(self) -> float:
-        delays = [p.delay_s for p in self.paths]
-        return max(delays) - min(delays)
-
-    def doppler_spread(self) -> float:
-        dopplers = [p.doppler_hz for p in self.paths]
-        return max(dopplers) - min(dopplers)
-
     def delays_in_samples(self) -> np.ndarray:
         return np.array([p.delay_s * self.sample_rate for p in self.paths])
-
-    def integer_delays(self) -> np.ndarray:
-        """Nearest-sample delay n_l = round(tau_l * B) per path."""
-        return np.array([round_half_up(d) for d in self.delays_in_samples()])
-
-    def fractional_residues(self) -> np.ndarray:
-        """Residue tau_l * B - n_l in [-0.5, 0.5) per path."""
-        return self.delays_in_samples() - self.integer_delays()
-
-    def max_integer_delay(self) -> int:
-        return int(self.integer_delays().max())
 
 
 def steering_vector(aod, array: ArrayConfig) -> np.ndarray:

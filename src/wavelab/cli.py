@@ -43,8 +43,8 @@ from .link import (
     run_ofdm_ber,
     run_otfs_ber,
 )
-from .metrics import (ComplexityParams, complexity_model, measured_complexity, papr_ccdf,
-                      se_overhead)
+from .metrics import (COMPLEXITY_VARIANTS, ComplexityParams, complexity_model,
+                      measured_complexity, papr_ccdf, se_overhead)
 from .ofdm import FeasibilityThresholds, OfdmConfig, feasible_region
 from .otfs import MAX_DENSE_GRID, VARIANTS, OtfsConfig
 
@@ -458,7 +458,7 @@ def _run_equivalent_channel_report(o, out_dir):
 def _run_complexity_table(o, out_dir):
     m, n_s = o["m"], o["n_s"]
     rows = []
-    for variant in ("ofdm", "otfs_isfft", "otfs_zak", "ddam_mrt", "ddam_zf", "ddam_mmse"):
+    for variant in COMPLEXITY_VARIANTS:
         for mt in o["mt"]:
             for k in o["k"]:
                 for l in o["l"]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_HALF_LENGTH, Frame, MultipathChannel, apply_channel
+from .channel import DEFAULT_HALF_LENGTH, Frame, MultipathChannel
 from .ddam import (
     AlignmentWindow,
     BeamformerSet,
@@ -24,8 +24,8 @@ from .ddam import (
     DdamFrameConfig,
     EquivalentChannel,
     PathStateInfo,
-    _synthesize,
     build_compensation_plan,
+    ddam_chain_callable,
     ddam_modulate,
 )
 from .ofdm import (
@@ -85,17 +85,6 @@ def ddam_ofdm_link(psi: PathStateInfo, beams: BeamformerSet, ofdm_cfg: OfdmConfi
                         subcarrier_response=response)
 
 
-def ddam_ofdm_transmit(freq_symbols: np.ndarray, psi: PathStateInfo,
-                       beams: BeamformerSet, ofdm_cfg: OfdmConfig,
-                       equivalent: EquivalentChannel,
-                       window: AlignmentWindow = None, mode: str = "path_based",
-                       half_length: int = DEFAULT_HALF_LENGTH) -> Frame:
-    """Two-stage transmit: subcarrier phase alignment, OFDM, DDAM chain."""
-    link = ddam_ofdm_link(psi, beams, ofdm_cfg, equivalent, window=window,
-                          mode=mode, half_length=half_length)
-    return ddam_ofdm_transmit_with_link(freq_symbols, link)
-
-
 def ddam_ofdm_transmit_with_link(freq_symbols: np.ndarray, link: DdamOfdmLink) -> Frame:
     """Phase-align and OFDM-modulate (S x K) symbol rows, then DDAM-transmit them."""
     grids = _symbol_rows(freq_symbols, link.ofdm_cfg.num_subcarriers)
@@ -130,34 +119,6 @@ def ddam_ofdm_receive(rx, link: DdamOfdmLink, num_symbols: int,
         scale = (fit @ out[0]) / (fit @ pilot)
         out /= scale
     return out
-
-
-def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
-                        beams: BeamformerSet, window: AlignmentWindow = None,
-                        mode: str = "path_based",
-                        half_length: int = DEFAULT_HALF_LENGTH,
-                        plan: CompensationPlan = None):
-    """Scalar end-to-end map of the unnormalized DDAM chain over the channel.
-
-    The returned callable carries support = (lo, hi): an input impulse at j
-    reaches output rows j + lo .. j + hi only.  Synthesis delays each term
-    by its kappa and the channel spreads by its own support, so lo is the
-    smallest kappa plus the channel's lo and hi the largest kappa plus its hi.
-    """
-    if plan is None:
-        plan = build_compensation_plan(psi, mode=mode, window=window,
-                                       half_length=half_length)
-
-    def chain(signal: np.ndarray) -> np.ndarray:
-        signal = np.asarray(signal, dtype=np.complex128)
-        x, _ = _synthesize(signal, plan, beams, psi.sample_rate,
-                           len(signal) + plan.max_kappa, normalize=False)
-        return apply_channel(channel, Frame(x, psi.sample_rate),
-                             half_length=half_length).row()
-
-    lo, hi = channel.scalar_taps(half_length).support
-    chain.support = (min(t.kappa for t in plan.terms) + lo, plan.max_kappa + hi)
-    return chain
 
 
 def ddam_otfs_transmit(grid: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,

@@ -46,8 +46,6 @@ TAP_THRESHOLD_DB = -30.0
 # the equivalent delay spread.
 SIGNIFICANT_TAP_REL_POWER = 1e-8
 
-PILOT_LEN = 32
-
 BEAMFORMER_CRITERIA = ("mrt", "zf", "rzf", "mmse")
 COMPENSATION_MODES = ("path_based", "tap_based")
 
@@ -147,38 +145,6 @@ def psi_from_paths(array: ArrayConfig, sample_rate: float, delays: np.ndarray,
         array=array, sample_rate=sample_rate,
         delay_samples=base, fractional_delay=delays - base,
         doppler_hz=dopplers, aod=aods, gain_estimate=gains, genie=genie)
-
-
-def psi_to_json(psi: PathStateInfo) -> dict:
-    """Serialize PSI in the channel-scenario layout plus the genie flag."""
-    rate = psi.sample_rate
-    return {
-        "array": {"mt": psi.array.num_tx_antennas, "spacing": psi.array.element_spacing},
-        "sample_rate_hz": rate,
-        "genie": psi.genie,
-        "paths": [
-            {
-                "gain_re": float(g.real), "gain_im": float(g.imag),
-                "delay_s": float((n + f) / rate),
-                "doppler_hz": float(d), "aod": float(a),
-            }
-            for g, n, f, d, a in zip(psi.gain_estimate, psi.delay_samples,
-                                     psi.fractional_delay, psi.doppler_hz, psi.aod)
-        ],
-    }
-
-
-def psi_from_json(doc: dict) -> PathStateInfo:
-    """Inverse of psi_to_json."""
-    rate = float(doc["sample_rate_hz"])
-    return psi_from_paths(
-        ArrayConfig(int(doc["array"]["mt"]), float(doc["array"].get("spacing", 0.5))),
-        rate,
-        np.array([p["delay_s"] for p in doc["paths"]]) * rate,
-        np.array([p["doppler_hz"] for p in doc["paths"]]),
-        np.array([p["aod"] for p in doc["paths"]]),
-        np.array([complex(p["gain_re"], p["gain_im"]) for p in doc["paths"]]),
-        bool(doc["genie"]))
 
 
 @dataclass(frozen=True)
@@ -370,18 +336,6 @@ def _path_alignment(psi: PathStateInfo, window: AlignmentWindow):
             psi.doppler_hz - np.clip(psi.doppler_hz, -half, half))
 
 
-def delay_doppler_window(psi: PathStateInfo, w_tau_samples: int, w_nu_hz: float,
-                         mode: str = "path_based",
-                         half_length: int = DEFAULT_HALF_LENGTH) -> CompensationPlan:
-    """Compensation plan under relaxed alignment windows.
-
-    Zero windows reproduce the full-alignment plan of ddam_modulate.
-    """
-    return build_compensation_plan(
-        psi, mode=mode, window=AlignmentWindow(w_tau_samples, w_nu_hz),
-        half_length=half_length)
-
-
 @dataclass(frozen=True)
 class DdamFrameConfig:
     """Block of N symbols followed by a guard tail (default 2 * n_max)."""
@@ -458,6 +412,34 @@ def _unit_power(x: np.ndarray, active: int):
     """Scale the antenna rows in place to unit mean power over the first active samples."""
     power = np.sum(np.abs(x[:, :active]) ** 2) / active
     x *= 1.0 / math.sqrt(power)
+
+
+def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
+                        beams: BeamformerSet, window: AlignmentWindow = None,
+                        mode: str = "path_based",
+                        half_length: int = DEFAULT_HALF_LENGTH,
+                        plan: CompensationPlan = None):
+    """Scalar end-to-end map of the unnormalized DDAM chain over the channel.
+
+    The returned callable carries support = (lo, hi): an input impulse at j
+    reaches output rows j + lo .. j + hi only.  Synthesis delays each term
+    by its kappa and the channel spreads by its own support, so lo is the
+    smallest kappa plus the channel's lo and hi the largest kappa plus its hi.
+    """
+    if plan is None:
+        plan = build_compensation_plan(psi, mode=mode, window=window,
+                                       half_length=half_length)
+
+    def chain(signal: np.ndarray) -> np.ndarray:
+        signal = np.asarray(signal, dtype=np.complex128)
+        x, _ = _synthesize(signal, plan, beams, psi.sample_rate,
+                           len(signal) + plan.max_kappa, normalize=False)
+        return apply_channel(channel, Frame(x, psi.sample_rate),
+                             half_length=half_length).row()
+
+    lo, hi = channel.scalar_taps(half_length).support
+    chain.support = (min(t.kappa for t in plan.terms) + lo, plan.max_kappa + hi)
+    return chain
 
 
 def path_based_blocks(symbols: np.ndarray, psi: PathStateInfo,
@@ -544,23 +526,18 @@ def equivalent_channel(channel: MultipathChannel, psi: PathStateInfo,
                        probe_spacing: int = 64) -> EquivalentChannel:
     """Measure the end-to-end scalar taps by driving unit impulses.
 
-    Taps are reported for the unnormalized transmit chain, so the dominant
-    tap equals sum_l sqrt(p_l) * gain_l * e^{j phi_l} * a_l^H f_l in the
-    ideal case.  A second probe, probe_spacing samples later, measures any
+    The impulses go through ddam_chain_callable, the unnormalized transmit
+    chain, so the dominant tap equals
+    sum_l sqrt(p_l) * gain_l * e^{j phi_l} * a_l^H f_l in the ideal case.  A second probe, probe_spacing samples later, measures any
     residual time variation of the dominant tap.
     """
-    if plan is None:
-        plan = build_compensation_plan(psi, mode=mode, window=window,
-                                       half_length=half_length)
+    chain = ddam_chain_callable(channel, psi, beams, window=window, mode=mode,
+                                half_length=half_length, plan=plan)
 
     def probe(position: int) -> np.ndarray:
-        symbols = np.zeros(position + 1, dtype=np.complex128)
-        symbols[position] = 1.0
-        x, _ = _synthesize(symbols, plan, beams, psi.sample_rate,
-                           position + 1 + plan.max_kappa, normalize=False)
-        rx = apply_channel(channel, Frame(x, psi.sample_rate),
-                           half_length=half_length)
-        return rx.row()[position:]
+        impulse = np.zeros(position + 1, dtype=np.complex128)
+        impulse[position] = 1.0
+        return chain(impulse)[position:]
 
     taps = probe(0)
     later = probe(probe_spacing)
@@ -582,13 +559,6 @@ def equivalent_channel(channel: MultipathChannel, psi: PathStateInfo,
                              residual_isi_power=isi, delay_spread_samples=spread,
                              residual_doppler_hz=residual_doppler,
                              doppler_drift=drift)
-
-
-def make_pilot(length: int = PILOT_LEN) -> np.ndarray:
-    """Fixed pseudorandom QPSK pilot sequence shared by TX and RX."""
-    rng = np.random.default_rng(0xDDA)
-    bits = rng.integers(0, 2, size=2 * length)
-    return (1 - 2 * bits[0::2] + 1j * (1 - 2 * bits[1::2])) / np.sqrt(2.0)
 
 
 def estimate_gain(rx_samples: np.ndarray, known_symbols: np.ndarray,

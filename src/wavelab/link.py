@@ -218,8 +218,7 @@ def otfs_miso_modulate_isfft(grid: np.ndarray, weights: np.ndarray,
     weighted = weights[:, :, np.newaxis] * tf[np.newaxis, :, :]
     chunks = np.fft.ifft(weighted, axis=1, norm="ortho")
     time = chunks.transpose(0, 2, 1).reshape(mt, k * m)
-    if cfg.cp_len:
-        time = np.concatenate([time[:, -cfg.cp_len:], time], axis=1)
+    time = _add_cyclic_prefix(time, cfg.cp_len)
     return Frame(samples=time, sample_rate=cfg.sample_rate)
 
 

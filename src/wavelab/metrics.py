@@ -108,10 +108,6 @@ class PaprCcdf:
         object.__setattr__(self, "thresholds_db", t)
         object.__setattr__(self, "exceed_probability", p)
 
-    def probability_at(self, threshold_db: float) -> float:
-        idx = int(np.searchsorted(self.thresholds_db, threshold_db))
-        return float(self.exceed_probability[min(idx, len(self.thresholds_db) - 1)])
-
     def papr_at_level(self, level: float) -> float:
         """Smallest threshold whose exceed probability drops to or below level."""
         below = np.nonzero(self.exceed_probability <= level)[0]

@@ -33,24 +33,6 @@ class OfdmConfig:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
 
-    @property
-    def subcarrier_spacing(self) -> float:
-        return self.sample_rate / self.num_subcarriers
-
-    @property
-    def symbol_duration(self) -> float:
-        """Useful symbol time, excluding the cyclic prefix."""
-        return self.num_subcarriers / self.sample_rate
-
-    @property
-    def cp_duration(self) -> float:
-        return self.cp_len / self.sample_rate
-
-    @property
-    def cp_ratio(self) -> float:
-        """Overhead ratio T_s / (T_s + T_cp)."""
-        return self.symbol_duration / (self.symbol_duration + self.cp_duration)
-
 
 @dataclass(frozen=True)
 class FeasibilityThresholds:
@@ -92,29 +74,6 @@ def feasible_region(th: FeasibilityThresholds) -> FeasibleRegion:
     tau_max = (1.0 - th.rho_th) / th.rho_th * (th.k_th / th.bandwidth)
     nu_max = th.bandwidth / (th.xi * th.k_th)
     return FeasibleRegion(tau_max=tau_max, nu_max=nu_max)
-
-
-def check_parameters(cfg: OfdmConfig, tau_d: float, nu_d: float, xi: float = 10.0):
-    """List the orthogonality/flatness constraints a parameterization violates.
-
-    Checks T_cp >= tau_d, subcarrier spacing >= xi * nu_d, and spacing <=
-    the coherence bandwidth 1/tau_d (vacuous for tau_d = 0).  Returns the
-    empty list when the configuration is feasible.
-    """
-    if tau_d < 0 or nu_d < 0:
-        raise ValueError("spreads must be >= 0")
-    violations = []
-    df = cfg.subcarrier_spacing
-    if cfg.cp_duration < tau_d:
-        violations.append(
-            f"cp duration {cfg.cp_duration:.3e} s < delay spread {tau_d:.3e} s")
-    if df < xi * nu_d:
-        violations.append(
-            f"subcarrier spacing {df:.6g} Hz < xi*doppler spread {xi * nu_d:.6g} Hz")
-    if tau_d > 0 and df > 1.0 / tau_d:
-        violations.append(
-            f"subcarrier spacing {df:.6g} Hz > coherence bandwidth {1.0 / tau_d:.6g} Hz")
-    return violations
 
 
 def _symbol_rows(freq_symbols: np.ndarray, k: int) -> np.ndarray:

@@ -10,13 +10,13 @@ transforms, each one batched FFT pass over blocks of rows or columns.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import Frame, ScalarChannel
 from .metrics import fft_multiplies
+from .ofdm import _add_cyclic_prefix
 
 # Dense effective-matrix construction is capped at this grid size.
 MAX_DENSE_GRID = 4096
@@ -24,8 +24,6 @@ MAX_DENSE_GRID = 4096
 # The effective-matrix transforms run over blocks of rows (then columns) of
 # about this many bytes, so their temporaries stay small.
 TRANSFORM_BLOCK_BYTES = 1 << 20
-
-GRID_MAGIC = b"DDG1"
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,6 @@ def _check_grid(grid: np.ndarray, cfg: OtfsConfig) -> np.ndarray:
     return grid
 
 
-def _prepend_cp(time: np.ndarray, cfg: OtfsConfig) -> Frame:
-    if cfg.cp_len:
-        time = np.concatenate([time[-cfg.cp_len:], time])
-    return Frame(samples=time[np.newaxis, :], sample_rate=cfg.sample_rate)
-
-
 def _frame_body(rx, cfg: OtfsConfig) -> np.ndarray:
     samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
     need = cfg.frame_len + cfg.cp_len
@@ -85,7 +77,8 @@ def otfs_modulate_isfft(grid: np.ndarray, cfg: OtfsConfig, counter=None) -> Fram
     if counter is not None:
         counter.add(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
         counter.add(m * fft_multiplies(k))                          # Heisenberg step
-    return _prepend_cp(otfs_samples(grid, "isfft"), cfg)
+    time = _add_cyclic_prefix(otfs_samples(grid, "isfft"), cfg.cp_len)
+    return Frame(samples=time, sample_rate=cfg.sample_rate)
 
 
 def otfs_demodulate_isfft(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
@@ -104,7 +97,8 @@ def otfs_modulate_zak(grid: np.ndarray, cfg: OtfsConfig, counter=None) -> Frame:
     k, m = cfg.num_delay_bins, cfg.num_doppler_bins
     if counter is not None:
         counter.add(k * fft_multiplies(m))
-    return _prepend_cp(otfs_samples(grid, "zak"), cfg)
+    time = _add_cyclic_prefix(otfs_samples(grid, "zak"), cfg.cp_len)
+    return Frame(samples=time, sample_rate=cfg.sample_rate)
 
 
 def otfs_demodulate_zak(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
@@ -262,23 +256,3 @@ def mmse_equalize_dd(received_grid: np.ndarray, effective_matrix: np.ndarray,
     x = np.linalg.solve(gram, h.conj().T @ y)
     return x.reshape(shape)
 
-
-def grid_to_bytes(grid: np.ndarray) -> bytes:
-    """Serialize a DD grid: 16-byte header (magic, K, M, reserved) + row-major pairs."""
-    grid = np.ascontiguousarray(grid, dtype=np.complex128)
-    if grid.ndim != 2:
-        raise ValueError("grid must be 2-D")
-    k, m = grid.shape
-    header = GRID_MAGIC + struct.pack("<III", k, m, 0)
-    return header + grid.tobytes()
-
-
-def grid_from_bytes(blob: bytes) -> np.ndarray:
-    """Inverse of grid_to_bytes."""
-    if len(blob) < 16 or blob[:4] != GRID_MAGIC:
-        raise ValueError("not a DD grid container")
-    k, m, _ = struct.unpack("<III", blob[4:16])
-    want = 16 + 16 * k * m
-    if len(blob) != want:
-        raise ValueError(f"container length {len(blob)} does not match header ({want})")
-    return np.frombuffer(blob[16:], dtype=np.complex128).reshape(k, m).copy()

@@ -409,14 +409,26 @@ class TestSchema:
         assert outputs[0] == outputs[1] and outputs[0]
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_blocks(language):
+    with open(README) as f:
+        return re.findall(rf"```{language}\n(.*?)```", f.read(), re.S)
+
+
 def test_readme_configs_validate():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as f:
-        blocks = re.findall(r"```json\n(.*?)```", f.read(), re.S)
-    docs = [doc for doc in map(json.loads, blocks) if "experiment" in doc]
+    docs = [doc for doc in map(json.loads, readme_blocks("json")) if "experiment" in doc]
     assert {doc["experiment"] for doc in docs} == set(cli._CONFIG["experiment"].cases)
     for doc in docs:
         assert validate_config(doc) == [], doc
+
+
+def test_readme_python_quick_start_runs():
+    blocks = readme_blocks("python")
+    assert blocks
+    for source in blocks:
+        exec(compile(source, "README.md", "exec"), {})
 
 
 class TestRunExperiment:

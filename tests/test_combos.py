@@ -13,10 +13,8 @@ from wavelab.channel import (
     steering_vector,
 )
 from wavelab.combos import (
-    ddam_chain_callable,
     ddam_ofdm_link,
     ddam_ofdm_receive,
-    ddam_ofdm_transmit,
     ddam_ofdm_transmit_with_link,
     ddam_otfs_effective_matrix,
     ddam_otfs_receive,
@@ -27,6 +25,7 @@ from wavelab.ddam import (
     AlignmentWindow,
     DdamFrameConfig,
     build_compensation_plan,
+    ddam_chain_callable,
     ddam_modulate,
     equivalent_channel,
     path_beamformers,
@@ -63,8 +62,8 @@ class TestDdamOfdm:
         eq = equivalent_channel(channel, psi, beams)
         cfg = OfdmConfig(1, 0, RATE)
         s = random_qpsk(rng, 40).reshape(-1, 1)
-        frame = ddam_ofdm_transmit(s, psi, beams, cfg, eq)
         link = ddam_ofdm_link(psi, beams, cfg, eq)
+        frame = ddam_ofdm_transmit_with_link(s, link)
         rotated = (link.subcarrier_weights[0] * s[:, 0])
         plain = ddam_modulate(rotated, psi, beams, DdamFrameConfig(40))
         assert np.max(np.abs(frame.samples - plain.samples)) < 1e-12

@@ -12,20 +12,17 @@ from wavelab.channel import (
     steering_vector,
 )
 from wavelab.ddam import (
+    AlignmentWindow,
     DdamFrameConfig,
     PsiPerturbation,
     build_compensation_plan,
     ddam_demodulate,
     ddam_equalize,
     ddam_modulate,
-    delay_doppler_window,
     equivalent_channel,
     estimate_gain,
-    make_pilot,
     path_beamformers,
     psi_from_channel,
-    psi_from_json,
-    psi_to_json,
 )
 from wavelab.metrics import papr_db, qfunc
 from wavelab.modulation import qpsk_demodulate, random_qpsk
@@ -60,7 +57,8 @@ class TestPsi:
         channel = on_grid_channel(rng, 4)
         psi = psi_from_channel(channel)
         assert psi.genie
-        assert np.array_equal(psi.delay_samples, channel.integer_delays())
+        delays = [round(p.delay_s * channel.sample_rate) for p in channel.paths]
+        assert np.array_equal(psi.delay_samples, delays)
         assert np.allclose(psi.fractional_delay, 0.0, atol=1e-9)
         assert np.allclose(psi.doppler_hz, [p.doppler_hz for p in channel.paths])
         assert np.allclose(psi.gain_estimate, [p.gain for p in channel.paths])
@@ -98,18 +96,6 @@ class TestPsi:
         assert psi.fractional_delay[0] == pytest.approx(0.625)
         assert psi.nearest_delays()[0] == 8
         assert psi.n_max == 8
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(2)
-        channel = on_grid_channel(rng, 3, mt=8)
-        psi = psi_from_channel(channel, PsiPerturbation(gain_err=0.05), rng_seed=1)
-        doc = psi_to_json(psi)
-        assert doc["genie"] is False
-        assert set(doc["paths"][0]) == {"gain_re", "gain_im", "delay_s", "doppler_hz", "aod"}
-        restored = psi_from_json(doc)
-        assert np.array_equal(restored.delay_samples, psi.delay_samples)
-        assert np.allclose(restored.fractional_delay, psi.fractional_delay, atol=1e-6)
-        assert np.allclose(restored.gain_estimate, psi.gain_estimate)
 
 
 class TestBeamformers:
@@ -200,18 +186,19 @@ class TestCompensationPlan:
 
     def test_window_targets_region(self):
         psi = self.psi_with_delays([0, 3, 9])
-        plan = delay_doppler_window(psi, 4, 0.0)
+        plan = build_compensation_plan(psi, window=AlignmentWindow(4, 0.0))
         residuals = [t.grid_delay + t.kappa for t in plan.terms]
         assert all(5 <= r <= 9 for r in residuals)
         assert max(residuals) - min(residuals) <= 4
 
     def test_zero_window_is_full_alignment(self):
         psi = self.psi_with_delays([1, 6, 11], dopplers=[100.0, -50.0, 0.0])
-        assert delay_doppler_window(psi, 0, 0.0) == build_compensation_plan(psi)
+        plan = build_compensation_plan(psi, window=AlignmentWindow(0, 0.0))
+        assert plan == build_compensation_plan(psi)
 
     def test_doppler_window_clips_compensation(self):
         psi = self.psi_with_delays([0, 0, 0], dopplers=[500.0, -120.0, 40.0])
-        plan = delay_doppler_window(psi, 0, 200.0)
+        plan = build_compensation_plan(psi, window=AlignmentWindow(0, 200.0))
         comps = [t.doppler_comp_hz for t in plan.terms]
         assert comps == pytest.approx([400.0, -20.0, 0.0])
         residuals = np.array([500.0, -120.0, 40.0]) - np.array(comps)
@@ -348,8 +335,9 @@ class TestSynthesisOracle:
 
     def check(self, seed, delays, window=(0, 0.0), guard_len=None):
         rng, channel, psi, beams = self.scenario(seed, delays)
-        plan = delay_doppler_window(psi, window[0], window[1], mode="tap_based",
-                                    half_length=self.HALF)
+        plan = build_compensation_plan(psi, mode="tap_based",
+                                       window=AlignmentWindow(*window),
+                                       half_length=self.HALF)
         s = random_qpsk(rng, 96)
         frame_cfg = DdamFrameConfig(96, guard_len=guard_len)
         frame = ddam_modulate(s, psi, beams, frame_cfg, plan=plan)
@@ -470,7 +458,7 @@ class TestEquivalentChannel:
         channel = build_channel(ArrayConfig(16), paths, rate)
         psi = psi_from_channel(channel)
         beams = path_beamformers(psi, "zf")
-        plan = delay_doppler_window(psi, 4, 0.0)
+        plan = build_compensation_plan(psi, window=AlignmentWindow(4, 0.0))
         eq = equivalent_channel(channel, psi, beams, plan=plan)
         assert eq.delay_spread_samples <= 4
 
@@ -487,7 +475,7 @@ class TestEquivalentChannel:
         beams = path_beamformers(psi, "zf")
         isi = []
         for w in (0, 2, 4, 8):
-            plan = delay_doppler_window(psi, w, 0.0)
+            plan = build_compensation_plan(psi, window=AlignmentWindow(w, 0.0))
             isi.append(equivalent_channel(channel, psi, beams, plan=plan).residual_isi_power)
         assert isi[0] < 1e-20
         assert all(a <= b + 1e-15 for a, b in zip(isi, isi[1:]))
@@ -522,7 +510,7 @@ class TestDetection:
     def test_pilot_prefix_gain_estimate(self):
         rng = np.random.default_rng(17)
         channel, psi, beams = ideal_setup(rng, num_paths=2, mt=16)
-        pilot = make_pilot()
+        pilot = random_qpsk(np.random.default_rng(0xDDA), 32)
         data = random_qpsk(rng, 200)
         s = np.concatenate([pilot, data])
         cfg = DdamFrameConfig(len(s))

@@ -21,7 +21,6 @@ from wavelab.modulation import qpsk_demodulate, qpsk_modulate, random_qpsk
 from wavelab.ofdm import (
     FeasibilityThresholds,
     OfdmConfig,
-    check_parameters,
     feasible_region,
     ofdm_demodulate,
     ofdm_equalize_one_tap,
@@ -68,32 +67,6 @@ class TestFeasibleRegion:
         region = feasible_region(FeasibilityThresholds(0.8, 256, 1e7))
         assert region.contains(region.tau_max, region.nu_max)
         assert not region.contains(region.tau_max * 1.001, 0.0)
-
-
-class TestCheckParameters:
-    def cfg(self):
-        # B=1e8, K=1024 -> spacing 97.65625 kHz; N_cp=200 -> 2 us
-        return OfdmConfig(num_subcarriers=1024, cp_len=200, sample_rate=1e8)
-
-    def test_feasible_case(self):
-        assert check_parameters(self.cfg(), 1e-6, 5e3, xi=10.0) == []
-
-    def test_zero_spreads_always_feasible(self):
-        assert check_parameters(self.cfg(), 0.0, 0.0) == []
-
-    def test_doppler_violation(self):
-        violations = check_parameters(self.cfg(), 1e-6, 20e3, xi=10.0)
-        assert len(violations) == 1
-        assert "doppler" in violations[0]
-
-    def test_cp_violation(self):
-        violations = check_parameters(self.cfg(), 5e-6, 0.0)
-        assert any("cp duration" in v for v in violations)
-
-    def test_coherence_violation(self):
-        # tau_d = 1 ms makes the coherence bandwidth 1 kHz < spacing
-        violations = check_parameters(self.cfg(), 1e-3, 0.0)
-        assert any("coherence" in v for v in violations)
 
 
 class TestModem:

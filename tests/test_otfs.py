@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import wavelab.combos
+import wavelab.ddam
 from wavelab.channel import (
     ArrayConfig,
     PathParams,
@@ -9,15 +9,17 @@ from wavelab.channel import (
     build_channel,
     sample_random_channel,
 )
-from wavelab.combos import ddam_chain_callable
-from wavelab.ddam import AlignmentWindow, path_beamformers, psi_from_channel
+from wavelab.ddam import (
+    AlignmentWindow,
+    ddam_chain_callable,
+    path_beamformers,
+    psi_from_channel,
+)
 from wavelab.modulation import random_qpsk
 from wavelab.otfs import (
     OtfsConfig,
     _time_matrix,
     dd_effective_matrix,
-    grid_from_bytes,
-    grid_to_bytes,
     mmse_equalize_dd,
     mmse_gram,
     otfs_demodulate_isfft,
@@ -239,13 +241,13 @@ def impulse_matrix(chain, cfg):
 def chain_passes(monkeypatch):
     """Counts the DDAM chain's channel passes."""
     calls = []
-    original = wavelab.combos.apply_channel
+    original = wavelab.ddam.apply_channel
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(wavelab.combos, "apply_channel", counting)
+    monkeypatch.setattr(wavelab.ddam, "apply_channel", counting)
     return calls
 
 
@@ -406,22 +408,3 @@ class TestSingleTapBer:
         sigma = np.sqrt(p * (1 - p) / bits)
         assert abs(errors / bits - p) <= 3 * sigma
 
-
-class TestGridContainer:
-    def test_round_trip(self):
-        rng = np.random.default_rng(15)
-        grid = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-        assert np.array_equal(grid_from_bytes(grid_to_bytes(grid)), grid)
-
-    def test_header_layout(self):
-        blob = grid_to_bytes(np.zeros((8, 4), dtype=complex))
-        assert blob[:4] == b"DDG1"
-        assert blob[4:8] == (8).to_bytes(4, "little")
-        assert blob[8:12] == (4).to_bytes(4, "little")
-        assert len(blob) == 16 + 16 * 32
-
-    def test_rejects_foreign_blob(self):
-        with pytest.raises(ValueError):
-            grid_from_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(ValueError):
-            grid_from_bytes(grid_to_bytes(np.zeros((2, 2), dtype=complex))[:-8])
