@@ -66,10 +66,10 @@ from .combos import (
 )
 from .metrics import (
     ComplexityParams,
-    OpCounter,
     PaprCcdf,
     ber,
     complexity_model,
+    counting,
     measured_complexity,
     papr_ccdf,
     papr_db,

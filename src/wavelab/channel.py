@@ -117,16 +117,13 @@ class MultipathChannel:
         """(M_t x L) array responses, one column per path."""
         return steering_vector(np.array([p.aod for p in self.paths]), self.array)
 
-    def scalar_taps(self, half_length: int = DEFAULT_HALF_LENGTH,
-                    fractional_tol: float = FRACTIONAL_TOL) -> "ScalarChannel":
+    def scalar_taps(self, half_length: int = DEFAULT_HALF_LENGTH) -> "ScalarChannel":
         """The paths as (gain, delay_samples, doppler_hz) taps, built once per filter."""
-        key = (half_length, fractional_tol)
-        if key not in self._taps:
+        if half_length not in self._taps:
             taps = tuple((p.gain, p.delay_s * self.sample_rate, p.doppler_hz)
                          for p in self.paths)
-            self._taps[key] = ScalarChannel(taps, self.sample_rate, half_length,
-                                            fractional_tol)
-        return self._taps[key]
+            self._taps[half_length] = ScalarChannel(taps, self.sample_rate, half_length)
+        return self._taps[half_length]
 
     def delays_in_samples(self) -> np.ndarray:
         return np.array([p.delay_s * self.sample_rate for p in self.paths])
@@ -237,7 +234,7 @@ def fractional_delay_taps(fractional_delay: float, half_length: int = DEFAULT_HA
     return taps / taps.sum()
 
 
-def _delay_filter(delay_samples: float, half_length: int, fractional_tol: float):
+def _delay_filter(delay_samples: float, half_length: int):
     """(start, fir) realizing a delay of the given samples.
 
     Integer delays are exact shifts (fir None); fractional residues use the
@@ -245,7 +242,7 @@ def _delay_filter(delay_samples: float, half_length: int, fractional_tol: float)
     integer part of the delay.
     """
     nearest = round_half_up(delay_samples)
-    if abs(delay_samples - nearest) <= fractional_tol:
+    if abs(delay_samples - nearest) <= FRACTIONAL_TOL:
         return nearest, None
     base = int(math.floor(delay_samples))
     return base - half_length, fractional_delay_taps(delay_samples - base, half_length)
@@ -267,11 +264,10 @@ class ScalarChannel:
     taps: tuple
     sample_rate: float
     half_length: int = DEFAULT_HALF_LENGTH
-    fractional_tol: float = FRACTIONAL_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "taps", tuple(self.taps))
-        filters = tuple(_delay_filter(float(delay), self.half_length, self.fractional_tol)
+        filters = tuple(_delay_filter(float(delay), self.half_length)
                         for _, delay, _ in self.taps)
         object.__setattr__(self, "_filters", filters)
         # samples the output runs past the input's end
@@ -344,15 +340,13 @@ class ScalarChannel:
 
 
 def apply_scalar_paths(signal: np.ndarray, paths, sample_rate: float,
-                       half_length: int = DEFAULT_HALF_LENGTH,
-                       fractional_tol: float = FRACTIONAL_TOL) -> np.ndarray:
+                       half_length: int = DEFAULT_HALF_LENGTH) -> np.ndarray:
     """One-shot ScalarChannel: send a signal through (gain, delay_samples, doppler_hz) taps."""
-    return ScalarChannel(paths, sample_rate, half_length, fractional_tol)(signal)
+    return ScalarChannel(paths, sample_rate, half_length)(signal)
 
 
 def apply_channel(channel: MultipathChannel, tx: Frame,
-                  half_length: int = DEFAULT_HALF_LENGTH,
-                  fractional_tol: float = FRACTIONAL_TOL) -> Frame:
+                  half_length: int = DEFAULT_HALF_LENGTH) -> Frame:
     """Propagate an M_t-row frame through the channel, returning one row.
 
     y[n] = sum_l gain_l * exp(j*2*pi*doppler_l*n/B) * a(aod_l)^H x[n - delay_l]:
@@ -366,7 +360,7 @@ def apply_channel(channel: MultipathChannel, tx: Frame,
     if tx.sample_rate != channel.sample_rate:
         raise ValueError("tx frame and channel sample rates differ")
     rows = channel.steering_matrix.conj().T @ tx.samples
-    y = channel.scalar_taps(half_length, fractional_tol)(rows)
+    y = channel.scalar_taps(half_length)(rows)
     return Frame(samples=y[np.newaxis, :], sample_rate=channel.sample_rate)
 
 

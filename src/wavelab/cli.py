@@ -257,6 +257,12 @@ def _cross_field(o):
     diags += [f"channel.paths[{i}].gain_re: gain_re and gain_im must not both be 0"
               for i, p in enumerate(channel.get("paths", []))
               if p["gain_re"] == p["gain_im"] == 0]
+    # Zero-forcing beams need L <= M_t.  The OFDM and OTFS runners ignore
+    # criterion; equivalent_channel_report has no waveform.
+    n, mt = len(channel.get("paths", [])), channel.get("array", {}).get("mt", 0)
+    if n > mt and o["criterion"] == "zf" and waveform in (None, "ddam", "ddam_ofdm",
+                                                          "ddam_otfs"):
+        diags.append(f"channel.paths: criterion zf needs at most mt {mt} paths, got {n}")
     if waveform == "ddam_ofdm" and window and window.w_tau_samples > o["cp_len"]:
         diags.append(f"window.w_tau: must not exceed cp_len {o['cp_len']}, "
                      f"got {window.w_tau_samples!r}")

@@ -7,7 +7,8 @@ time-domain chain.  DDAM-OTFS multiplexes symbols on the delay-Doppler
 grid and equalizes with the DD effective matrix of the compensated
 end-to-end channel, whose time-domain matrix comes from probing the chain
 with combs of unit impulses spaced by the chain's support, so one pass
-gives many columns.
+gives many columns.  Its functions take the plan and the MMSE Gram built
+once per BER point.
 """
 
 from __future__ import annotations
@@ -122,44 +123,33 @@ def ddam_ofdm_receive(rx, link: DdamOfdmLink, num_symbols: int,
 
 
 def ddam_otfs_transmit(grid: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
-                       otfs_cfg: OtfsConfig, window: AlignmentWindow = None,
-                       mode: str = "path_based", variant: str = "zak",
-                       half_length: int = DEFAULT_HALF_LENGTH,
-                       plan: CompensationPlan = None) -> Frame:
-    """OTFS-modulate the DD grid, then apply the DDAM time-domain chain.
-
-    A given plan is used as is; otherwise one is built from window, mode
-    and half_length.
-    """
+                       otfs_cfg: OtfsConfig, plan: CompensationPlan,
+                       variant: str = "zak") -> Frame:
+    """OTFS-modulate the DD grid, then apply the DDAM time-domain chain of the plan."""
     modulate, _ = otfs_modem(variant)
     stream = modulate(grid, otfs_cfg).row()
     frame_cfg = DdamFrameConfig(block_len=len(stream))
-    return ddam_modulate(stream, psi, beams, frame_cfg, mode=mode, window=window,
-                         plan=plan, half_length=half_length)
+    return ddam_modulate(stream, psi, beams, frame_cfg, plan=plan)
 
 
 def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,
                                beams: BeamformerSet, otfs_cfg: OtfsConfig,
-                               window: AlignmentWindow = None,
-                               mode: str = "path_based", variant: str = "zak",
-                               half_length: int = DEFAULT_HALF_LENGTH,
-                               plan: CompensationPlan = None) -> np.ndarray:
+                               plan: CompensationPlan, variant: str = "zak",
+                               half_length: int = DEFAULT_HALF_LENGTH) -> np.ndarray:
     """DD effective matrix of the compensated end-to-end channel.
 
     The unnormalized chain is probed with combs of unit impulses spaced by
     its support (see otfs.dd_effective_matrix).
     """
-    chain = ddam_chain_callable(channel, psi, beams, window=window, mode=mode,
-                                half_length=half_length, plan=plan)
+    chain = ddam_chain_callable(channel, psi, beams, plan, half_length)
     return dd_effective_matrix(chain, otfs_cfg, variant=variant)
 
 
 def ddam_otfs_receive(rx, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig,
-                      noise_var: float, variant: str = "zak",
-                      gram: np.ndarray = None) -> np.ndarray:
+                      gram: np.ndarray, variant: str = "zak") -> np.ndarray:
     """Demodulate to the DD grid and MMSE-equalize with the effective matrix.
 
-    A given MMSE gram (otfs.mmse_gram) is used as is; otherwise one is built.
+    gram is otfs.mmse_gram of the effective matrix, built once per BER point.
     """
     samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
     need = otfs_cfg.frame_len + otfs_cfg.cp_len
@@ -167,7 +157,7 @@ def ddam_otfs_receive(rx, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig,
         samples = np.concatenate([samples, np.zeros(need - len(samples), dtype=complex)])
     _, demodulate = otfs_modem(variant)
     grid = demodulate(samples, otfs_cfg)
-    return mmse_equalize_dd(grid, effective_matrix, noise_var, gram=gram)
+    return mmse_equalize_dd(grid, effective_matrix, gram)
 
 
 def dominant_entries_per_column(matrix: np.ndarray, threshold_db: float = -30.0) -> np.ndarray:

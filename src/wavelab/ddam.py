@@ -37,6 +37,7 @@ from .channel import (
     fractional_delay_taps,
     steering_vector,
 )
+from .metrics import count
 from .modulation import qpsk_slice
 
 # Tap-based terms below this power (relative to the strongest tap) are dropped.
@@ -45,6 +46,9 @@ TAP_THRESHOLD_DB = -30.0
 # Taps below this power relative to the dominant tap do not count toward
 # the equivalent delay spread.
 SIGNIFICANT_TAP_REL_POWER = 1e-8
+
+# equivalent_channel's second impulse comes this many samples after its first.
+PROBE_SPACING = 64
 
 BEAMFORMER_CRITERIA = ("mrt", "zf", "rzf", "mmse")
 COMPENSATION_MODES = ("path_based", "tap_based")
@@ -179,7 +183,7 @@ class BeamformerSet:
 
 
 def path_beamformers(psi: PathStateInfo, criterion: str, noise_var: float = 0.0,
-                     power_allocation: str = "gain", counter=None) -> BeamformerSet:
+                     power_allocation: str = "gain") -> BeamformerSet:
     """Design one beam vector per path under the given criterion.
 
     mrt:  f_l = a_l / ||a_l||.
@@ -225,8 +229,7 @@ def path_beamformers(psi: PathStateInfo, criterion: str, noise_var: float = 0.0,
         w = inv @ a
         ops = mt ** 2 * L + mt ** 3 + mt ** 2 * L + mt * L
     vectors = w / np.linalg.norm(w, axis=-2, keepdims=True)
-    if counter is not None:
-        counter.add(designs * ops)
+    count(designs * ops)
 
     if power_allocation == "gain":
         p = np.abs(psi.gain_estimate) ** 2
@@ -276,8 +279,7 @@ class CompensationPlan:
 
 def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
                             window: AlignmentWindow = None,
-                            half_length: int = DEFAULT_HALF_LENGTH,
-                            tap_threshold_db: float = TAP_THRESHOLD_DB) -> CompensationPlan:
+                            half_length: int = DEFAULT_HALF_LENGTH) -> CompensationPlan:
     """Derive the per-term delay shifts and Doppler rotations from PSI.
 
     The delay target region is [n_max - w_tau, n_max]; terms aim at its
@@ -301,7 +303,7 @@ def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
                                   doppler_comp_hz=doppler_comp[l],
                                   amplitude=1.0 + 0.0j))
     else:
-        keep = 10.0 ** (tap_threshold_db / 10.0)
+        keep = 10.0 ** (TAP_THRESHOLD_DB / 10.0)
         for l in range(psi.num_paths):
             frac = float(psi.fractional_delay[l])
             base = int(psi.delay_samples[l])
@@ -366,8 +368,7 @@ def _term_weights(plan: CompensationPlan, beams: BeamformerSet) -> np.ndarray:
 
 
 def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSet,
-                sample_rate: float, total_len: int, normalize: bool,
-                counter=None):
+                sample_rate: float, total_len: int, normalize: bool):
     """Shared transmit-chain core; returns (antenna matrix, active span).
 
     One FIR and Doppler ramp per (path, compensation) group, then one beam
@@ -389,17 +390,14 @@ def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSe
         out[:] = np.convolve(symbols, fir)
         if nu != 0.0:
             out *= _doppler_ramp(nu, lo, len(out), sample_rate)
-        if counter is not None:
-            counter.add(len(fir) * n + (len(out) if nu != 0.0 else 0))
+        count(len(fir) * n + (len(out) if nu != 0.0 else 0))
     paths = [path for path, _ in groups]
     x = beams.vectors[:, paths] @ streams
-    if counter is not None:
-        counter.add(mt * len(paths) * total_len)
+    count(mt * len(paths) * total_len)
     active = n + plan.max_kappa
     if normalize:
         _unit_power(x, active)
-        if counter is not None:
-            counter.add(mt * total_len)
+        count(mt * total_len)
     return x, active
 
 
@@ -415,10 +413,8 @@ def _unit_power(x: np.ndarray, active: int):
 
 
 def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
-                        beams: BeamformerSet, window: AlignmentWindow = None,
-                        mode: str = "path_based",
-                        half_length: int = DEFAULT_HALF_LENGTH,
-                        plan: CompensationPlan = None):
+                        beams: BeamformerSet, plan: CompensationPlan,
+                        half_length: int = DEFAULT_HALF_LENGTH):
     """Scalar end-to-end map of the unnormalized DDAM chain over the channel.
 
     The returned callable carries support = (lo, hi): an input impulse at j
@@ -426,9 +422,6 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
     by its kappa and the channel spreads by its own support, so lo is the
     smallest kappa plus the channel's lo and hi the largest kappa plus its hi.
     """
-    if plan is None:
-        plan = build_compensation_plan(psi, mode=mode, window=window,
-                                       half_length=half_length)
 
     def chain(signal: np.ndarray) -> np.ndarray:
         signal = np.asarray(signal, dtype=np.complex128)
@@ -473,12 +466,11 @@ def path_based_blocks(symbols: np.ndarray, psi: PathStateInfo,
 
 
 def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
-                  frame_cfg: DdamFrameConfig, mode: str = "path_based",
-                  window: AlignmentWindow = None, plan: CompensationPlan = None,
-                  half_length: int = DEFAULT_HALF_LENGTH, counter=None) -> Frame:
+                  frame_cfg: DdamFrameConfig, plan: CompensationPlan = None) -> Frame:
     """Transmit one DDAM block: per-term alignment, guard tail, unit power.
 
-    The average transmit power over the active span is normalized to 1.
+    Without a plan, the default path-based one is built.  The average
+    transmit power over the active span is normalized to 1.
     """
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
     if len(symbols) == 0:
@@ -489,16 +481,14 @@ def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
     if beams.num_paths != psi.num_paths:
         raise ValueError("beamformer set does not match the PSI path count")
     if plan is None:
-        plan = build_compensation_plan(psi, mode=mode, window=window,
-                                       half_length=half_length)
+        plan = build_compensation_plan(psi)
     guard = frame_cfg.resolved_guard(plan.n_max)
     if guard < plan.max_kappa:
         raise ValueError(
             f"guard of {guard} samples cannot absorb the largest pre-delay "
             f"{plan.max_kappa}")
     total = frame_cfg.block_len + guard
-    x, _ = _synthesize(symbols, plan, beams, psi.sample_rate, total,
-                       normalize=True, counter=counter)
+    x, _ = _synthesize(symbols, plan, beams, psi.sample_rate, total, normalize=True)
     return Frame(samples=x, sample_rate=psi.sample_rate)
 
 
@@ -522,17 +512,20 @@ def equivalent_channel(channel: MultipathChannel, psi: PathStateInfo,
                        beams: BeamformerSet, mode: str = "path_based",
                        window: AlignmentWindow = None,
                        plan: CompensationPlan = None,
-                       half_length: int = DEFAULT_HALF_LENGTH,
-                       probe_spacing: int = 64) -> EquivalentChannel:
+                       half_length: int = DEFAULT_HALF_LENGTH) -> EquivalentChannel:
     """Measure the end-to-end scalar taps by driving unit impulses.
 
-    The impulses go through ddam_chain_callable, the unnormalized transmit
+    Without a plan, one is built from mode, window and half_length.  The
+    impulses go through ddam_chain_callable, the unnormalized transmit
     chain, so the dominant tap equals
-    sum_l sqrt(p_l) * gain_l * e^{j phi_l} * a_l^H f_l in the ideal case.  A second probe, probe_spacing samples later, measures any
-    residual time variation of the dominant tap.
+    sum_l sqrt(p_l) * gain_l * e^{j phi_l} * a_l^H f_l
+    in the ideal case.  A second probe, PROBE_SPACING samples later,
+    measures any residual time variation of the dominant tap.
     """
-    chain = ddam_chain_callable(channel, psi, beams, window=window, mode=mode,
-                                half_length=half_length, plan=plan)
+    if plan is None:
+        plan = build_compensation_plan(psi, mode=mode, window=window,
+                                       half_length=half_length)
+    chain = ddam_chain_callable(channel, psi, beams, plan, half_length)
 
     def probe(position: int) -> np.ndarray:
         impulse = np.zeros(position + 1, dtype=np.complex128)
@@ -540,7 +533,7 @@ def equivalent_channel(channel: MultipathChannel, psi: PathStateInfo,
         return chain(impulse)[position:]
 
     taps = probe(0)
-    later = probe(probe_spacing)
+    later = probe(PROBE_SPACING)
     length = min(len(taps), len(later))
     taps, later = taps[:length], later[:length]
 
@@ -554,7 +547,7 @@ def equivalent_channel(channel: MultipathChannel, psi: PathStateInfo,
     ratio = later[dominant] / taps[dominant]
     drift = float(abs(ratio - 1.0))
     residual_doppler = float(np.angle(ratio) * psi.sample_rate
-                             / (2.0 * np.pi * probe_spacing))
+                             / (2.0 * np.pi * PROBE_SPACING))
     return EquivalentChannel(taps=taps, dominant_tap_index=dominant,
                              residual_isi_power=isi, delay_spread_samples=spread,
                              residual_doppler_hz=residual_doppler,

@@ -50,7 +50,7 @@ from .ddam import (
     psi_from_channel,
     psi_from_paths,
 )
-from .metrics import fft_multiplies
+from .metrics import count, fft_multiplies
 from .modulation import qpsk_demodulate, qpsk_modulate, random_qpsk
 from .ofdm import (
     OfdmConfig,
@@ -69,8 +69,9 @@ from .otfs import (
 )
 
 # A PAPR chunk holds as many trials as fit about this many bytes of
-# (trials x rows x N) complex samples.
+# (trials x rows x N) complex samples.  The trials run at PAPR_SAMPLE_RATE.
 PAPR_CHUNK_BYTES = 1 << 20
+PAPR_SAMPLE_RATE = 1e6
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,10 @@ def _run_frames(channel: MultipathChannel, snr_db: float, rngs, frame_symbols,
     return LinkResult(snr_db=snr_db, bits=total, bit_errors=errors)
 
 
-def _spawned_rngs(rng_seed, count: int) -> list:
+def _spawned_rngs(rng_seed, num_frames: int) -> list:
     """One generator per frame, from the seed's spawned children in order."""
     return [np.random.default_rng(s)
-            for s in np.random.SeedSequence(rng_seed).spawn(count)]
+            for s in np.random.SeedSequence(rng_seed).spawn(num_frames)]
 
 
 def ofdm_miso_precoder(channel: MultipathChannel, cfg: OfdmConfig) -> np.ndarray:
@@ -121,7 +122,7 @@ def ofdm_miso_precoder(channel: MultipathChannel, cfg: OfdmConfig) -> np.ndarray
 
 
 def ofdm_miso_modulate(freq_symbols: np.ndarray, weights: np.ndarray,
-                       cfg: OfdmConfig, counter=None) -> Frame:
+                       cfg: OfdmConfig) -> Frame:
     """Weight each subcarrier per antenna, IFFT per antenna, prepend the CP.
 
     freq_symbols is one (K,) symbol vector or an (S x K) block, one OFDM
@@ -132,8 +133,7 @@ def ofdm_miso_modulate(freq_symbols: np.ndarray, weights: np.ndarray,
     x = _symbol_rows(freq_symbols, k)
     mt = weights.shape[0]
     grid = weights[:, np.newaxis, :] * x[np.newaxis, :, :]
-    if counter is not None:
-        counter.add(len(x) * (mt * k + mt * fft_multiplies(k)))
+    count(len(x) * (mt * k + mt * fft_multiplies(k)))
     time = _add_cyclic_prefix(np.fft.ifft(grid, axis=-1, norm="ortho"), cfg.cp_len)
     return Frame(samples=time.reshape(mt, -1), sample_rate=cfg.sample_rate)
 
@@ -184,8 +184,7 @@ def run_ddam_ber(channel: MultipathChannel, snr_db: float, num_symbols: int,
                                    half_length=half_length)
 
     def transmit(symbols):
-        return ddam_modulate(symbols, psi, beams, DdamFrameConfig(len(symbols)),
-                             plan=plan, half_length=half_length)
+        return ddam_modulate(symbols, psi, beams, DdamFrameConfig(len(symbols)), plan=plan)
 
     def receive(noisy, clean, symbols):
         gain = estimate_gain(clean.row(), symbols, plan.n_max)
@@ -198,7 +197,7 @@ def run_ddam_ber(channel: MultipathChannel, snr_db: float, num_symbols: int,
 
 
 def otfs_miso_modulate_isfft(grid: np.ndarray, weights: np.ndarray,
-                             cfg: OtfsConfig, counter=None) -> Frame:
+                             cfg: OtfsConfig) -> Frame:
     """ISFFT chain with per-subcarrier MRT: per-antenna Heisenberg IFFTs.
 
     weights is (M_t x K), one unit-norm column per subcarrier, as in the
@@ -210,10 +209,9 @@ def otfs_miso_modulate_isfft(grid: np.ndarray, weights: np.ndarray,
     if grid.shape != (k, m):
         raise ValueError(f"grid shape {grid.shape} does not match ({k}, {m})")
     mt = weights.shape[0]
-    if counter is not None:
-        counter.add(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
-        counter.add(mt * k * m)                                     # per-bin weights
-        counter.add(mt * m * fft_multiplies(k))                     # per-antenna IFFTs
+    count(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
+    count(mt * k * m)                                     # per-bin weights
+    count(mt * m * fft_multiplies(k))                     # per-antenna IFFTs
     tf = np.fft.ifft(np.fft.fft(grid, axis=0, norm="ortho"), axis=1, norm="ortho")
     weighted = weights[:, :, np.newaxis] * tf[np.newaxis, :, :]
     chunks = np.fft.ifft(weighted, axis=1, norm="ortho")
@@ -243,15 +241,14 @@ def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
     beam = otfs_miso_beam(channel)
     h_dd = dd_effective_matrix(otfs_scalar_taps(channel, beam), cfg, variant=variant)
     modulate, demodulate = otfs_modem(variant)
-    noise_var = 10 ** (-snr_db / 10)
-    gram = mmse_gram(h_dd, noise_var)
+    gram = mmse_gram(h_dd, 10 ** (-snr_db / 10))
 
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
         return Frame(np.outer(beam, modulate(grid, cfg).row()), cfg.sample_rate)
 
     def receive(noisy, clean, symbols):
-        return mmse_equalize_dd(demodulate(noisy.row(), cfg), h_dd, noise_var, gram=gram)
+        return mmse_equalize_dd(demodulate(noisy.row(), cfg), h_dd, gram)
 
     return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
                        [cfg.frame_len] * num_frames, transmit, receive)
@@ -293,17 +290,16 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
     beams = path_beamformers(psi, criterion, noise_var=noise_var)
     plan = build_compensation_plan(psi, mode=mode, window=window,
                                    half_length=half_length)
-    h_dd = ddam_otfs_effective_matrix(channel, psi, beams, cfg, variant=variant,
-                                      half_length=half_length, plan=plan)
+    h_dd = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan, variant=variant,
+                                      half_length=half_length)
     gram = mmse_gram(h_dd, noise_var)
 
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
-        return ddam_otfs_transmit(grid, psi, beams, cfg, variant=variant, plan=plan)
+        return ddam_otfs_transmit(grid, psi, beams, cfg, plan, variant=variant)
 
     def receive(noisy, clean, symbols):
-        return ddam_otfs_receive(noisy, h_dd, cfg, noise_var, variant=variant,
-                                 gram=gram)
+        return ddam_otfs_receive(noisy, h_dd, cfg, gram, variant=variant)
 
     return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
                        [cfg.frame_len] * num_frames, transmit, receive,
@@ -345,7 +341,7 @@ def make_papr_generator(waveform: str, **params):
     if waveform in ("otfs_zak", "otfs_isfft"):
         cfg = OtfsConfig(num_doppler_bins=params["num_doppler_bins"],
                          num_delay_bins=params["num_delay_bins"],
-                         cp_len=0, sample_rate=params.get("sample_rate", 1e6))
+                         cp_len=0, sample_rate=PAPR_SAMPLE_RATE)
         k, m = cfg.num_delay_bins, cfg.num_doppler_bins
         variant = waveform.split("_")[1]
 
@@ -363,7 +359,6 @@ def make_papr_generator(waveform: str, **params):
         block = params.get("block_len", 512)
         criterion = params.get("criterion", "zf")
         max_delay = params.get("max_delay_samples", 32)
-        rate = params.get("sample_rate", 1e6)
         doppler = params.get("max_doppler_hz", 0.0)
 
         def gen(rngs):
@@ -371,11 +366,12 @@ def make_papr_generator(waveform: str, **params):
                 paths, symbols = [], []
                 for rng in chunk:
                     paths.append(draw_random_paths(
-                        array, num_paths, (0.0, max_delay / rate), (-doppler, doppler),
-                        rng.integers(2 ** 63)))
+                        array, num_paths, (0.0, max_delay / PAPR_SAMPLE_RATE),
+                        (-doppler, doppler), rng.integers(2 ** 63)))
                     symbols.append(random_qpsk(rng, block))
                 aods, delays, dopplers, gains = (np.array(v) for v in zip(*paths))
-                psi = psi_from_paths(array, rate, delays * rate, dopplers, aods, gains)
+                psi = psi_from_paths(array, PAPR_SAMPLE_RATE, delays * PAPR_SAMPLE_RATE,
+                                     dopplers, aods, gains)
                 beams = path_beamformers(psi, criterion, noise_var=0.01)
                 yield path_based_blocks(np.array(symbols), psi, beams)
 

@@ -1,27 +1,40 @@
 """PAPR, overhead-based spectral efficiency, BER and the complexity model.
 
 The complexity model evaluates the per-information-symbol multiplication
-counts of each waveform variant with unit constants.  An OpCounter can be
-threaded through the actual modem code paths to report measured multiply
-counts beside the model.
+counts of each waveform variant with unit constants.  The modem code paths
+report their complex multiplies with count(); a counting() block collects
+them, so measured counts can be set beside the model.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# The tally of the innermost open counting() block, or None outside any.
+_TALLY = contextvars.ContextVar("wavelab_tally", default=None)
 
-class OpCounter:
-    """Accumulates complex-multiply counts along instrumented code paths."""
 
-    def __init__(self):
-        self.total = 0.0
+def count(n: float):
+    """Record n complex multiplies in the innermost open counting() block, if any."""
+    tally = _TALLY.get()
+    if tally is not None:
+        tally.append(float(n))
 
-    def add(self, n: float):
-        self.total += float(n)
+
+@contextlib.contextmanager
+def counting():
+    """Yield the list of count() values recorded in the block; only the innermost records."""
+    tally = []
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
 
 
 def fft_multiplies(n: int) -> float:
@@ -221,8 +234,8 @@ def complexity_model(variant: str, p: ComplexityParams):
 def measured_complexity(variant: str, p: ComplexityParams, rng_seed=0):
     """Multiplies per information symbol measured on the real modem paths.
 
-    Runs the transmitter and receiver chains on random data with an
-    OpCounter attached and normalizes by the number of information
+    Runs the transmitter and receiver chains on random data inside
+    counting() blocks and normalizes by the number of information
     symbols.  Beamformer construction is amortized over p.n_s.
     """
     from . import ddam as _ddam
@@ -237,44 +250,42 @@ def measured_complexity(variant: str, p: ComplexityParams, rng_seed=0):
     if variant == "ofdm":
         cfg = _ofdm.OfdmConfig(num_subcarriers=k, cp_len=0, sample_rate=1e6)
         x = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2)
-        tx_ops = OpCounter()
-        _link.ofdm_miso_modulate(x, np.ones((mt, k)) / np.sqrt(mt), cfg, counter=tx_ops)
-        rx_ops = OpCounter()
-        y = _ofdm.ofdm_demodulate(np.zeros(k, dtype=complex) + 1.0, cfg, counter=rx_ops)
-        _ofdm.ofdm_equalize_one_tap(y, np.ones(k))
-        rx_ops.add(k)  # one equalizer multiply per subcarrier
-        return tx_ops.total / k, rx_ops.total / k
+        with counting() as tx_ops:
+            _link.ofdm_miso_modulate(x, np.ones((mt, k)) / np.sqrt(mt), cfg)
+        with counting() as rx_ops:
+            _ofdm.ofdm_demodulate(np.zeros(k, dtype=complex) + 1.0, cfg)
+            count(k)  # one equalizer multiply per subcarrier
+        return sum(tx_ops) / k, sum(rx_ops) / k
 
     if variant in ("otfs_isfft", "otfs_zak"):
         cfg = _otfs.OtfsConfig(num_doppler_bins=m, num_delay_bins=k,
                                cp_len=0, sample_rate=1e6)
         grid = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m)))
-        tx_ops = OpCounter()
-        rx_ops = OpCounter()
-        if variant == "otfs_isfft":
-            weights = np.ones((mt, k), dtype=complex) / np.sqrt(mt)
-            frame = _link.otfs_miso_modulate_isfft(grid, weights, cfg, counter=tx_ops)
-            _otfs.otfs_demodulate_isfft(frame.row(), cfg, counter=rx_ops)
-        else:
-            frame = _otfs.otfs_modulate_zak(grid, cfg, counter=tx_ops)
-            tx_ops.add(mt * k * m)  # wideband beam weight per antenna per sample
-            _otfs.otfs_demodulate_zak(frame, cfg, counter=rx_ops)
-        rx_ops.add(k * m)  # symbol-wise detection divide
-        return tx_ops.total / (k * m), rx_ops.total / (k * m)
+        with counting() as tx_ops:
+            if variant == "otfs_isfft":
+                weights = np.ones((mt, k), dtype=complex) / np.sqrt(mt)
+                frame = _link.otfs_miso_modulate_isfft(grid, weights, cfg)
+            else:
+                frame = _otfs.otfs_modulate_zak(grid, cfg)
+                count(mt * k * m)  # wideband beam weight per antenna per sample
+        with counting() as rx_ops:
+            _, demodulate = _otfs.otfs_modem(variant.split("_")[1])
+            demodulate(frame.row(), cfg)
+            count(k * m)  # symbol-wise detection divide
+        return sum(tx_ops) / (k * m), sum(rx_ops) / (k * m)
 
     if variant in ("ddam_mrt", "ddam_zf", "ddam_mmse"):
         criterion = variant.split("_")[1]
         channel = sample_random_channel(ArrayConfig(mt), l, (0.0, 16e-6), (0.0, 0.0),
                                         rng_seed, sample_rate=1e6)
         psi = _ddam.psi_from_channel(channel)
-        bf_ops = OpCounter()
-        beams = _ddam.path_beamformers(psi, criterion, noise_var=0.01, counter=bf_ops)
+        with counting() as bf_ops:
+            beams = _ddam.path_beamformers(psi, criterion, noise_var=0.01)
         block = 2048  # long enough that per-symbol cost dominates measurement noise
         symbols = (rng.standard_normal(block) + 1j * rng.standard_normal(block)) / np.sqrt(2)
-        tx_ops = OpCounter()
         frame_cfg = _ddam.DdamFrameConfig(block_len=block, guard_len=2 * psi.n_max)
-        _ddam.ddam_modulate(symbols, psi, beams, frame_cfg, counter=tx_ops)
-        tx_per_symbol = tx_ops.total / block + bf_ops.total / n_s
-        return tx_per_symbol, 1.0  # symbol-wise detection: one divide per symbol
+        with counting() as tx_ops:
+            _ddam.ddam_modulate(symbols, psi, beams, frame_cfg)
+        return sum(tx_ops) / block + sum(bf_ops) / n_s, 1.0  # rx: one divide per symbol
 
     raise ValueError(f"unknown complexity variant {variant!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Frame
-from .metrics import fft_multiplies
+from .metrics import count, fft_multiplies
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,6 @@ class FeasibleRegion:
     tau_max: float
     nu_max: float
 
-    def contains(self, tau_d: float, nu_d: float) -> bool:
-        return 0.0 <= tau_d <= self.tau_max and 0.0 <= nu_d <= self.nu_max
-
 
 def feasible_region(th: FeasibilityThresholds) -> FeasibleRegion:
     """Largest (tau_d, nu_d) rectangle meeting the thresholds.
@@ -95,7 +92,7 @@ def _add_cyclic_prefix(time: np.ndarray, cp_len: int) -> np.ndarray:
     return np.concatenate([prefix, time], axis=-1)
 
 
-def ofdm_modulate(freq_symbols: np.ndarray, cfg: OfdmConfig, counter=None) -> Frame:
+def ofdm_modulate(freq_symbols: np.ndarray, cfg: OfdmConfig) -> Frame:
     """Unitary inverse DFT plus cyclic prefix of each OFDM symbol.
 
     freq_symbols is one (K,) symbol vector or an (S x K) block, one OFDM
@@ -103,13 +100,12 @@ def ofdm_modulate(freq_symbols: np.ndarray, cfg: OfdmConfig, counter=None) -> Fr
     S symbols back to back, each with its own prefix.
     """
     x = _symbol_rows(freq_symbols, cfg.num_subcarriers)
-    if counter is not None:
-        counter.add(len(x) * fft_multiplies(cfg.num_subcarriers))
+    count(len(x) * fft_multiplies(cfg.num_subcarriers))
     time = _add_cyclic_prefix(np.fft.ifft(x, axis=1, norm="ortho"), cfg.cp_len)
     return Frame(samples=time.reshape(1, -1), sample_rate=cfg.sample_rate)
 
 
-def ofdm_demodulate(rx, cfg: OfdmConfig, counter=None) -> np.ndarray:
+def ofdm_demodulate(rx, cfg: OfdmConfig) -> np.ndarray:
     """Drop the cyclic prefix and apply the unitary DFT to symbol windows.
 
     rx is a Frame or 1-D stream, of which the first K + cp_len samples are
@@ -122,8 +118,7 @@ def ofdm_demodulate(rx, cfg: OfdmConfig, counter=None) -> np.ndarray:
         samples = samples[:need]
     elif samples.ndim != 2 or samples.shape[1] != need:
         raise ValueError(f"need {need}-sample symbol windows, got shape {samples.shape}")
-    if counter is not None:
-        counter.add(samples.size // need * fft_multiplies(cfg.num_subcarriers))
+    count(samples.size // need * fft_multiplies(cfg.num_subcarriers))
     return np.fft.fft(samples[..., cfg.cp_len:], axis=-1, norm="ortho")
 
 

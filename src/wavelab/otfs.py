@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Frame, ScalarChannel
-from .metrics import fft_multiplies
+from .metrics import count, fft_multiplies
 from .ofdm import _add_cyclic_prefix
 
 # Dense effective-matrix construction is capped at this grid size.
@@ -70,43 +70,37 @@ def _frame_body(rx, cfg: OtfsConfig) -> np.ndarray:
     return samples[cfg.cp_len:need]
 
 
-def otfs_modulate_isfft(grid: np.ndarray, cfg: OtfsConfig, counter=None) -> Frame:
+def otfs_modulate_isfft(grid: np.ndarray, cfg: OtfsConfig) -> Frame:
     """DD grid -> TF grid via ISFFT, then per-column IDFTs of size K."""
     grid = _check_grid(grid, cfg)
     k, m = cfg.num_delay_bins, cfg.num_doppler_bins
-    if counter is not None:
-        counter.add(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
-        counter.add(m * fft_multiplies(k))                          # Heisenberg step
+    count(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
+    count(m * fft_multiplies(k))                          # Heisenberg step
     time = _add_cyclic_prefix(otfs_samples(grid, "isfft"), cfg.cp_len)
     return Frame(samples=time, sample_rate=cfg.sample_rate)
 
 
-def otfs_demodulate_isfft(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
+def otfs_demodulate_isfft(rx, cfg: OtfsConfig) -> np.ndarray:
     """Per-column DFTs of size K, then SFFT back to the DD grid."""
     body = _frame_body(rx, cfg)
     k, m = cfg.num_delay_bins, cfg.num_doppler_bins
-    if counter is not None:
-        counter.add(m * fft_multiplies(k))
-        counter.add(m * fft_multiplies(k) + k * fft_multiplies(m))
+    count(m * fft_multiplies(k))
+    count(m * fft_multiplies(k) + k * fft_multiplies(m))
     return otfs_grids(body, cfg, "isfft")
 
 
-def otfs_modulate_zak(grid: np.ndarray, cfg: OtfsConfig, counter=None) -> Frame:
+def otfs_modulate_zak(grid: np.ndarray, cfg: OtfsConfig) -> Frame:
     """Inverse discrete Zak transform: s[k + K*m] = IDFT over the Doppler axis."""
     grid = _check_grid(grid, cfg)
-    k, m = cfg.num_delay_bins, cfg.num_doppler_bins
-    if counter is not None:
-        counter.add(k * fft_multiplies(m))
+    count(cfg.num_delay_bins * fft_multiplies(cfg.num_doppler_bins))
     time = _add_cyclic_prefix(otfs_samples(grid, "zak"), cfg.cp_len)
     return Frame(samples=time, sample_rate=cfg.sample_rate)
 
 
-def otfs_demodulate_zak(rx, cfg: OtfsConfig, counter=None) -> np.ndarray:
+def otfs_demodulate_zak(rx, cfg: OtfsConfig) -> np.ndarray:
     """Discrete Zak transform, inverse of otfs_modulate_zak."""
     body = _frame_body(rx, cfg)
-    k, m = cfg.num_delay_bins, cfg.num_doppler_bins
-    if counter is not None:
-        counter.add(k * fft_multiplies(m))
+    count(cfg.num_delay_bins * fft_multiplies(cfg.num_doppler_bins))
     return otfs_grids(body, cfg, "zak")
 
 
@@ -239,11 +233,10 @@ def mmse_gram(effective_matrix: np.ndarray, noise_var: float) -> np.ndarray:
 
 
 def mmse_equalize_dd(received_grid: np.ndarray, effective_matrix: np.ndarray,
-                     noise_var: float, gram: np.ndarray = None) -> np.ndarray:
+                     gram: np.ndarray) -> np.ndarray:
     """Linear MMSE estimate (H^H H + noise_var I)^-1 H^H y, reshaped to the grid.
 
-    A given gram (from mmse_gram with the same H and noise_var) is used as
-    is; otherwise one is built.
+    gram is mmse_gram(H, noise_var) of the same H, built once per BER point.
     """
     y = np.asarray(received_grid, dtype=np.complex128)
     shape = y.shape
@@ -251,8 +244,6 @@ def mmse_equalize_dd(received_grid: np.ndarray, effective_matrix: np.ndarray,
     h = np.asarray(effective_matrix, dtype=np.complex128)
     if h.shape != (len(y), len(y)):
         raise ValueError("effective matrix does not match the grid size")
-    if gram is None:
-        gram = mmse_gram(h, noise_var)
     x = np.linalg.solve(gram, h.conj().T @ y)
     return x.reshape(shape)
 

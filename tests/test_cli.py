@@ -260,6 +260,39 @@ class TestValidate:
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path / "out", seed_override=-1)
 
+    @pytest.mark.parametrize("experiment,waveform", [
+        ("ber_vs_snr", "ddam"),
+        ("ber_vs_snr", "ddam_ofdm"),
+        ("ber_vs_snr", "ddam_otfs"),
+        ("equivalent_channel_report", None),
+    ])
+    def test_zero_forcing_with_more_paths_than_antennas(self, tmp_path, capsys,
+                                                        experiment, waveform):
+        channel = channel_doc()  # 3 explicit paths
+        channel["array"]["mt"] = 2
+        doc = {"experiment": experiment, "seed": 1, "channel": channel, "criterion": "zf"}
+        if waveform:
+            doc.update(waveform=waveform, snr_db=[10.0], num_symbols=4, k=16, m=4,
+                       cp_len=4, num_frames=1)
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "channel.paths: criterion zf needs at most mt 2 paths, got 3\n")
+        assert not (tmp_path / "out").exists()
+        # other beam criteria take any path count
+        doc["criterion"] = "mrt"
+        assert validate_config(doc) == []
+
+    @pytest.mark.parametrize("waveform", ["ofdm", "otfs_isfft", "otfs_zak"])
+    def test_zero_forcing_rule_skips_waveforms_without_path_beams(self, waveform):
+        channel = channel_doc()
+        channel["array"]["mt"] = 2
+        doc = {"experiment": "ber_vs_snr", "seed": 1, "waveform": waveform,
+               "snr_db": [10.0], "channel": channel, "criterion": "zf", "k": 16,
+               "m": 4, "cp_len": 4, "num_symbols": 4, "num_frames": 1}
+        assert validate_config(doc) == []
+
 
 # One valid config per branch of the schema: every experiment, every BER and
 # PAPR waveform, both channel forms, and every optional object spelled out.

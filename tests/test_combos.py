@@ -285,7 +285,7 @@ class TestDdamOtfs:
         rng = np.random.default_rng(12)
         channel, psi, beams = make_scenario(rng, [1, 4, 6], dopplers=[700.0, -300.0, 0.0])
         cfg = OtfsConfig(4, 8, 8, RATE)
-        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg)
+        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg, build_compensation_plan(psi))
         counts = dominant_entries_per_column(h)
         assert np.all(counts == 1)
         # matches the effective matrix of the single-tap equivalent channel
@@ -299,10 +299,11 @@ class TestDdamOtfs:
         channel, psi, beams = make_scenario(rng, [0], mt=4)
         cfg = OtfsConfig(4, 8, 0, RATE)
         grid = random_qpsk(rng, 32).reshape(8, 4)
-        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg)
-        tx = ddam_otfs_transmit(grid, psi, beams, cfg)
+        plan = build_compensation_plan(psi)
+        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan)
+        tx = ddam_otfs_transmit(grid, psi, beams, cfg, plan)
         rx = apply_channel(channel, tx)
-        out = ddam_otfs_receive(rx, h, cfg, noise_var=0.0)
+        out = ddam_otfs_receive(rx, h, cfg, mmse_gram(h, 0.0))
         # the transmit power normalization is a real positive scalar
         scale = out[0, 0] / grid[0, 0]
         assert abs(scale.imag) < 1e-9
@@ -313,9 +314,10 @@ class TestDdamOtfs:
         channel, psi, beams = make_scenario(rng, [2, 5], dopplers=[450.0, -800.0])
         cfg = OtfsConfig(4, 8, 8, RATE)
         grid = random_qpsk(rng, 32).reshape(8, 4)
-        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg)
-        rx = apply_channel(channel, ddam_otfs_transmit(grid, psi, beams, cfg))
-        out = ddam_otfs_receive(rx, h, cfg, noise_var=0.0)
+        plan = build_compensation_plan(psi)
+        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan)
+        rx = apply_channel(channel, ddam_otfs_transmit(grid, psi, beams, cfg, plan))
+        out = ddam_otfs_receive(rx, h, cfg, mmse_gram(h, 0.0))
         assert np.array_equal(qpsk_slice(out), grid)
 
     def test_equalizer_bandwidth_below_plain_otfs(self):
@@ -329,7 +331,8 @@ class TestDdamOtfs:
             channel, psi, beams = make_scenario(rng, delays, dopplers=list(dopplers))
             cfg = OtfsConfig(8, 8, 8, RATE)
             window = AlignmentWindow(w_nu_hz=res / 8)
-            h_ddam = ddam_otfs_effective_matrix(channel, psi, beams, cfg, window=window)
+            h_ddam = ddam_otfs_effective_matrix(channel, psi, beams, cfg,
+                                                build_compensation_plan(psi, window=window))
             beam = steering_vector(psi.aod[np.argmax(np.abs(psi.gain_estimate))],
                                    channel.array)
             beam = beam / np.linalg.norm(beam)
@@ -348,8 +351,8 @@ class TestDdamOtfs:
         channel, psi, beams = make_scenario(rng, [0, 3])
         cfg = OtfsConfig(4, 8, 4, RATE)
         grid = random_qpsk(rng, 32).reshape(8, 4)
-        tx = ddam_otfs_transmit(grid, psi, beams, cfg)
         plan = build_compensation_plan(psi)
+        tx = ddam_otfs_transmit(grid, psi, beams, cfg, plan)
         active = 32 + 4 + plan.max_kappa
         power = np.sum(np.abs(tx.samples[:, :active]) ** 2) / active
         assert power == pytest.approx(1.0, abs=1e-12)
@@ -391,9 +394,9 @@ class TestDdamOtfs:
             builds.append(None)
             return mmse_gram(*args, **kwargs)
 
-        def recording(grid, h, noise_var, gram=None):
-            out = mmse_equalize_dd(grid, h, noise_var, gram=gram)
-            frames_out.append((grid, h, noise_var, out))
+        def recording(grid, h, gram):
+            out = mmse_equalize_dd(grid, h, gram)
+            frames_out.append((grid, h, out))
             return out
 
         for module in (wavelab.otfs, wavelab.combos, wavelab.link):
@@ -409,13 +412,14 @@ class TestDdamOtfs:
             counts.append(len(builds))
         assert counts == [1, 1]
         assert len(frames_out) == 4
-        for grid, h, noise_var, out in frames_out:
-            assert np.array_equal(out, mmse_equalize_dd(grid, h, noise_var))
+        # the shared Gram equalizes each frame as a Gram built for it would
+        for grid, h, out in frames_out:
+            assert np.array_equal(out, mmse_equalize_dd(grid, h, mmse_gram(h, 10 ** -0.6)))
 
     def test_chain_callable_matches_modulate(self):
         rng = np.random.default_rng(16)
         channel, psi, beams = make_scenario(rng, [1, 5])
-        chain = ddam_chain_callable(channel, psi, beams)
+        chain = ddam_chain_callable(channel, psi, beams, build_compensation_plan(psi))
         stream = otfs_modulate_zak(random_qpsk(rng, 32).reshape(8, 4),
                                    OtfsConfig(4, 8, 0, RATE)).row()
         via_chain = chain(stream)

@@ -274,9 +274,8 @@ class TestModulate:
         for criterion in ("mrt", "zf", "rzf"):
             beams = path_beamformers(psi, criterion, noise_var=0.01)
             for mode in ("path_based", "tap_based"):
-                frame = ddam_modulate(s, psi, beams, DdamFrameConfig(200),
-                                      mode=mode, half_length=8)
                 plan = build_compensation_plan(psi, mode=mode, half_length=8)
+                frame = ddam_modulate(s, psi, beams, DdamFrameConfig(200), plan=plan)
                 active = 200 + plan.max_kappa
                 power = np.sum(np.abs(frame.samples[:, :active]) ** 2) / active
                 assert power == pytest.approx(1.0, abs=1e-12)

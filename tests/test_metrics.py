@@ -16,9 +16,10 @@ from wavelab.ddam import (
 from wavelab.link import make_papr_generator
 from wavelab.metrics import (
     ComplexityParams,
-    OpCounter,
     ber,
     complexity_model,
+    count,
+    counting,
     fft_multiplies,
     measured_complexity,
     papr_ccdf,
@@ -395,10 +396,42 @@ class TestMeasuredComplexity:
         assert fft_multiplies(1) == 0
 
     def test_counter_accumulates(self):
-        ops = OpCounter()
-        ops.add(3)
-        ops.add(4.5)
-        assert ops.total == 7.5
+        with counting() as ops:
+            count(3)
+            count(4.5)
+        assert ops == [3.0, 4.5]
+        assert sum(ops) == 7.5
+
+    def test_count_outside_any_block_records_nothing(self):
+        count(5)  # no block is open: nothing to record into, and no error
+        with counting() as ops:
+            pass
+        count(7)  # the block has closed
+        assert ops == []
+
+    def test_nested_blocks_see_only_their_own_counts(self):
+        with counting() as outer:
+            count(1)
+            with counting() as inner:
+                count(2)
+                with counting() as innermost:
+                    pass
+                count(3)
+            count(4)
+        assert (outer, inner, innermost) == ([1.0, 4.0], [2.0, 3.0], [])
+
+    def test_block_resets_after_an_exception(self):
+        with counting() as outer:
+            with pytest.raises(RuntimeError):
+                with counting() as inner:
+                    count(2)
+                    raise RuntimeError("stage failed")
+            count(3)  # goes to the enclosing block again
+        count(4)
+        assert (outer, inner) == ([3.0], [2.0])
+        with counting() as fresh:
+            count(5)
+        assert fresh == [5.0]
 
     @pytest.mark.parametrize("variant", ["ofdm", "otfs_isfft", "otfs_zak",
                                          "ddam_mrt", "ddam_zf", "ddam_mmse"])
