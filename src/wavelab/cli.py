@@ -1,10 +1,11 @@
 """Scenario-driven experiment runner.
 
 One JSON config fully describes a run: the experiment name, the seed and
-the experiment parameters.  Results land in the output directory as CSV
-files plus a manifest recording the seed, the config echo and hash, the
-library version and the wall time.  Identical config and seed produce
-byte-identical CSVs.
+the experiment parameters.  A config holds only fields its experiment and
+waveform read; any other key is a config error.  Results land in the
+output directory as CSV files plus a manifest recording the seed, the
+config echo and hash, the library version and the wall time.  Identical
+config and seed produce byte-identical CSVs.
 
     wavelab run --config scenario.json --out results/ [--seed-override N]
                 [--validate-only]
@@ -25,7 +26,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .channel import ArrayConfig, channel_from_json, sample_random_channel
+from .channel import (DEFAULT_HALF_LENGTH, ArrayConfig, channel_from_json,
+                      sample_random_channel)
 from .ddam import (
     BEAMFORMER_CRITERIA,
     COMPENSATION_MODES,
@@ -65,7 +67,8 @@ class ConfigError(Exception):
 #
 # Each config field is one row of the table _CONFIG: name -> Field (kind and
 # default).  _read_rows walks it to check a config and read it into typed,
-# defaults-filled options at once; the runners read only those options.
+# defaults-filled options at once; the runners read only those options, and
+# a key that no row names is a config error.
 
 REQUIRED = object()  # the default of a field that must be given
 
@@ -88,7 +91,7 @@ class Field:
 
     def read(self, value, label, diags):
         """The typed option for value, or None after a diagnostic on label."""
-        if self.rows is not None and not value and self.default is not REQUIRED:
+        if self.rows is not None and value in (None, {}) and self.default is not REQUIRED:
             value = self.default  # an optional object: null, {} read as the default
         if value is None and self.default is None:
             return None
@@ -108,17 +111,21 @@ class Field:
 
 def _read_rows(doc, rows, label, diags):
     """Each row's option read from the object doc, absent fields at their
-    defaults, plus the rows that the chosen names of choices add."""
+    defaults, plus the rows that chosen choice names add; once every choice
+    is read, a key of doc that no row names is an unknown field."""
     options = {}
+    prefix = f"{label}." if label else ""
     pending = list(rows.items())
     for key, field in pending:  # grows while it is walked
-        path = f"{label}.{key}" if label else key
         if key not in doc and field.default is REQUIRED:
-            diags.append(f"{path}: required field missing")
+            diags.append(f"{prefix}{key}: required field missing")
             continue
-        options[key] = field.read(doc.get(key, field.default), path, diags)
+        options[key] = field.read(doc.get(key, field.default), prefix + key, diags)
         if field.cases and options[key]:
             pending.extend(field.cases[options[key]].items())
+    if all(options.get(key) for key, field in pending if field.cases):
+        named = dict(pending)
+        diags += [f"{prefix}{key}: unknown field" for key in doc if key not in named]
     return options
 
 
@@ -157,14 +164,15 @@ _SPACING = _number(*_POSITIVE, default=0.5)
 _CP_LEN = _int(0, default=0)
 _CRITERION = _choice(BEAMFORMER_CRITERIA, default="zf")
 
-_DDAM_ROWS = {
-    "criterion": _CRITERION,
+# How a DDAM transmitter aligns its paths; only the DDAM waveforms read these.
+_ALIGNMENT_ROWS = {
     "mode": _choice(COMPENSATION_MODES, default="path_based"),
-    "half_length": _int(default=32),
+    "half_length": _int(default=DEFAULT_HALF_LENGTH),
     "window": _object({"w_tau": _int(0, default=0),
                        "w_nu_hz": _number(*_NONNEGATIVE, default=0.0)},
                       default=None, make=lambda w: AlignmentWindow(w["w_tau"], w["w_nu_hz"])),
 }
+_DDAM_KEYS = ("criterion", *_ALIGNMENT_ROWS)  # the DDAM runners' keyword options
 _RANDOM_CHANNEL = {"random": _object({
     "num_paths": _int(), "mt": _int(),
     "delay_range_s": _list(_number(*_NONNEGATIVE), **_PAIR),
@@ -212,17 +220,20 @@ _CONFIG = {
             "ofdm_k": _int(), "otfs_k": _int(), "otfs_m": _int(), "ddam_block_len": _int(),
         },
         "ber_vs_snr": {
-            "waveform": _choice({"ofdm": _OFDM_ROWS, "otfs_isfft": _OTFS_ROWS,
-                                 "otfs_zak": _OTFS_ROWS, "ddam": {"num_symbols": _int()},
-                                 "ddam_ofdm": _OFDM_ROWS, "ddam_otfs": _OTFS_ROWS}),
+            "waveform": _choice({
+                "ofdm": _OFDM_ROWS, "otfs_isfft": _OTFS_ROWS, "otfs_zak": _OTFS_ROWS,
+                "ddam": {"num_symbols": _int(), **_ALIGNMENT_ROWS},
+                "ddam_ofdm": {**_OFDM_ROWS, **_ALIGNMENT_ROWS},
+                "ddam_otfs": {**_OTFS_ROWS, **_ALIGNMENT_ROWS,
+                              "variant": _choice(VARIANTS, default="zak")}}),
             "snr_db": _list(_number(), **_NON_EMPTY),  # negative SNR values are fine
             "channel": _CHANNEL,
-            **_DDAM_ROWS,
-            "variant": _choice(VARIANTS, default="zak"),
+            "criterion": _CRITERION,  # OFDM/OTFS ignore it; the benchmark sends it to all
         },
         "equivalent_channel_report": {
             "channel": _CHANNEL,
-            **_DDAM_ROWS,
+            "criterion": _CRITERION,
+            **_ALIGNMENT_ROWS,
             "psi_perturbation": _object({"delay_err_samples": _number(default=0.0),
                                          "doppler_err_hz": _number(default=0.0),
                                          "aod_err": _number(default=0.0),
@@ -257,11 +268,10 @@ def _cross_field(o):
     diags += [f"channel.paths[{i}].gain_re: gain_re and gain_im must not both be 0"
               for i, p in enumerate(channel.get("paths", []))
               if p["gain_re"] == p["gain_im"] == 0]
-    # Zero-forcing beams need L <= M_t.  The OFDM and OTFS runners ignore
-    # criterion; equivalent_channel_report has no waveform.
+    # Zero-forcing beams need L <= M_t.  Only runs that read the alignment
+    # options (the DDAM waveforms, equivalent_channel_report) design path beams.
     n, mt = len(channel.get("paths", [])), channel.get("array", {}).get("mt", 0)
-    if n > mt and o["criterion"] == "zf" and waveform in (None, "ddam", "ddam_ofdm",
-                                                          "ddam_otfs"):
+    if n > mt and o["criterion"] == "zf" and "mode" in o:
         diags.append(f"channel.paths: criterion zf needs at most mt {mt} paths, got {n}")
     if waveform == "ddam_ofdm" and window and window.w_tau_samples > o["cp_len"]:
         diags.append(f"window.w_tau: must not exceed cp_len {o['cp_len']}, "
@@ -401,37 +411,36 @@ def _run_se_sweep(o, out_dir):
                        ["n_max", "waveform", "efficiency"], rows)]
 
 
-# waveform -> one BER point of (channel, options, snr_db, seed, DDAM options).
-# The runners are looked up when called, so a wrapper installed on them (as
-# the benchmark's tracer does) sees every call.
+# waveform -> one BER point of (channel, options, snr_db, seed).  The runners
+# are looked up when called, so a wrapper installed on them (as the
+# benchmark's tracer does) sees every call.
 _BER_POINTS = {
-    "ofdm": lambda ch, o, snr, seed, ddam: run_ofdm_ber(
+    "ofdm": lambda ch, o, snr, seed: run_ofdm_ber(
         ch, OfdmConfig(o["k"], o["cp_len"], ch.sample_rate), snr, o["num_symbols"], seed),
-    "otfs_isfft": lambda ch, o, snr, seed, ddam: run_otfs_ber(
+    "otfs_isfft": lambda ch, o, snr, seed: run_otfs_ber(
         ch, OtfsConfig(o["m"], o["k"], o["cp_len"], ch.sample_rate), snr, o["num_frames"],
         seed, variant="isfft"),
-    "otfs_zak": lambda ch, o, snr, seed, ddam: run_otfs_ber(
+    "otfs_zak": lambda ch, o, snr, seed: run_otfs_ber(
         ch, OtfsConfig(o["m"], o["k"], o["cp_len"], ch.sample_rate), snr, o["num_frames"],
         seed, variant="zak"),
-    "ddam": lambda ch, o, snr, seed, ddam: run_ddam_ber(
-        ch, snr, o["num_symbols"], seed, **ddam),
-    "ddam_ofdm": lambda ch, o, snr, seed, ddam: run_ddam_ofdm_ber(
+    "ddam": lambda ch, o, snr, seed: run_ddam_ber(
+        ch, snr, o["num_symbols"], seed, **{key: o[key] for key in _DDAM_KEYS}),
+    "ddam_ofdm": lambda ch, o, snr, seed: run_ddam_ofdm_ber(
         ch, OfdmConfig(o["k"], o["cp_len"], ch.sample_rate), snr, o["num_symbols"], seed,
-        **ddam),
-    "ddam_otfs": lambda ch, o, snr, seed, ddam: run_ddam_otfs_ber(
+        **{key: o[key] for key in _DDAM_KEYS}),
+    "ddam_otfs": lambda ch, o, snr, seed: run_ddam_otfs_ber(
         ch, OtfsConfig(o["m"], o["k"], o["cp_len"], ch.sample_rate), snr, o["num_frames"],
-        seed, variant=o["variant"], **ddam),
+        seed, variant=o["variant"], **{key: o[key] for key in _DDAM_KEYS}),
 }
 
 
 def _run_ber_vs_snr(o, out_dir):
     channel = _build_channel(o["channel"], o["seed"])
-    ddam = {key: o[key] for key in _DDAM_ROWS}
     ber_point = _BER_POINTS[o["waveform"]]
     rows = []
     for i, snr_db in enumerate(o["snr_db"]):
         run_seed = np.random.SeedSequence([o["seed"], i]).generate_state(1)[0]
-        result = ber_point(channel, o, snr_db, run_seed, ddam)
+        result = ber_point(channel, o, snr_db, run_seed)
         rows.append((snr_db, result.ber))
     return [_write_csv(os.path.join(out_dir, "ber_vs_snr.csv"),
                        ["snr_db", "ber"], rows)]
@@ -441,8 +450,7 @@ def _run_equivalent_channel_report(o, out_dir):
     channel = _build_channel(o["channel"], o["seed"])
     psi = psi_from_channel(channel, o["psi_perturbation"], rng_seed=o["seed"])
     beams = path_beamformers(psi, o["criterion"], noise_var=o["noise_var"])
-    eq = equivalent_channel(channel, psi, beams, mode=o["mode"], window=o["window"],
-                            half_length=o["half_length"])
+    eq = equivalent_channel(channel, psi, beams, **{key: o[key] for key in _ALIGNMENT_ROWS})
     taps_rows = [(i, float(t.real), float(t.imag)) for i, t in enumerate(eq.taps)]
     summary_rows = [
         ("dominant_tap_index", eq.dominant_tap_index),

@@ -159,7 +159,6 @@ class BeamformerSet:
     """
 
     vectors: np.ndarray           # (M_t, L), column l is f_l
-    criterion: str
     power_allocation: np.ndarray  # (L,), nonnegative, sums to 1
 
     def __post_init__(self):
@@ -238,7 +237,7 @@ def path_beamformers(psi: PathStateInfo, criterion: str, noise_var: float = 0.0,
         p = np.full(psi.gain_estimate.shape, 1.0 / L)
     else:
         raise ValueError("power_allocation must be 'gain' or 'uniform'")
-    return BeamformerSet(vectors=vectors, criterion=criterion, power_allocation=p)
+    return BeamformerSet(vectors=vectors, power_allocation=p)
 
 
 @dataclass(frozen=True)
@@ -268,9 +267,6 @@ class PlanTerm:
 class CompensationPlan:
     terms: tuple
     n_max: int
-    target: int
-    mode: str
-    window: AlignmentWindow
 
     @property
     def max_kappa(self) -> int:
@@ -290,8 +286,7 @@ def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
     if mode not in COMPENSATION_MODES:
         raise ValueError("mode must be 'path_based' or 'tap_based'")
     window = window or AlignmentWindow()
-    n_max = psi.n_max
-    target = n_max - window.w_tau_samples // 2
+    target = psi.n_max - window.w_tau_samples // 2
     nearest = psi.nearest_delays()
     kappa, doppler_comp = _path_alignment(psi, window)
 
@@ -320,8 +315,7 @@ def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
                                       kappa=max(0, target - int(q)),
                                       doppler_comp_hz=doppler_comp[l],
                                       amplitude=complex(amp)))
-    return CompensationPlan(terms=tuple(terms), n_max=n_max, target=target,
-                            mode=mode, window=window)
+    return CompensationPlan(terms=tuple(terms), n_max=psi.n_max)
 
 
 def _path_alignment(psi: PathStateInfo, window: AlignmentWindow):
@@ -369,7 +363,7 @@ def _term_weights(plan: CompensationPlan, beams: BeamformerSet) -> np.ndarray:
 
 def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSet,
                 sample_rate: float, total_len: int, normalize: bool):
-    """Shared transmit-chain core; returns (antenna matrix, active span).
+    """Shared transmit-chain core; returns the antenna matrix.
 
     One FIR and Doppler ramp per (path, compensation) group, then one beam
     product, as the module docstring derives.
@@ -394,11 +388,10 @@ def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSe
     paths = [path for path, _ in groups]
     x = beams.vectors[:, paths] @ streams
     count(mt * len(paths) * total_len)
-    active = n + plan.max_kappa
     if normalize:
-        _unit_power(x, active)
+        _unit_power(x, n + plan.max_kappa)
         count(mt * total_len)
-    return x, active
+    return x
 
 
 def _doppler_ramp(nu: float, start: int, length: int, sample_rate: float) -> np.ndarray:
@@ -425,8 +418,8 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
 
     def chain(signal: np.ndarray) -> np.ndarray:
         signal = np.asarray(signal, dtype=np.complex128)
-        x, _ = _synthesize(signal, plan, beams, psi.sample_rate,
-                           len(signal) + plan.max_kappa, normalize=False)
+        x = _synthesize(signal, plan, beams, psi.sample_rate,
+                        len(signal) + plan.max_kappa, normalize=False)
         return apply_channel(channel, Frame(x, psi.sample_rate),
                              half_length=half_length).row()
 
@@ -488,7 +481,7 @@ def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
             f"guard of {guard} samples cannot absorb the largest pre-delay "
             f"{plan.max_kappa}")
     total = frame_cfg.block_len + guard
-    x, _ = _synthesize(symbols, plan, beams, psi.sample_rate, total, normalize=True)
+    x = _synthesize(symbols, plan, beams, psi.sample_rate, total, normalize=True)
     return Frame(samples=x, sample_rate=psi.sample_rate)
 
 

@@ -76,7 +76,6 @@ PAPR_SAMPLE_RATE = 1e6
 
 @dataclass(frozen=True)
 class LinkResult:
-    snr_db: float
     bits: int
     bit_errors: int
 
@@ -104,7 +103,7 @@ def _run_frames(channel: MultipathChannel, snr_db: float, rngs, frame_symbols,
         detected = receive(noisy, clean, symbols)
         errors += int(np.sum(qpsk_demodulate(detected.reshape(-1)) != bits))
         total += 2 * n
-    return LinkResult(snr_db=snr_db, bits=total, bit_errors=errors)
+    return LinkResult(bits=total, bit_errors=errors)
 
 
 def _spawned_rngs(rng_seed, num_frames: int) -> list:

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import re
@@ -42,6 +43,23 @@ def channel_doc():
     ch = sample_random_channel(ArrayConfig(8), 3, (0, 1e-5), (-500, 500), 7,
                                sample_rate=1e6)
     return channel_to_json(ch)
+
+
+# The size fields each ber_vs_snr waveform reads.
+BER_SIZES = {
+    "ofdm": {"k": 16, "cp_len": 4, "num_symbols": 4},
+    "otfs_isfft": {"k": 16, "m": 4, "cp_len": 4, "num_frames": 1},
+    "otfs_zak": {"k": 16, "m": 4, "cp_len": 4, "num_frames": 1},
+    "ddam": {"num_symbols": 4},
+    "ddam_ofdm": {"k": 16, "cp_len": 4, "num_symbols": 4},
+    "ddam_otfs": {"k": 16, "m": 4, "cp_len": 4, "num_frames": 1},
+}
+
+
+def ber_doc(waveform, **fields):
+    """A valid ber_vs_snr config that carries only fields its waveform reads."""
+    return {"experiment": "ber_vs_snr", "seed": 1, "waveform": waveform,
+            "snr_db": [10.0], "channel": channel_doc(), **BER_SIZES[waveform], **fields}
 
 
 class TestValidate:
@@ -104,15 +122,12 @@ class TestValidate:
         ("otfs_isfft", "cp_len", -1),
         ("ddam_otfs", "cp_len", 1.5),
         ("ddam_otfs", "k", 2048),               # 2048 x 4 bins, over the dense limit
+        ("ddam", "window", 0),                  # only null and {} read as no window
+        ("ddam_otfs", "window", False),
     ])
     def test_bad_ber_field_exits_config_error(self, tmp_path, capsys, waveform,
                                               field, value):
-        doc = {
-            "experiment": "ber_vs_snr", "seed": 1, "waveform": waveform,
-            "snr_db": [10.0], "channel": channel_doc(), "num_symbols": 4,
-            "k": 16, "m": 4, "cp_len": 4, "num_frames": 1, field: value,
-        }
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, ber_doc(waveform, **{field: value}))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         label = f"{field}.{next(iter(value))}" if isinstance(value, dict) else field
@@ -222,6 +237,7 @@ class TestValidate:
         ("psi_perturbation.gain_err", [0.1]),
         ("noise_var", "x"),
         ("noise_var", -1.0),  # with MMSE beams: a negative noise variance
+        ("psi_perturbation", []),
     ])
     def test_bad_equivalent_channel_field_exits_config_error(self, tmp_path, capsys,
                                                              field, value):
@@ -270,10 +286,10 @@ class TestValidate:
                                                         experiment, waveform):
         channel = channel_doc()  # 3 explicit paths
         channel["array"]["mt"] = 2
-        doc = {"experiment": experiment, "seed": 1, "channel": channel, "criterion": "zf"}
         if waveform:
-            doc.update(waveform=waveform, snr_db=[10.0], num_symbols=4, k=16, m=4,
-                       cp_len=4, num_frames=1)
+            doc = ber_doc(waveform, channel=channel, criterion="zf")
+        else:
+            doc = {"experiment": experiment, "seed": 1, "channel": channel, "criterion": "zf"}
         cfg = write_config(tmp_path, doc)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
@@ -288,10 +304,95 @@ class TestValidate:
     def test_zero_forcing_rule_skips_waveforms_without_path_beams(self, waveform):
         channel = channel_doc()
         channel["array"]["mt"] = 2
-        doc = {"experiment": "ber_vs_snr", "seed": 1, "waveform": waveform,
-               "snr_db": [10.0], "channel": channel, "criterion": "zf", "k": 16,
-               "m": 4, "cp_len": 4, "num_symbols": 4, "num_frames": 1}
-        assert validate_config(doc) == []
+        assert validate_config(ber_doc(waveform, channel=channel, criterion="zf")) == []
+
+    @pytest.mark.parametrize("doc,label", [
+        (ber_doc("ddam", critrion="mrt"), "critrion"),
+        (ber_doc("ddam", channel={"random": {
+            "num_paths": 2, "mt": 4, "delay_range_s": [0, 1e-6], "doppler_range_hz": [0, 0],
+            "sample_rate_hz": 1e6, "sed": 3}}), "channel.random.sed"),
+        (ber_doc("ddam", window={"w_tau": 1, "w_taux": 2}), "window.w_taux"),
+        ({"experiment": "papr_ccdf", "seed": 0, "trials": 3,
+          "waveforms": [{"waveform": "ofdm", "k": 16, "kk": 4}]}, "waveforms[0].kk"),
+    ], ids=["top_level", "nested_object", "optional_object", "list_item"])
+    def test_unknown_field_exits_config_error(self, tmp_path, capsys, doc, label):
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"{label}: unknown field\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("waveform,field,value", [
+        *[(waveform, field, value) for waveform in ("ofdm", "otfs_isfft", "otfs_zak")
+          for field, value in (("mode", "path_based"), ("half_length", 32),
+                               ("window", {"w_tau": 0}))],
+        *[(waveform, "variant", "zak") for waveform in BER_SIZES if waveform != "ddam_otfs"],
+    ])
+    def test_option_the_waveform_does_not_read_exits_config_error(self, tmp_path, capsys,
+                                                                  waveform, field, value):
+        cfg = write_config(tmp_path, ber_doc(waveform, **{field: value}))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"{field}: unknown field\n"
+
+    def test_each_unread_field_gets_its_own_line(self, tmp_path, capsys):
+        doc = ber_doc("otfs_zak", criterion="mrt", mode="tap_based", half_length=4,
+                      window={"w_tau": 3}, variant="isfft", half_lenght=8)
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"{key}: unknown field"
+            for key in ("mode", "half_length", "window", "variant", "half_lenght")]
+
+    @pytest.mark.parametrize("waveform", ["ofdm", "otfs_isfft", "otfs_zak"])
+    def test_criterion_is_accepted_and_ignored_without_path_beams(self, tmp_path, waveform):
+        # OFDM and OTFS have no per-path beams, yet criterion stays a shared
+        # ber_vs_snr field: the benchmark's BER jobs (bench/workloads.py,
+        # _ber_job) send it to every waveform.
+        csvs = []
+        for name, doc in (("plain", ber_doc(waveform)),
+                          ("mrt", ber_doc(waveform, criterion="mrt"))):
+            run_experiment(write_config(tmp_path, doc, f"{name}.json"), tmp_path / name)
+            csvs.append((tmp_path / name / "ber_vs_snr.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("waveform", sorted(BER_SIZES))
+def test_ber_point_reads_every_option_of_its_waveform(monkeypatch, waveform):
+    """Every option a ber_vs_snr waveform accepts reaches its runner, except
+    criterion on OFDM and OTFS (see the test above)."""
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    for name in ("run_ofdm_ber", "run_otfs_ber", "run_ddam_ber", "run_ddam_ofdm_ber",
+                 "run_ddam_otfs_ber"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: None)
+    options, diags = cli._read_config(ber_doc(waveform))
+    assert diags == []
+    channel = cli._build_channel(options["channel"], options["seed"])
+    cli._BER_POINTS[waveform](channel, Recording(options), 10.0, 1)
+    # _run_ber_vs_snr itself reads these.
+    unread = set(options) - {"experiment", "seed", "waveform", "snr_db", "channel"} - read
+    assert unread == (set() if waveform.startswith("ddam") else {"criterion"})
+
+
+def test_benchmark_configs_validate(monkeypatch):
+    """Every config the benchmark generates, 4 workloads x 40 seeds x both seed
+    streams, passes the schema."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its @dataclass looks it up
+    spec.loader.exec_module(workloads)
+    docs = [job.config for name in workloads.WORKLOADS for seed in range(40)
+            for held_out in (False, True) for job in workloads.make_jobs(name, seed, held_out)]
+    assert len(docs) == 560
+    assert [(doc, validate_config(doc)) for doc in docs if validate_config(doc)] == []
 
 
 # One valid config per branch of the schema: every experiment, every BER and
@@ -309,11 +410,16 @@ SCHEMA_CONFIGS = [
      "otfs_m": 4, "ddam_block_len": 1024},
     {"experiment": "ber_vs_snr", "seed": 1, "waveform": "ddam_ofdm", "snr_db": [10.0],
      "k": 16, "cp_len": 4, "num_symbols": 2, "criterion": "zf", "mode": "path_based",
-     "half_length": 8, "window": {"w_tau": 2, "w_nu_hz": 10.0}, "variant": "zak",
+     "half_length": 8, "window": {"w_tau": 2, "w_nu_hz": 10.0},
      "channel": {"random": {"num_paths": 2, "mt": 4, "delay_range_s": [0, 1e-6],
                             "doppler_range_hz": [0, 0], "sample_rate_hz": 1e6,
                             "spacing": 0.5, "seed": 3}}},
     {"experiment": "ber_vs_snr", "seed": 1, "waveform": "ddam_otfs", "snr_db": [10.0],
+     "k": 16, "m": 4, "cp_len": 4, "num_frames": 1, "variant": "zak",
+     "channel": channel_doc()},
+    {"experiment": "ber_vs_snr", "seed": 1, "waveform": "ofdm", "snr_db": [10.0],
+     "k": 16, "cp_len": 4, "num_symbols": 2, "channel": channel_doc()},
+    {"experiment": "ber_vs_snr", "seed": 1, "waveform": "otfs_zak", "snr_db": [10.0],
      "k": 16, "m": 4, "cp_len": 4, "num_frames": 1, "channel": channel_doc()},
     {"experiment": "ber_vs_snr", "seed": 1, "waveform": "ddam", "snr_db": [10.0],
      "num_symbols": 4, "channel": channel_doc()},
@@ -408,8 +514,7 @@ class TestSchema:
           "channel": {"random": {"num_paths": 2, "mt": 8, "delay_range_s": [0, 4e-6],
                                  "doppler_range_hz": [-100, 100],
                                  "sample_rate_hz": 1e6}}},
-         {"criterion": "zf", "mode": "path_based", "half_length": 32, "variant": "zak",
-          "window": None,
+         {"criterion": "zf", "mode": "path_based", "half_length": 32, "window": None,
           "channel": {"random": {"num_paths": 2, "mt": 8, "delay_range_s": [0, 4e-6],
                                  "doppler_range_hz": [-100, 100],
                                  "sample_rate_hz": 1e6, "spacing": 0.5, "seed": 2}}}),

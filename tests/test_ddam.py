@@ -210,6 +210,7 @@ class TestCompensationPlan:
         tap_plan = build_compensation_plan(psi, mode="tap_based")
         assert [t.kappa for t in tap_plan.terms] == [t.kappa for t in path_plan.terms]
         assert all(t.amplitude == 1.0 for t in tap_plan.terms)
+        assert tap_plan == path_plan  # a plan is its terms and n_max, whatever the mode
 
     def test_tap_based_expands_fractional_paths(self):
         rate = 1e6

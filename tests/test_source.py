@@ -32,3 +32,36 @@ def test_unused_imports_detects_dead_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dataclass_fields(source: str) -> list:
+    """(class, field) of every annotated field of a @dataclass class."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields += [(node.name, s.target.id) for s in node.body
+                       if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return fields
+
+
+def attributes_read(source: str) -> set:
+    """Names read as an attribute (x.name) anywhere in source."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_dataclass_fields_detects_unread_fields():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+              "    Z = 1\n\nclass B:\n    w: int\n\nprint(a.x)\n")
+    assert dataclass_fields(source) == [("A", "x"), ("A", "y")]
+    assert attributes_read(source) == {"x"}
+
+
+def test_every_dataclass_field_is_read():
+    # This file reads the AST's own attributes (.target, .body), so it is left out.
+    tests = [p for p in Path(__file__).parent.glob("*.py") if p.name != Path(__file__).name]
+    read = set().union(*(attributes_read(p.read_text()) for p in [*MODULES, *tests]))
+    unread = [f"{cls}.{name}" for path in MODULES
+              for cls, name in dataclass_fields(path.read_text()) if name not in read]
+    assert unread == []
