@@ -234,12 +234,13 @@ def fractional_delay_taps(fractional_delay: float, half_length: int = DEFAULT_HA
     return taps / taps.sum()
 
 
-def _delay_filter(delay_samples: float, half_length: int):
+def delay_filter(delay_samples: float, half_length: int):
     """(start, fir) realizing a delay of the given samples.
 
-    Integer delays are exact shifts (fir None); fractional residues use the
-    windowed-sinc filter, whose output starts half_length samples before the
-    integer part of the delay.
+    Delays within FRACTIONAL_TOL of an integer are exact shifts (fir None);
+    fractional residues use the windowed-sinc filter, whose output starts
+    half_length samples before the integer part of the delay.  The channel
+    and the tap-based DDAM compensation plan both take their taps from here.
     """
     nearest = round_half_up(delay_samples)
     if abs(delay_samples - nearest) <= FRACTIONAL_TOL:
@@ -267,7 +268,7 @@ class ScalarChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "taps", tuple(self.taps))
-        filters = tuple(_delay_filter(float(delay), self.half_length)
+        filters = tuple(delay_filter(float(delay), self.half_length)
                         for _, delay, _ in self.taps)
         object.__setattr__(self, "_filters", filters)
         # samples the output runs past the input's end

@@ -257,6 +257,11 @@ def _cross_field(o):
     channel, waveform, window = o.get("channel", {}), o.get("waveform"), o.get("window")
     fits = [(f"waveforms[{i}].l", w["l"], w["mt"])
             for i, w in enumerate(o.get("waveforms", [])) if w["waveform"] == "ddam"]
+    if o.get("measure"):  # the measured modems run FFTs of k and m, and draw l AoDs
+        sizes = [(f"k[{i}]", k) for i, k in enumerate(o["k"])] + [("m", o["m"])]
+        diags += [f"{label}: must be a power of two when measure is true, got {v!r}"
+                  for label, v in sizes if v & (v - 1)]
+        fits += [(f"l[{i}]", l, min(o["mt"])) for i, l in enumerate(o["l"]) if o["mt"]]
     if "random" in channel:
         rnd = channel["random"]
         fits.append(("channel.random.num_paths", rnd["num_paths"], rnd["mt"]))

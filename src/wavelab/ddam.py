@@ -14,11 +14,11 @@ every dominant tap with a conjugate-matched weight.  Delay and Doppler
 windows relax exact alignment to a target region, trading residual spread
 for compensation headroom.
 
-Synthesis groups the terms by path and Doppler compensation.  The rotation
-above depends on the output sample n, not on kappa_t, so each group is one
-FIR over the symbols (its term weights at lags kappa_t) followed by one
-Doppler ramp, and one (M_t x groups) @ (groups x N) beam product forms the
-antenna samples.
+Every term of a path shares the path's Doppler compensation, and the
+rotation above depends on the output sample n, not on kappa_t.  So
+synthesis runs one FIR per path over the symbols (its term weights at lags
+kappa_t) followed by one Doppler ramp, and one (M_t x L) @ (L x N) beam
+product forms the antenna samples.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .channel import (
     Frame,
     MultipathChannel,
     apply_channel,
-    fractional_delay_taps,
+    delay_filter,
     steering_vector,
 )
 from .metrics import count
@@ -63,10 +63,6 @@ class PsiPerturbation:
     aod_err: float = 0.0
     gain_err: float = 0.0
 
-    def is_zero(self) -> bool:
-        return (self.delay_err_samples == 0 and self.doppler_err_hz == 0
-                and self.aod_err == 0 and self.gain_err == 0)
-
 
 @dataclass(frozen=True)
 class PathStateInfo:
@@ -83,7 +79,6 @@ class PathStateInfo:
     doppler_hz: np.ndarray
     aod: np.ndarray
     gain_estimate: np.ndarray
-    genie: bool
 
     def __post_init__(self):
         arrays = {}
@@ -128,8 +123,7 @@ def psi_from_channel(channel: MultipathChannel, perturbation: PsiPerturbation = 
     dopplers = np.array([p.doppler_hz for p in channel.paths])
     aods = np.array([p.aod for p in channel.paths])
     gains = np.array([p.gain for p in channel.paths], dtype=complex)
-    genie = perturbation.is_zero()
-    if not genie:
+    if perturbation != PsiPerturbation():
         rng = np.random.default_rng(rng_seed)
         n = channel.num_paths
         delays = np.maximum(0.0, delays + perturbation.delay_err_samples * rng.standard_normal(n))
@@ -137,18 +131,17 @@ def psi_from_channel(channel: MultipathChannel, perturbation: PsiPerturbation = 
         aods = np.clip(aods + perturbation.aod_err * rng.standard_normal(n), -1.0, np.nextafter(1.0, 0))
         gains = gains + perturbation.gain_err * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    return psi_from_paths(channel.array, rate, delays, dopplers, aods, gains, genie)
+    return psi_from_paths(channel.array, rate, delays, dopplers, aods, gains)
 
 
 def psi_from_paths(array: ArrayConfig, sample_rate: float, delays: np.ndarray,
-                   dopplers: np.ndarray, aods: np.ndarray, gains: np.ndarray,
-                   genie: bool = True) -> PathStateInfo:
+                   dopplers: np.ndarray, aods: np.ndarray, gains: np.ndarray) -> PathStateInfo:
     """PSI from per-path arrays, delays in samples; (..., L) arrays stack channels."""
     base = np.floor(delays).astype(np.int64)
     return PathStateInfo(
         array=array, sample_rate=sample_rate,
         delay_samples=base, fractional_delay=delays - base,
-        doppler_hz=dopplers, aod=aods, gain_estimate=gains, genie=genie)
+        doppler_hz=dopplers, aod=aods, gain_estimate=gains)
 
 
 @dataclass(frozen=True)
@@ -278,115 +271,90 @@ def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
                             half_length: int = DEFAULT_HALF_LENGTH) -> CompensationPlan:
     """Derive the per-term delay shifts and Doppler rotations from PSI.
 
-    The delay target region is [n_max - w_tau, n_max]; terms aim at its
-    midpoint so fractional leakage has headroom on both sides.  Doppler
-    compensation removes each path's shift down to the +-w_nu/2 residual
-    window (exactly, for the zero window).
+    Path-based terms are one unit tap per path at its nearest on-grid
+    delay.  Tap-based terms are the on-grid taps of the channel's own
+    delay filter (channel.delay_filter) within TAP_THRESHOLD_DB of the
+    strongest.  Every term is then aimed by _alignment.
     """
     if mode not in COMPENSATION_MODES:
         raise ValueError("mode must be 'path_based' or 'tap_based'")
-    window = window or AlignmentWindow()
-    target = psi.n_max - window.w_tau_samples // 2
-    nearest = psi.nearest_delays()
-    kappa, doppler_comp = _path_alignment(psi, window)
-
-    terms = []
-    if mode == "path_based":
-        for l in range(psi.num_paths):
-            terms.append(PlanTerm(path_index=l, grid_delay=int(nearest[l]),
-                                  kappa=int(kappa[l]),
-                                  doppler_comp_hz=doppler_comp[l],
-                                  amplitude=1.0 + 0.0j))
-    else:
-        keep = 10.0 ** (TAP_THRESHOLD_DB / 10.0)
-        for l in range(psi.num_paths):
-            frac = float(psi.fractional_delay[l])
-            base = int(psi.delay_samples[l])
-            if frac < 1e-9:
-                amps = np.array([1.0])
-                positions = np.array([base])
-            else:
-                amps = fractional_delay_taps(frac, half_length)
-                positions = base + np.arange(-half_length, half_length + 1)
-            power = np.abs(amps) ** 2
-            mask = (power >= keep * power.max()) & (positions >= 0)
-            for q, amp in zip(positions[mask], amps[mask]):
-                terms.append(PlanTerm(path_index=l, grid_delay=int(q),
-                                      kappa=max(0, target - int(q)),
-                                      doppler_comp_hz=doppler_comp[l],
-                                      amplitude=complex(amp)))
-    return CompensationPlan(terms=tuple(terms), n_max=psi.n_max)
+    keep = 10.0 ** (TAP_THRESHOLD_DB / 10.0)
+    taps = []  # (path index, grid delay, amplitude) in path order
+    for l, nearest in enumerate(psi.nearest_delays()):
+        if mode == "path_based":
+            start, fir = nearest, None
+        else:
+            start, fir = delay_filter(float(psi.delay_samples[l] + psi.fractional_delay[l]),
+                                      half_length)
+        amps = np.ones(1) if fir is None else fir
+        positions = start + np.arange(len(amps))
+        power = np.abs(amps) ** 2
+        mask = (power >= keep * power.max()) & (positions >= 0)
+        taps += [(l, int(q), complex(a)) for q, a in zip(positions[mask], amps[mask])]
+    kappa, doppler_comp = _alignment(psi, window or AlignmentWindow(),
+                                     np.array([q for _, q, _ in taps]))
+    return CompensationPlan(
+        terms=tuple(PlanTerm(path_index=l, grid_delay=q, kappa=int(k),
+                             doppler_comp_hz=doppler_comp[l], amplitude=a)
+                    for (l, q, a), k in zip(taps, kappa)),
+        n_max=psi.n_max)
 
 
-def _path_alignment(psi: PathStateInfo, window: AlignmentWindow):
-    """(kappa, doppler_comp) per path of path-based alignment, over (..., L) paths.
+def _alignment(psi: PathStateInfo, window: AlignmentWindow, grid_delays: np.ndarray):
+    """(kappa, doppler_comp): pre-delays of on-grid taps and per-path Doppler removal.
 
-    Each path's strongest on-grid tap aims at the midpoint of the delay
-    target region [n_max - w_tau, n_max], n_max taken per channel, and its
-    Doppler shift is removed down to the +-w_nu/2 residual window.
+    A tap at grid delay q aims at the midpoint of the delay target region
+    [n_max - w_tau, n_max], so fractional leakage has headroom on both
+    sides: kappa = max(0, target - q), n_max taken per channel of a stacked
+    (..., L) PSI and broadcast against grid_delays.  Each path's Doppler
+    shift is removed down to the +-w_nu/2 residual window (exactly, for the
+    zero window).
     """
-    nearest = psi.nearest_delays()
-    target = nearest.max(axis=-1, keepdims=True) - window.w_tau_samples // 2
+    target = psi.nearest_delays().max(axis=-1, keepdims=True) - window.w_tau_samples // 2
     half = window.w_nu_hz / 2.0
-    return (np.maximum(0, target - nearest),
+    return (np.maximum(0, target - grid_delays),
             psi.doppler_hz - np.clip(psi.doppler_hz, -half, half))
 
 
 @dataclass(frozen=True)
 class DdamFrameConfig:
-    """Block of N symbols followed by a guard tail (default 2 * n_max)."""
+    """Block of N symbols; ddam_modulate follows it with a 2 * n_max guard tail."""
 
     block_len: int
-    guard_len: int = None
 
     def __post_init__(self):
         if self.block_len < 1:
             raise ValueError("block_len must be >= 1")
-        if self.guard_len is not None and self.guard_len < 0:
-            raise ValueError("guard_len must be >= 0")
-
-    def resolved_guard(self, n_max: int) -> int:
-        return 2 * n_max if self.guard_len is None else self.guard_len
-
-
-def _term_weights(plan: CompensationPlan, beams: BeamformerSet) -> np.ndarray:
-    """Complex weight per term: sqrt(p_path) * conj(amp) / path tap norm."""
-    norms = np.zeros(beams.num_paths)
-    for t in plan.terms:
-        norms[t.path_index] += abs(t.amplitude) ** 2
-    weights = np.empty(len(plan.terms), dtype=np.complex128)
-    for i, t in enumerate(plan.terms):
-        p = beams.power_allocation[t.path_index]
-        weights[i] = math.sqrt(p) * np.conj(t.amplitude) / math.sqrt(norms[t.path_index])
-    return weights
 
 
 def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSet,
                 sample_rate: float, total_len: int, normalize: bool):
     """Shared transmit-chain core; returns the antenna matrix.
 
-    One FIR and Doppler ramp per (path, compensation) group, then one beam
-    product, as the module docstring derives.
+    One FIR and Doppler ramp per path, then one beam product, as the module
+    docstring derives.  Term t of path l weighs
+    sqrt(p_l) * conj(amp_t) / (norm of path l's tap amplitudes).
     """
     n = len(symbols)
     mt = beams.vectors.shape[0]
-    weights = _term_weights(plan, beams)
-    groups = {}
-    for t, w in zip(plan.terms, weights):
-        groups.setdefault((t.path_index, t.doppler_comp_hz), []).append((t.kappa, w))
-    streams = np.zeros((len(groups), total_len), dtype=np.complex128)
-    for row, ((_, nu), taps) in zip(streams, groups.items()):
-        lo = min(k for k, _ in taps)
-        fir = np.zeros(max(k for k, _ in taps) - lo + 1, dtype=np.complex128)
-        for k, w in taps:
-            fir[k - lo] += w
+    paths = {}
+    for t in plan.terms:
+        paths.setdefault(t.path_index, []).append(t)
+    streams = np.zeros((len(paths), total_len), dtype=np.complex128)
+    for row, (path, terms) in zip(streams, paths.items()):
+        scale = math.sqrt(beams.power_allocation[path])
+        norm = math.sqrt(sum(abs(t.amplitude) ** 2 for t in terms))
+        lo = min(t.kappa for t in terms)
+        fir = np.zeros(max(t.kappa for t in terms) - lo + 1, dtype=np.complex128)
+        for t in terms:
+            fir[t.kappa - lo] += scale * np.conj(t.amplitude) / norm
+        nu = terms[0].doppler_comp_hz
         out = row[lo:lo + len(fir) - 1 + n]
         out[:] = np.convolve(symbols, fir)
         if nu != 0.0:
             out *= _doppler_ramp(nu, lo, len(out), sample_rate)
         count(len(fir) * n + (len(out) if nu != 0.0 else 0))
-    paths = [path for path, _ in groups]
-    x = beams.vectors[:, paths] @ streams
+    x = beams.vectors[:, list(paths)] @ streams
     count(mt * len(paths) * total_len)
     if normalize:
         _unit_power(x, n + plan.max_kappa)
@@ -435,15 +403,16 @@ def path_based_blocks(symbols: np.ndarray, psi: PathStateInfo,
     symbols is (T, N), one block per channel of the stacked psi (T, L) and
     beams (T, M_t, L).  The alignment and the path weights are derived once
     for the stack; each block then takes the arithmetic of ddam_modulate
-    (streams over the default guard, one beam product, unit power), so its
+    (streams over the 2 * n_max guard, one beam product, unit power), so its
     samples equal ddam_modulate's bit for bit.  Returns (samples
     (T, M_t, W), span (T,)): block t over its active span N + its largest
     kappa, zero past it, W the widest span.
     """
-    kappa, doppler_comp = _path_alignment(psi, AlignmentWindow())
+    nearest = psi.nearest_delays()
+    kappa, doppler_comp = _alignment(psi, AlignmentWindow(), nearest)
     n = symbols.shape[-1]
     span = n + kappa.max(axis=-1)
-    total = n + 2 * psi.nearest_delays().max(axis=-1)
+    total = n + 2 * nearest.max(axis=-1)
     weighted = symbols[:, np.newaxis, :] * np.sqrt(beams.power_allocation)[..., np.newaxis]
     out = np.zeros((*beams.vectors.shape[:-1], span.max()), dtype=np.complex128)
     for t, active in enumerate(span):
@@ -475,12 +444,7 @@ def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
         raise ValueError("beamformer set does not match the PSI path count")
     if plan is None:
         plan = build_compensation_plan(psi)
-    guard = frame_cfg.resolved_guard(plan.n_max)
-    if guard < plan.max_kappa:
-        raise ValueError(
-            f"guard of {guard} samples cannot absorb the largest pre-delay "
-            f"{plan.max_kappa}")
-    total = frame_cfg.block_len + guard
+    total = frame_cfg.block_len + 2 * plan.n_max
     x = _synthesize(symbols, plan, beams, psi.sample_rate, total, normalize=True)
     return Frame(samples=x, sample_rate=psi.sample_rate)
 

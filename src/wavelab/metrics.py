@@ -283,9 +283,8 @@ def measured_complexity(variant: str, p: ComplexityParams, rng_seed=0):
             beams = _ddam.path_beamformers(psi, criterion, noise_var=0.01)
         block = 2048  # long enough that per-symbol cost dominates measurement noise
         symbols = (rng.standard_normal(block) + 1j * rng.standard_normal(block)) / np.sqrt(2)
-        frame_cfg = _ddam.DdamFrameConfig(block_len=block, guard_len=2 * psi.n_max)
         with counting() as tx_ops:
-            _ddam.ddam_modulate(symbols, psi, beams, frame_cfg)
+            _ddam.ddam_modulate(symbols, psi, beams, _ddam.DdamFrameConfig(block))
         return sum(tx_ops) / block + sum(bf_ops) / n_s, 1.0  # rx: one divide per symbol
 
     raise ValueError(f"unknown complexity variant {variant!r}")

@@ -259,6 +259,22 @@ class TestValidate:
         assert capsys.readouterr().err.startswith("measure: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"k": [64, 3]}, "k[1]: must be a power of two when measure is true, got 3"),
+        ({"m": 3}, "m: must be a power of two when measure is true, got 3"),
+        ({"l": [2, 3], "mt": [8, 2]}, "l[1]: must not exceed mt 2 (AoDs 2/mt apart), got 3"),
+    ], ids=["k", "m", "l"])
+    def test_measured_sizes_exit_config_error(self, tmp_path, capsys, fields, message):
+        doc = {"experiment": "complexity_table", "seed": 0, "mt": [8], "k": [64],
+               "l": [2], "m": 4, "n_s": 1000, **fields}
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "out").exists()
+        # the model-only table runs no modem, so any size goes
+        assert validate_config({**doc, "measure": False}) == []
+
     @pytest.mark.parametrize("doc", [
         {"experiment": "papr_ccdf", "seed": 0, "trials": 3,
          "waveforms": [{"waveform": "ofdm", "k": 16}]},

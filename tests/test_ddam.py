@@ -8,6 +8,7 @@ from wavelab.channel import (
     add_awgn,
     apply_channel,
     build_channel,
+    delay_filter,
     sample_separated_aods,
     steering_vector,
 )
@@ -56,12 +57,14 @@ class TestPsi:
         rng = np.random.default_rng(0)
         channel = on_grid_channel(rng, 4)
         psi = psi_from_channel(channel)
-        assert psi.genie
         delays = [round(p.delay_s * channel.sample_rate) for p in channel.paths]
         assert np.array_equal(psi.delay_samples, delays)
         assert np.allclose(psi.fractional_delay, 0.0, atol=1e-9)
-        assert np.allclose(psi.doppler_hz, [p.doppler_hz for p in channel.paths])
-        assert np.allclose(psi.gain_estimate, [p.gain for p in channel.paths])
+        assert np.array_equal(psi.delay_samples + psi.fractional_delay,
+                              channel.delays_in_samples())
+        assert np.array_equal(psi.doppler_hz, [p.doppler_hz for p in channel.paths])
+        assert np.array_equal(psi.aod, [p.aod for p in channel.paths])
+        assert np.array_equal(psi.gain_estimate, [p.gain for p in channel.paths])
 
     def test_perturbed_is_reproducible(self):
         rng = np.random.default_rng(1)
@@ -69,7 +72,8 @@ class TestPsi:
         pert = PsiPerturbation(aod_err=0.01)
         a = psi_from_channel(channel, pert, rng_seed=5)
         b = psi_from_channel(channel, pert, rng_seed=5)
-        assert not a.genie
+        assert not np.array_equal(a.aod, [p.aod for p in channel.paths])
+        assert np.array_equal(a.doppler_hz, [p.doppler_hz for p in channel.paths])
         assert np.array_equal(a.aod, b.aod)
         assert not np.allclose(a.aod, psi_from_channel(channel).aod)
 
@@ -227,6 +231,25 @@ class TestCompensationPlan:
         kept = sum(abs(t.amplitude) ** 2 for t in plan.terms)
         assert kept >= 0.99 * full
 
+    def test_tap_based_terms_are_the_channel_delay_filter(self):
+        # 12 - 1e-10 lies within FRACTIONAL_TOL of an integer: the channel
+        # applies it as a pure shift, so the plan must aim a single tap.
+        delays = [3.5, 7.25, 9.0, 12.0 - 1e-10]
+        aods = np.linspace(-0.8, 0.8, len(delays))
+        channel = build_channel(ArrayConfig(8), [PathParams(1.0, d, 0.0, a)
+                                                 for d, a in zip(delays, aods)], 1.0)
+        plan = build_compensation_plan(psi_from_channel(channel), mode="tap_based",
+                                       half_length=8)
+        for l, delay in enumerate(channel.delays_in_samples()):
+            start, fir = delay_filter(delay, 8)
+            amps = np.ones(1) if fir is None else fir
+            # taps within -30 dB of the strongest, on the causal part of the grid
+            keep = np.abs(amps) ** 2 >= 1e-3 * np.max(np.abs(amps) ** 2)
+            expected = [(start + j, amps[j]) for j in np.nonzero(keep)[0] if start + j >= 0]
+            assert [(t.grid_delay, t.amplitude) for t in plan.terms
+                    if t.path_index == l] == expected
+        assert [t.grid_delay for t in plan.terms if t.path_index == 3] == [12]
+
 
 class TestModulate:
     def test_single_path_passthrough(self):
@@ -295,8 +318,6 @@ class TestModulate:
             ddam_modulate(np.ones(8), psi, beams, DdamFrameConfig(16))
         with pytest.raises(ValueError):
             ddam_modulate([], psi, beams, DdamFrameConfig(1))
-        with pytest.raises(ValueError, match="guard"):
-            ddam_modulate(np.ones(16), psi, beams, DdamFrameConfig(16, guard_len=1))
 
 
 def per_term_synthesis(symbols, plan, beams, rate, total_len):
@@ -333,16 +354,14 @@ class TestSynthesisOracle:
         psi = psi_from_channel(channel)
         return rng, channel, psi, path_beamformers(psi, "zf")
 
-    def check(self, seed, delays, window=(0, 0.0), guard_len=None):
+    def check(self, seed, delays, window=(0, 0.0)):
         rng, channel, psi, beams = self.scenario(seed, delays)
         plan = build_compensation_plan(psi, mode="tap_based",
                                        window=AlignmentWindow(*window),
                                        half_length=self.HALF)
         s = random_qpsk(rng, 96)
-        frame_cfg = DdamFrameConfig(96, guard_len=guard_len)
-        frame = ddam_modulate(s, psi, beams, frame_cfg, plan=plan)
-        total = 96 + frame_cfg.resolved_guard(plan.n_max)
-        x = per_term_synthesis(s, plan, beams, self.RATE, total)
+        frame = ddam_modulate(s, psi, beams, DdamFrameConfig(96), plan=plan)
+        x = per_term_synthesis(s, plan, beams, self.RATE, 96 + 2 * plan.n_max)
         active = 96 + plan.max_kappa
         x /= np.sqrt(np.sum(np.abs(x[:, :active]) ** 2) / active)
         assert frame.samples.shape == x.shape
@@ -369,10 +388,6 @@ class TestSynthesisOracle:
         plan = self.check(6, [4.2, 11.5])
         last = [t for t in plan.terms if t.path_index == 1]
         assert sum(t.kappa == 0 for t in last) >= 2
-
-    def test_guard_longer_than_max_kappa(self):
-        plan = self.check(7, [1.7, 5.5, 10.1], guard_len=40)
-        assert 40 > plan.max_kappa
 
 
 class TestEquivalentChannel:
