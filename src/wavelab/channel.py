@@ -106,7 +106,7 @@ class MultipathChannel:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
         object.__setattr__(self, "paths", tuple(self.paths))
-        object.__setattr__(self, "_taps", {})
+        object.__setattr__(self, "_cache", {})
 
     @property
     def num_paths(self) -> int:
@@ -117,13 +117,21 @@ class MultipathChannel:
         """(M_t x L) array responses, one column per path."""
         return steering_vector(np.array([p.aod for p in self.paths]), self.array)
 
+    def cached(self, key, build):
+        """build(), called once per key for the life of the channel; the key
+        names all the value depends on besides the channel."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def scalar_taps(self, half_length: int = DEFAULT_HALF_LENGTH) -> "ScalarChannel":
         """The paths as (gain, delay_samples, doppler_hz) taps, built once per filter."""
-        if half_length not in self._taps:
+        def build():
             taps = tuple((p.gain, p.delay_s * self.sample_rate, p.doppler_hz)
                          for p in self.paths)
-            self._taps[half_length] = ScalarChannel(taps, self.sample_rate, half_length)
-        return self._taps[half_length]
+            return ScalarChannel(taps, self.sample_rate, half_length)
+
+        return self.cached(("scalar_taps", half_length), build)
 
     def delays_in_samples(self) -> np.ndarray:
         return np.array([p.delay_s * self.sample_rate for p in self.paths])

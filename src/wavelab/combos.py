@@ -7,8 +7,10 @@ time-domain chain.  DDAM-OTFS multiplexes symbols on the delay-Doppler
 grid and equalizes with the DD effective matrix of the compensated
 end-to-end channel, whose time-domain matrix comes from probing the chain
 with combs of unit impulses spaced by the chain's support, so one pass
-gives many columns.  Its functions take the plan and the MMSE Gram built
-once per BER point.
+gives many columns.  Its functions take the plan, built per BER point,
+and the Gram H^H H of the effective matrix, built once per curve when the
+beams do not depend on the noise; the receiver equalizes all of a point's
+frames in one solve.
 """
 
 from __future__ import annotations
@@ -145,19 +147,26 @@ def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,
     return dd_effective_matrix(chain, otfs_cfg, variant=variant)
 
 
-def ddam_otfs_receive(rx, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig,
-                      gram: np.ndarray, variant: str = "zak") -> np.ndarray:
-    """Demodulate to the DD grid and MMSE-equalize with the effective matrix.
+def ddam_otfs_receive(frames, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig,
+                      gram: np.ndarray, noise_var: float,
+                      variant: str = "zak") -> np.ndarray:
+    """Demodulate each received frame to its DD grid, then MMSE-equalize them.
 
-    gram is otfs.mmse_gram of the effective matrix, built once per BER point.
+    frames is a list of F received frames; the result is the (F, K, M)
+    stack of equalized grids.  gram is otfs.mmse_gram (H^H H) of the
+    effective matrix, built once per curve when the beams do not depend on
+    the noise; the F grids go through one mmse_equalize_dd call, one solve
+    with noise_var loaded on the Gram's diagonal.
     """
-    samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
     need = otfs_cfg.frame_len + otfs_cfg.cp_len
-    if len(samples) < need:
-        samples = np.concatenate([samples, np.zeros(need - len(samples), dtype=complex)])
     _, demodulate = otfs_modem(variant)
-    grid = demodulate(samples, otfs_cfg)
-    return mmse_equalize_dd(grid, effective_matrix, gram)
+    grids = []
+    for rx in frames:
+        samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
+        if len(samples) < need:
+            samples = np.concatenate([samples, np.zeros(need - len(samples), dtype=complex)])
+        grids.append(demodulate(samples, otfs_cfg))
+    return mmse_equalize_dd(np.array(grids), effective_matrix, gram, noise_var)
 
 
 def dominant_entries_per_column(matrix: np.ndarray, threshold_db: float = -30.0) -> np.ndarray:

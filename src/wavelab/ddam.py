@@ -51,6 +51,7 @@ SIGNIFICANT_TAP_REL_POWER = 1e-8
 PROBE_SPACING = 64
 
 BEAMFORMER_CRITERIA = ("mrt", "zf", "rzf", "mmse")
+NOISE_FREE_CRITERIA = ("mrt", "zf")  # the designs that do not read noise_var
 COMPENSATION_MODES = ("path_based", "tap_based")
 
 

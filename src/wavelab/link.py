@@ -3,10 +3,11 @@
 These tie the modems to the channel: MISO OFDM with per-subcarrier MRT and
 genie one-tap equalization frozen at each symbol's center time, DDAM with
 genie gain from the noiseless receive, OTFS with a wideband MRT beam and
-dense DD-domain MMSE (one effective matrix and one MMSE Gram per BER
-point), and the combined pipelines.  Every BER runner is a
-(transmit, receive, frames) triple fed to one frame loop: draw bits, QPSK,
-transmit, apply_channel, add_awgn, receive, count bit errors.  The PAPR
+dense DD-domain MMSE (H and H^H H built once per curve when the beams do
+not depend on the noise, one solve per BER point), and the combined
+pipelines.  Every BER runner is a (transmit, receive, frames) triple fed
+to one frame loop: draw bits, QPSK, transmit, apply_channel, add_awgn,
+receive, count bit errors.  The PAPR
 generators draw each trial's random values from its own generator and
 run everything after the draws over stacked chunks of trials.
 """
@@ -38,6 +39,7 @@ from .combos import (
     ddam_otfs_transmit,
 )
 from .ddam import (
+    NOISE_FREE_CRITERIA,
     AlignmentWindow,
     DdamFrameConfig,
     build_compensation_plan,
@@ -85,24 +87,35 @@ class LinkResult:
 
 
 def _run_frames(channel: MultipathChannel, snr_db: float, rngs, frame_symbols,
-                transmit, receive,
+                transmit, receive, equalize=None,
                 half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
     """Monte Carlo BER: one frame of frame_symbols[i] QPSK symbols per rngs[i].
 
     Per frame: draw the bits, transmit(symbols) -> Frame, apply_channel,
     add_awgn (seeded from the frame's generator), then
-    receive(noisy, clean, symbols) -> equalized symbols, and count the bit
-    errors of their hard decisions.
+    receive(noisy, clean, symbols).  Without equalize, receive returns the
+    frame's equalized symbols and their bit errors are counted frame by
+    frame, so no frame is held.  With equalize, the point's receive outputs
+    are held and equalize(list of them) returns every frame's equalized
+    symbols, stacked, from one call.
     """
     errors = total = 0
+    held_bits, held = [], []
     for rng, n in zip(rngs, frame_symbols):
         bits = rng.integers(0, 2, size=2 * n)
         symbols = qpsk_modulate(bits)
         clean = apply_channel(channel, transmit(symbols), half_length=half_length)
         noisy = add_awgn(clean, snr_db, rng_seed=rng.integers(2 ** 63))
-        detected = receive(noisy, clean, symbols)
-        errors += int(np.sum(qpsk_demodulate(detected.reshape(-1)) != bits))
+        received = receive(noisy, clean, symbols)
+        if equalize is None:
+            errors += int(np.sum(qpsk_demodulate(received.reshape(-1)) != bits))
+        else:
+            held_bits.append(bits)
+            held.append(received)
         total += 2 * n
+    if held:
+        detected = equalize(held).reshape(-1)
+        errors += int(np.sum(qpsk_demodulate(detected) != np.concatenate(held_bits)))
     return LinkResult(bits=total, bit_errors=errors)
 
 
@@ -234,23 +247,33 @@ def otfs_scalar_taps(channel: MultipathChannel, beam: np.ndarray) -> ScalarChann
     return ScalarChannel(taps, channel.sample_rate)
 
 
+def _with_gram(h_dd: np.ndarray) -> tuple:
+    return h_dd, mmse_gram(h_dd)
+
+
 def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                  num_frames: int, rng_seed, variant: str = "zak") -> LinkResult:
-    """Uncoded QPSK over MISO OTFS with dense DD-domain MMSE equalization."""
+    """Uncoded QPSK over MISO OTFS with dense DD-domain MMSE equalization.
+
+    H and H^H H are kept on the channel, built once per curve.
+    """
     beam = otfs_miso_beam(channel)
-    h_dd = dd_effective_matrix(otfs_scalar_taps(channel, beam), cfg, variant=variant)
+    h_dd, gram = channel.cached(("otfs", cfg, variant), lambda: _with_gram(
+        dd_effective_matrix(otfs_scalar_taps(channel, beam), cfg, variant=variant)))
     modulate, demodulate = otfs_modem(variant)
-    gram = mmse_gram(h_dd, 10 ** (-snr_db / 10))
 
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
         return Frame(np.outer(beam, modulate(grid, cfg).row()), cfg.sample_rate)
 
     def receive(noisy, clean, symbols):
-        return mmse_equalize_dd(demodulate(noisy.row(), cfg), h_dd, gram)
+        return demodulate(noisy.row(), cfg)
+
+    def equalize(grids):
+        return mmse_equalize_dd(np.array(grids), h_dd, gram, 10 ** (-snr_db / 10))
 
     return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
-                       [cfg.frame_len] * num_frames, transmit, receive)
+                       [cfg.frame_len] * num_frames, transmit, receive, equalize)
 
 
 def run_ddam_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
@@ -283,25 +306,39 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                       mode: str = "path_based", window: AlignmentWindow = None,
                       variant: str = "zak",
                       half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
-    """Uncoded QPSK over DDAM-OTFS with the compensated-channel DD MMSE."""
+    """Uncoded QPSK over DDAM-OTFS with the compensated-channel DD MMSE.
+
+    H and H^H H are kept on the channel, built once per curve, unless the
+    beams depend on the noise (rzf, mmse): then they are built per point.
+    """
     psi = psi_from_channel(channel)
     noise_var = 10 ** (-snr_db / 10)
     beams = path_beamformers(psi, criterion, noise_var=noise_var)
     plan = build_compensation_plan(psi, mode=mode, window=window,
                                    half_length=half_length)
-    h_dd = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan, variant=variant,
-                                      half_length=half_length)
-    gram = mmse_gram(h_dd, noise_var)
+
+    def build():
+        return _with_gram(ddam_otfs_effective_matrix(
+            channel, psi, beams, cfg, plan, variant=variant, half_length=half_length))
+
+    if criterion.lower() in NOISE_FREE_CRITERIA:
+        key = ("ddam_otfs", cfg, variant, criterion, mode, window, half_length)
+        h_dd, gram = channel.cached(key, build)
+    else:
+        h_dd, gram = build()
 
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
         return ddam_otfs_transmit(grid, psi, beams, cfg, plan, variant=variant)
 
     def receive(noisy, clean, symbols):
-        return ddam_otfs_receive(noisy, h_dd, cfg, gram, variant=variant)
+        return noisy
+
+    def equalize(frames):
+        return ddam_otfs_receive(frames, h_dd, cfg, gram, noise_var, variant=variant)
 
     return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
-                       [cfg.frame_len] * num_frames, transmit, receive,
+                       [cfg.frame_len] * num_frames, transmit, receive, equalize,
                        half_length=half_length)
 
 

@@ -215,35 +215,49 @@ def dd_effective_matrix(channel, cfg: OtfsConfig, variant: str = "zak") -> np.nd
     return h
 
 
-def mmse_gram(effective_matrix: np.ndarray, noise_var: float) -> np.ndarray:
-    """H^H H + noise_var I, the matrix mmse_equalize_dd solves against.
+def mmse_gram(effective_matrix: np.ndarray, noise_var: float = 0.0) -> np.ndarray:
+    """H^H H + noise_var I.
 
-    With noise_var 0 it must be well conditioned.
+    The BER runners build H^H H (noise_var 0) once per curve, and
+    mmse_equalize_dd loads each point's noise_var onto its diagonal.
     """
-    h = np.asarray(effective_matrix, dtype=np.complex128)
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
-    gram = h.conj().T @ h + noise_var * np.eye(len(h))
-    if noise_var == 0:
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise np.linalg.LinAlgError(
-                "singular effective matrix with noise_var=0; add regularization")
+    h = np.asarray(effective_matrix, dtype=np.complex128)
+    gram = h.conj().T @ h
+    gram[np.diag_indices(len(h))] += noise_var
     return gram
 
 
-def mmse_equalize_dd(received_grid: np.ndarray, effective_matrix: np.ndarray,
-                     gram: np.ndarray) -> np.ndarray:
-    """Linear MMSE estimate (H^H H + noise_var I)^-1 H^H y, reshaped to the grid.
+def mmse_equalize_dd(received: np.ndarray, effective_matrix: np.ndarray,
+                     gram: np.ndarray, noise_var: float) -> np.ndarray:
+    """Linear MMSE estimate (H^H H + noise_var I)^-1 H^H y of each received grid.
 
-    gram is mmse_gram(H, noise_var) of the same H, built once per BER point.
+    received is one (K, M) grid or an (F, K, M) stack of F grids, and the
+    estimate has its shape.  gram is mmse_gram(H) of the same H, built once
+    per curve.  noise_var is added to its diagonal in place for one solve
+    with one right-hand side per grid, and the diagonal is restored after.
+    Each H^H y stays its own matrix-vector product.  With noise_var 0 the
+    Gram must be well conditioned.
     """
-    y = np.asarray(received_grid, dtype=np.complex128)
-    shape = y.shape
-    y = y.reshape(-1)
+    if noise_var < 0:
+        raise ValueError("noise_var must be >= 0")
+    y = np.asarray(received, dtype=np.complex128)
     h = np.asarray(effective_matrix, dtype=np.complex128)
-    if h.shape != (len(y), len(y)):
-        raise ValueError("effective matrix does not match the grid size")
-    x = np.linalg.solve(gram, h.conj().T @ y)
-    return x.reshape(shape)
-
+    size = len(h)
+    if y.ndim not in (2, 3) or y.shape[-2] * y.shape[-1] != size or h.shape != (size, size):
+        raise ValueError(f"received shape {y.shape} is neither one grid nor a stack "
+                         f"of grids of the effective matrix {h.shape}")
+    if noise_var == 0 and not np.linalg.cond(gram) <= 1e12:  # NaN fails it too
+        raise np.linalg.LinAlgError(
+            "singular effective matrix with noise_var=0; add regularization")
+    h_h = h.conj().T
+    rhs = np.stack([h_h @ grid for grid in y.reshape(-1, size)], axis=1)
+    del h_h  # freed before the solve copies the Gram, so peak memory stays put
+    diagonal = gram.diagonal().copy()
+    gram[np.diag_indices(size)] += noise_var
+    try:
+        x = np.linalg.solve(gram, rhs)
+    finally:
+        np.fill_diagonal(gram, diagonal)
+    return x.T.reshape(y.shape)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from wavelab import cli
@@ -395,6 +396,42 @@ def test_ber_point_reads_every_option_of_its_waveform(monkeypatch, waveform):
     # _run_ber_vs_snr itself reads these.
     unread = set(options) - {"experiment", "seed", "waveform", "snr_db", "channel"} - read
     assert unread == (set() if waveform.startswith("ddam") else {"criterion"})
+
+
+@pytest.mark.parametrize("waveform, fields, builds", [
+    ("otfs_zak", {}, 1), ("otfs_isfft", {}, 1),
+    ("ddam_otfs", {"criterion": "zf"}, 1), ("ddam_otfs", {"criterion": "rzf"}, 2)])
+def test_ber_curve_equals_its_points_on_fresh_channels(tmp_path, monkeypatch, waveform,
+                                                       fields, builds):
+    """The OTFS runners share H and H^H H over a curve unless the beams read
+    the noise (rzf, mmse); the curve's CSV equals its points run alone, each
+    on a freshly built channel."""
+    import wavelab.combos
+    import wavelab.link
+    from wavelab.otfs import dd_effective_matrix
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return dd_effective_matrix(*args, **kwargs)
+
+    for module in (wavelab.combos, wavelab.link):
+        monkeypatch.setattr(module, "dd_effective_matrix", counting)
+    doc = ber_doc(waveform, snr_db=[-4.0, 2.0], num_frames=3, **fields)
+    run_experiment(str(write_config(tmp_path, doc)), str(tmp_path / "curve"))
+    assert len(built) == builds
+    options, diags = cli._read_config(doc)
+    assert diags == []
+    rows = []
+    for i, snr_db in enumerate(options["snr_db"]):
+        seed = np.random.SeedSequence([options["seed"], i]).generate_state(1)[0]
+        channel = cli._build_channel(options["channel"], options["seed"])
+        rows.append((snr_db, cli._BER_POINTS[waveform](channel, options, snr_db, seed).ber))
+    assert all(ber > 0 for _, ber in rows)  # so a wrong equalizer would show
+    cli._write_csv(str(tmp_path / "points.csv"), ["snr_db", "ber"], rows)
+    assert ((tmp_path / "curve" / "ber_vs_snr.csv").read_bytes()
+            == (tmp_path / "points.csv").read_bytes())
 
 
 def test_benchmark_configs_validate(monkeypatch):

@@ -303,7 +303,7 @@ class TestDdamOtfs:
         h = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan)
         tx = ddam_otfs_transmit(grid, psi, beams, cfg, plan)
         rx = apply_channel(channel, tx)
-        out = ddam_otfs_receive(rx, h, cfg, mmse_gram(h, 0.0))
+        out = ddam_otfs_receive([rx], h, cfg, mmse_gram(h), 0.0)[0]
         # the transmit power normalization is a real positive scalar
         scale = out[0, 0] / grid[0, 0]
         assert abs(scale.imag) < 1e-9
@@ -317,7 +317,7 @@ class TestDdamOtfs:
         plan = build_compensation_plan(psi)
         h = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan)
         rx = apply_channel(channel, ddam_otfs_transmit(grid, psi, beams, cfg, plan))
-        out = ddam_otfs_receive(rx, h, cfg, mmse_gram(h, 0.0))
+        out = ddam_otfs_receive([rx], h, cfg, mmse_gram(h), 0.0)[0]
         assert np.array_equal(qpsk_slice(out), grid)
 
     def test_equalizer_bandwidth_below_plain_otfs(self):
@@ -383,20 +383,20 @@ class TestDdamOtfs:
         assert counts == [1, 1]
 
     @pytest.mark.parametrize("runner", ["run_otfs_ber", "run_ddam_otfs_ber"])
-    def test_one_mmse_gram_per_ber_point(self, monkeypatch, runner):
+    def test_one_gram_per_curve_one_solve_per_point(self, monkeypatch, runner):
         import wavelab.combos
         import wavelab.link
         import wavelab.otfs
 
-        builds, frames_out = [], []
+        builds, calls = [], []
 
         def counting(*args, **kwargs):
             builds.append(None)
             return mmse_gram(*args, **kwargs)
 
-        def recording(grid, h, gram):
-            out = mmse_equalize_dd(grid, h, gram)
-            frames_out.append((grid, h, out))
+        def recording(grids, h, gram, noise_var):
+            out = mmse_equalize_dd(grids, h, gram, noise_var)
+            calls.append((grids, h, noise_var, out))
             return out
 
         for module in (wavelab.otfs, wavelab.combos, wavelab.link):
@@ -405,16 +405,54 @@ class TestDdamOtfs:
         rng = np.random.default_rng(18)
         channel, _, _ = make_scenario(rng, [1.3, 4.6], dopplers=[300.0, -200.0], mt=8)
         cfg = OtfsConfig(4, 8, 8, RATE)
-        counts = []
-        for frames in (1, 3):
-            builds.clear()
-            getattr(wavelab.link, runner)(channel, cfg, 6.0, frames, rng_seed=5)
-            counts.append(len(builds))
-        assert counts == [1, 1]
-        assert len(frames_out) == 4
-        # the shared Gram equalizes each frame as a Gram built for it would
-        for grid, h, out in frames_out:
-            assert np.array_equal(out, mmse_equalize_dd(grid, h, mmse_gram(h, 10 ** -0.6)))
+        points = [(6.0, 1), (10.0, 3)]  # (SNR dB, frames) of one curve
+        for snr_db, frames in points:
+            getattr(wavelab.link, runner)(channel, cfg, snr_db, frames, rng_seed=5)
+        assert len(builds) == 1  # H^H H once per curve
+        # one stacked equalize call, and so one solve, per point
+        assert [grids.shape for grids, *_ in calls] == [(1, 8, 4), (3, 8, 4)]
+        # each frame's estimate equals a lone solve against a Gram built for it
+        for (grids, h, noise_var, out), (snr_db, _) in zip(calls, points):
+            assert noise_var == 10 ** (-snr_db / 10)
+            gram = mmse_gram(h, noise_var)
+            for grid, estimate in zip(grids, out):
+                x = np.linalg.solve(gram, h.conj().T @ grid.reshape(-1))
+                assert np.array_equal(estimate, x.reshape(grid.shape))
+
+    def test_cache_key_holds_what_the_matrix_depends_on(self, monkeypatch):
+        import wavelab.combos
+        import wavelab.link
+
+        seen = []
+
+        def recording(grids, h, gram, noise_var):
+            seen.append(h)
+            return mmse_equalize_dd(grids, h, gram, noise_var)
+
+        for module in (wavelab.combos, wavelab.link):
+            monkeypatch.setattr(module, "mmse_equalize_dd", recording, raising=False)
+        rng = np.random.default_rng(19)
+        channel, _, _ = make_scenario(rng, [1.3, 4.6], dopplers=[300.0, -200.0], mt=8)
+        cfg = OtfsConfig(4, 8, 8, RATE)
+        runs = [("run_otfs_ber", cfg, {}),
+                ("run_otfs_ber", cfg, {"variant": "isfft"}),
+                ("run_otfs_ber", OtfsConfig(4, 8, 4, RATE), {}),
+                ("run_ddam_otfs_ber", cfg, {}),
+                ("run_ddam_otfs_ber", cfg, {"variant": "isfft"}),
+                ("run_ddam_otfs_ber", cfg, {"criterion": "mrt"}),
+                ("run_ddam_otfs_ber", cfg, {"mode": "tap_based"}),
+                ("run_ddam_otfs_ber", cfg, {"mode": "tap_based", "half_length": 8}),
+                ("run_ddam_otfs_ber", cfg, {"window": AlignmentWindow(2, 0.0)})]
+        for runner, run_cfg, options in runs:
+            getattr(wavelab.link, runner)(channel, run_cfg, 6.0, 1, rng_seed=5, **options)
+        shared = list(seen)
+        # every run needs its own matrix, so a key missing one option would show
+        assert len({h.tobytes() for h in shared}) == len(runs)
+        seen.clear()
+        for runner, run_cfg, options in runs:
+            fresh = build_channel(channel.array, channel.paths, channel.sample_rate)
+            getattr(wavelab.link, runner)(fresh, run_cfg, 6.0, 1, rng_seed=5, **options)
+        assert all(np.array_equal(a, b) for a, b in zip(shared, seen))
 
     def test_chain_callable_matches_modulate(self):
         rng = np.random.default_rng(16)
