@@ -155,8 +155,6 @@ def steering_vector(aod, array: ArrayConfig) -> np.ndarray:
 
 def build_channel(array: ArrayConfig, paths, sample_rate: float) -> MultipathChannel:
     """Assemble a channel from explicit per-path parameters."""
-    if len(paths) == 0:
-        raise ValueError("path list must be non-empty")
     return MultipathChannel(array=array, paths=tuple(paths), sample_rate=sample_rate)
 
 
@@ -243,16 +241,17 @@ def fractional_delay_taps(fractional_delay: float, half_length: int = DEFAULT_HA
 
 
 def delay_filter(delay_samples: float, half_length: int):
-    """(start, fir) realizing a delay of the given samples.
+    """(start, fir) realizing a delay of the given samples, fir[0] at lag start.
 
-    Delays within FRACTIONAL_TOL of an integer are exact shifts (fir None);
-    fractional residues use the windowed-sinc filter, whose output starts
-    half_length samples before the integer part of the delay.  The channel
-    and the tap-based DDAM compensation plan both take their taps from here.
+    Delays within FRACTIONAL_TOL of an integer are exact shifts, the
+    one-tap fir [1.0]; fractional residues use the windowed-sinc filter,
+    whose output starts half_length samples before the integer part of the
+    delay.  The channel and the tap-based DDAM compensation plan both take
+    their taps from here.
     """
     nearest = round_half_up(delay_samples)
     if abs(delay_samples - nearest) <= FRACTIONAL_TOL:
-        return nearest, None
+        return nearest, np.ones(1)
     base = int(math.floor(delay_samples))
     return base - half_length, fractional_delay_taps(delay_samples - base, half_length)
 
@@ -264,7 +263,8 @@ class ScalarChannel:
     y[n] = sum_l gain_l * exp(j*2*pi*doppler_l*n/B) * x_l[n - delay_l], with
     the Doppler ramp indexed by the receiver clock.  A 1-D signal goes
     through every tap; an (L x N) block sends row l through tap l.  Each
-    tap's shift and interpolation filter are built once, with the object.
+    tap's delay filter (delay_filter: one FIR, even for an integer delay)
+    is built once, with the object.
     The output is longer than the input by the largest integer delay plus
     any interpolation transient; acausal leakage of the interpolator for
     near-zero delays is truncated.
@@ -281,7 +281,7 @@ class ScalarChannel:
         object.__setattr__(self, "_filters", filters)
         # samples the output runs past the input's end
         object.__setattr__(self, "_tail", max(
-            [0] + [start + (0 if fir is None else len(fir) - 1) for start, fir in filters]))
+            [0] + [start + len(fir) - 1 for start, fir in filters]))
 
     @property
     def support(self) -> tuple:
@@ -308,9 +308,7 @@ class ScalarChannel:
         y = np.zeros(signal.shape[-1] + self._tail, dtype=np.complex128)
         for l, ((gain, _, doppler_hz), (start, fir)) in enumerate(
                 zip(self.taps, self._filters)):
-            segment = signal[l] if signal.ndim == 2 else signal
-            if fir is not None:
-                segment = np.convolve(segment, fir)
+            segment = np.convolve(signal[l] if signal.ndim == 2 else signal, fir)
             if start < 0:
                 segment, start = segment[-start:], 0
             n = np.arange(start, start + len(segment))
@@ -328,7 +326,6 @@ class ScalarChannel:
         h = np.zeros((n_out, n_in), dtype=np.complex128)
         n = np.arange(n_out)
         for (gain, _, doppler_hz), (start, fir) in zip(self.taps, self._filters):
-            fir = np.ones(1) if fir is None else fir
             ramp = gain * np.exp(2j * np.pi * doppler_hz * n / self.sample_rate)
             lag, col = np.indices((len(fir), n_in)).reshape(2, -1)
             row = start + lag + col
@@ -342,7 +339,6 @@ class ScalarChannel:
         bins = np.arange(k)
         response = np.empty((len(self.taps), k), dtype=np.complex128)
         for l, (start, fir) in enumerate(self._filters):
-            fir = np.ones(1) if fir is None else fir
             positions = start + np.arange(len(fir))
             response[l] = np.exp(-2j * np.pi * np.outer(bins, positions) / k) @ fir
         return response

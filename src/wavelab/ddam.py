@@ -69,42 +69,42 @@ class PsiPerturbation:
 class PathStateInfo:
     """Transmitter-side knowledge of the paths, on the TX sample grid.
 
-    The per-path arrays are (L,), or (..., L) for a stack of channels,
-    which path_beamformers and path_based_blocks take.
+    delays holds each path's tau * B in samples as one float.  The per-path
+    arrays are (L,), or (..., L) for a stack of channels, which
+    path_beamformers and path_based_blocks take.
     """
 
     array: ArrayConfig
     sample_rate: float
-    delay_samples: np.ndarray      # integer part, floor(tau * B)
-    fractional_delay: np.ndarray   # residue in [0, 1)
+    delays: np.ndarray
     doppler_hz: np.ndarray
     aod: np.ndarray
     gain_estimate: np.ndarray
 
     def __post_init__(self):
         arrays = {}
-        for name, dtype in (("delay_samples", np.int64), ("fractional_delay", float),
-                            ("doppler_hz", float), ("aod", float),
+        for name, dtype in (("delays", float), ("doppler_hz", float), ("aod", float),
                             ("gain_estimate", np.complex128)):
             a = np.array(getattr(self, name), dtype=dtype)
             a.flags.writeable = False
             arrays[name] = a
             object.__setattr__(self, name, a)
-        shape = arrays["delay_samples"].shape
+        shape = arrays["delays"].shape
         if any(a.shape != shape for a in arrays.values()) or not shape or not shape[-1]:
             raise ValueError("per-path arrays must share a common nonzero length")
-        if np.any(arrays["delay_samples"] < 0):
-            raise ValueError("delay_samples must be >= 0")
-        if np.any((arrays["fractional_delay"] < 0) | (arrays["fractional_delay"] >= 1)):
-            raise ValueError("fractional_delay must lie in [0, 1)")
+        if np.any(arrays["delays"] < 0):
+            raise ValueError("delays must be >= 0")
 
     @property
     def num_paths(self) -> int:
-        return self.delay_samples.shape[-1]
+        return self.delays.shape[-1]
 
     def nearest_delays(self) -> np.ndarray:
-        """Strongest on-grid delay tap per path: round(tau * B)."""
-        return (self.delay_samples + (self.fractional_delay >= 0.5)).astype(np.int64)
+        """Strongest on-grid delay tap per path: round(tau * B), halves up.
+
+        Not floor(d + 0.5): that sum rounds 0.49999999999999994 up to 1."""
+        base = np.floor(self.delays)
+        return (base + (self.delays - base >= 0.5)).astype(np.int64)
 
     @property
     def n_max(self) -> int:
@@ -138,11 +138,8 @@ def psi_from_channel(channel: MultipathChannel, perturbation: PsiPerturbation = 
 def psi_from_paths(array: ArrayConfig, sample_rate: float, delays: np.ndarray,
                    dopplers: np.ndarray, aods: np.ndarray, gains: np.ndarray) -> PathStateInfo:
     """PSI from per-path arrays, delays in samples; (..., L) arrays stack channels."""
-    base = np.floor(delays).astype(np.int64)
-    return PathStateInfo(
-        array=array, sample_rate=sample_rate,
-        delay_samples=base, fractional_delay=delays - base,
-        doppler_hz=dopplers, aod=aods, gain_estimate=gains)
+    return PathStateInfo(array=array, sample_rate=sample_rate, delays=delays,
+                         doppler_hz=dopplers, aod=aods, gain_estimate=gains)
 
 
 @dataclass(frozen=True)
@@ -281,13 +278,9 @@ def build_compensation_plan(psi: PathStateInfo, mode: str = "path_based",
         raise ValueError("mode must be 'path_based' or 'tap_based'")
     keep = 10.0 ** (TAP_THRESHOLD_DB / 10.0)
     taps = []  # (path index, grid delay, amplitude) in path order
-    for l, nearest in enumerate(psi.nearest_delays()):
-        if mode == "path_based":
-            start, fir = nearest, None
-        else:
-            start, fir = delay_filter(float(psi.delay_samples[l] + psi.fractional_delay[l]),
-                                      half_length)
-        amps = np.ones(1) if fir is None else fir
+    for l, (nearest, delay) in enumerate(zip(psi.nearest_delays(), psi.delays)):
+        start, amps = ((nearest, np.ones(1)) if mode == "path_based"
+                       else delay_filter(float(delay), half_length))
         positions = start + np.arange(len(amps))
         power = np.abs(amps) ** 2
         mask = (power >= keep * power.max()) & (positions >= 0)
@@ -329,8 +322,8 @@ class DdamFrameConfig:
 
 
 def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSet,
-                sample_rate: float, total_len: int, normalize: bool):
-    """Shared transmit-chain core; returns the antenna matrix.
+                sample_rate: float, total_len: int):
+    """Shared transmit-chain core; returns the unnormalized antenna matrix.
 
     One FIR and Doppler ramp per path, then one beam product, as the module
     docstring derives.  Term t of path l weighs
@@ -357,9 +350,6 @@ def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSe
         count(len(fir) * n + (len(out) if nu != 0.0 else 0))
     x = beams.vectors[:, list(paths)] @ streams
     count(mt * len(paths) * total_len)
-    if normalize:
-        _unit_power(x, n + plan.max_kappa)
-        count(mt * total_len)
     return x
 
 
@@ -388,7 +378,7 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
     def chain(signal: np.ndarray) -> np.ndarray:
         signal = np.asarray(signal, dtype=np.complex128)
         x = _synthesize(signal, plan, beams, psi.sample_rate,
-                        len(signal) + plan.max_kappa, normalize=False)
+                        len(signal) + plan.max_kappa)
         return apply_channel(channel, Frame(x, psi.sample_rate),
                              half_length=half_length).row()
 
@@ -446,7 +436,9 @@ def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
     if plan is None:
         plan = build_compensation_plan(psi)
     total = frame_cfg.block_len + 2 * plan.n_max
-    x = _synthesize(symbols, plan, beams, psi.sample_rate, total, normalize=True)
+    x = _synthesize(symbols, plan, beams, psi.sample_rate, total)
+    _unit_power(x, len(symbols) + plan.max_kappa)
+    count(x.size)
     return Frame(samples=x, sample_rate=psi.sample_rate)
 
 

@@ -215,39 +215,32 @@ def dd_effective_matrix(channel, cfg: OtfsConfig, variant: str = "zak") -> np.nd
     return h
 
 
-def mmse_gram(effective_matrix: np.ndarray, noise_var: float = 0.0) -> np.ndarray:
-    """H^H H + noise_var I.
-
-    The BER runners build H^H H (noise_var 0) once per curve, and
-    mmse_equalize_dd loads each point's noise_var onto its diagonal.
-    """
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
+def mmse_gram(effective_matrix: np.ndarray) -> np.ndarray:
+    """H^H H, built once per curve; mmse_equalize_dd loads each point's
+    noise_var onto its diagonal."""
     h = np.asarray(effective_matrix, dtype=np.complex128)
-    gram = h.conj().T @ h
-    gram[np.diag_indices(len(h))] += noise_var
-    return gram
+    return h.conj().T @ h
 
 
 def mmse_equalize_dd(received: np.ndarray, effective_matrix: np.ndarray,
                      gram: np.ndarray, noise_var: float) -> np.ndarray:
     """Linear MMSE estimate (H^H H + noise_var I)^-1 H^H y of each received grid.
 
-    received is one (K, M) grid or an (F, K, M) stack of F grids, and the
-    estimate has its shape.  gram is mmse_gram(H) of the same H, built once
-    per curve.  noise_var is added to its diagonal in place for one solve
-    with one right-hand side per grid, and the diagonal is restored after.
-    Each H^H y stays its own matrix-vector product.  With noise_var 0 the
-    Gram must be well conditioned.
+    received is an (F, K, M) stack of F grids, and the estimate has its
+    shape.  gram is mmse_gram(H) of the same H, built once per curve.
+    noise_var is added to its diagonal in place for one solve with one
+    right-hand side per grid, and the diagonal is restored after.  Each
+    H^H y stays its own matrix-vector product.  With noise_var 0 the Gram
+    must be well conditioned.
     """
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
     y = np.asarray(received, dtype=np.complex128)
     h = np.asarray(effective_matrix, dtype=np.complex128)
     size = len(h)
-    if y.ndim not in (2, 3) or y.shape[-2] * y.shape[-1] != size or h.shape != (size, size):
-        raise ValueError(f"received shape {y.shape} is neither one grid nor a stack "
-                         f"of grids of the effective matrix {h.shape}")
+    if y.ndim != 3 or y.shape[1] * y.shape[2] != size or h.shape != (size, size):
+        raise ValueError(f"received shape {y.shape} is not a stack of grids of "
+                         f"the effective matrix {h.shape}")
     if noise_var == 0 and not np.linalg.cond(gram) <= 1e12:  # NaN fails it too
         raise np.linalg.LinAlgError(
             "singular effective matrix with noise_var=0; add regularization")

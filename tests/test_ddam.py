@@ -24,6 +24,7 @@ from wavelab.ddam import (
     estimate_gain,
     path_beamformers,
     psi_from_channel,
+    psi_from_paths,
 )
 from wavelab.metrics import papr_db, qfunc
 from wavelab.modulation import qpsk_demodulate, random_qpsk
@@ -58,10 +59,9 @@ class TestPsi:
         channel = on_grid_channel(rng, 4)
         psi = psi_from_channel(channel)
         delays = [round(p.delay_s * channel.sample_rate) for p in channel.paths]
-        assert np.array_equal(psi.delay_samples, delays)
-        assert np.allclose(psi.fractional_delay, 0.0, atol=1e-9)
-        assert np.array_equal(psi.delay_samples + psi.fractional_delay,
-                              channel.delays_in_samples())
+        assert np.array_equal(np.floor(psi.delays), delays)
+        assert np.allclose(psi.delays - np.floor(psi.delays), 0.0, atol=1e-9)
+        assert np.array_equal(psi.delays, channel.delays_in_samples())
         assert np.array_equal(psi.doppler_hz, [p.doppler_hz for p in channel.paths])
         assert np.array_equal(psi.aod, [p.aod for p in channel.paths])
         assert np.array_equal(psi.gain_estimate, [p.gain for p in channel.paths])
@@ -89,17 +89,23 @@ class TestPsi:
         for seed in range(100):
             psi = psi_from_channel(channel, PsiPerturbation(delay_err_samples=0.5),
                                    rng_seed=seed)
-            errs.append(psi.delay_samples + psi.fractional_delay - truth)
+            errs.append(psi.delays - truth)
         rms = np.sqrt(np.mean(np.concatenate(errs) ** 2))
         assert abs(rms - 0.5) < 0.05 * 0.5
 
     def test_fractional_split(self):
         channel = build_channel(ArrayConfig(2), [PathParams(1.0, 7.625e-6, 0.0, 0.0)], 1e6)
         psi = psi_from_channel(channel)
-        assert psi.delay_samples[0] == 7
-        assert psi.fractional_delay[0] == pytest.approx(0.625)
+        assert np.array_equal(psi.delays, channel.delays_in_samples())  # bit for bit
+        assert np.floor(psi.delays[0]) == 7
+        assert psi.delays[0] - np.floor(psi.delays[0]) == pytest.approx(0.625)
         assert psi.nearest_delays()[0] == 8
         assert psi.n_max == 8
+        # halves round up; the residue, not d + 0.5, decides just below a half
+        delays = np.array([7.5, 7.499999999999999, 0.49999999999999994])
+        psi = psi_from_paths(ArrayConfig(2), 1.0, delays, np.zeros(3), np.zeros(3),
+                             np.ones(3))
+        assert np.array_equal(psi.nearest_delays(), [8, 7, 0])
 
 
 class TestBeamformers:
@@ -241,14 +247,17 @@ class TestCompensationPlan:
         plan = build_compensation_plan(psi_from_channel(channel), mode="tap_based",
                                        half_length=8)
         for l, delay in enumerate(channel.delays_in_samples()):
-            start, fir = delay_filter(delay, 8)
-            amps = np.ones(1) if fir is None else fir
+            start, amps = delay_filter(delay, 8)
             # taps within -30 dB of the strongest, on the causal part of the grid
             keep = np.abs(amps) ** 2 >= 1e-3 * np.max(np.abs(amps) ** 2)
             expected = [(start + j, amps[j]) for j in np.nonzero(keep)[0] if start + j >= 0]
             assert [(t.grid_delay, t.amplitude) for t in plan.terms
                     if t.path_index == l] == expected
         assert [t.grid_delay for t in plan.terms if t.path_index == 3] == [12]
+        # an integer delay's filter is the one-tap FIR [1.0] at that delay
+        for delay in (5.0, 5 + 1e-10):
+            start, amps = delay_filter(delay, 8)
+            assert start == 5 and amps.shape == (1,) and np.array_equal(amps, [1.0])
 
 
 class TestModulate:

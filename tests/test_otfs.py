@@ -326,7 +326,7 @@ class TestChainSupport:
 
 class TestMmse:
     def test_identity_no_noise(self):
-        y = np.arange(8, dtype=complex).reshape(4, 2)
+        y = np.arange(8, dtype=complex).reshape(1, 4, 2)
         out = mmse_equalize_dd(y, np.eye(8), mmse_gram(np.eye(8)), 0.0)
         assert np.allclose(out, y, atol=1e-12)
 
@@ -338,14 +338,14 @@ class TestMmse:
         grid = random_grid(rng, cfg)
         rx = channel(otfs_modulate_zak(grid, cfg).row())
         y = otfs_demodulate_zak(rx, cfg)
-        out = mmse_equalize_dd(y, h, mmse_gram(h), 0.0)
+        out = mmse_equalize_dd([y], h, mmse_gram(h), 0.0)[0]
         assert np.max(np.abs(out - grid)) < 1e-9
 
     def test_infinite_noise_shrinks_to_zero(self):
         rng = np.random.default_rng(14)
         h = np.eye(16) * 2.0
         y = rng.standard_normal(16).reshape(4, 4).astype(complex)
-        out = mmse_equalize_dd(y, h, mmse_gram(h), 1e12)
+        out = mmse_equalize_dd([y], h, mmse_gram(h), 1e12)
         assert np.max(np.abs(out)) < 1e-10
 
     def test_singular_without_noise_raises(self):
@@ -353,14 +353,12 @@ class TestMmse:
         h[0, 0] = 1.0
         gram = mmse_gram(h)
         with pytest.raises(np.linalg.LinAlgError):
-            mmse_equalize_dd(np.ones((2, 2)), h, gram, 0.0)
+            mmse_equalize_dd(np.ones((1, 2, 2)), h, gram, 0.0)
         assert np.array_equal(gram, mmse_gram(h))  # the diagonal is restored
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError, match="noise_var"):
-            mmse_gram(np.eye(4), -1.0)
-        with pytest.raises(ValueError, match="noise_var"):
-            mmse_equalize_dd(np.ones((2, 2)), np.eye(4), mmse_gram(np.eye(4)), -1.0)
+            mmse_equalize_dd(np.ones((1, 2, 2)), np.eye(4), mmse_gram(np.eye(4)), -1.0)
 
     def test_stack_equals_per_grid_solves(self):
         rng = np.random.default_rng(15)
@@ -371,12 +369,13 @@ class TestMmse:
         assert out.shape == grids.shape
         assert np.array_equal(gram, mmse_gram(h))  # the diagonal is restored
         for grid, estimate in zip(grids, out):
-            assert np.array_equal(estimate, mmse_equalize_dd(grid, h, gram, 0.25))
+            assert np.array_equal(estimate, mmse_equalize_dd([grid], h, gram, 0.25)[0])
             # and each equals a lone solve against the regularized Gram
-            x = np.linalg.solve(mmse_gram(h, 0.25), h.conj().T @ grid.reshape(-1))
+            x = np.linalg.solve(mmse_gram(h) + 0.25 * np.eye(32),
+                                h.conj().T @ grid.reshape(-1))
             assert np.array_equal(estimate, x.reshape(grid.shape))
 
-    @pytest.mark.parametrize("shape", [(32,), (4, 4), (2, 4, 4), (1, 2, 8, 4)])
+    @pytest.mark.parametrize("shape", [(32,), (4, 4), (8, 4), (2, 4, 4), (1, 2, 8, 4)])
     def test_received_shape_checked(self, shape):
         with pytest.raises(ValueError, match="received shape"):
             mmse_equalize_dd(np.zeros(shape), np.eye(32), mmse_gram(np.eye(32)), 0.1)
@@ -402,7 +401,8 @@ class TestSingleTapBer:
             tx = otfs_modulate_zak(grid, cfg)
             rx = add_awgn(Frame(channel(tx.row())[np.newaxis, :], 1e6), snr_db,
                           rng_seed=rng.integers(2 ** 63))
-            out = mmse_equalize_dd(otfs_demodulate_zak(rx.row(), cfg), h, gram, noise_var)
+            out = mmse_equalize_dd([otfs_demodulate_zak(rx.row(), cfg)], h, gram,
+                                   noise_var)[0]
             errors += int(np.sum(qpsk_demodulate(out.reshape(-1)) != bits))
         return errors, num_frames * 2 * cfg.frame_len
 
