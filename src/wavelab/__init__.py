@@ -50,7 +50,6 @@ from .ddam import (
     PsiPerturbation,
     build_compensation_plan,
     ddam_demodulate,
-    ddam_equalize,
     ddam_modulate,
     equivalent_channel,
     estimate_gain,

@@ -26,11 +26,6 @@ FRACTIONAL_TOL = 1e-9
 DEFAULT_HALF_LENGTH = 32
 
 
-def round_half_up(x: float) -> int:
-    """Round to nearest integer, ties away from zero toward +inf."""
-    return int(math.floor(x + 0.5))
-
-
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear transmit array, element spacing in carrier wavelengths."""
@@ -249,7 +244,7 @@ def delay_filter(delay_samples: float, half_length: int):
     delay.  The channel and the tap-based DDAM compensation plan both take
     their taps from here.
     """
-    nearest = round_half_up(delay_samples)
+    nearest = round(delay_samples)
     if abs(delay_samples - nearest) <= FRACTIONAL_TOL:
         return nearest, np.ones(1)
     base = int(math.floor(delay_samples))

@@ -152,21 +152,16 @@ def ddam_otfs_receive(frames, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig
                       variant: str = "zak") -> np.ndarray:
     """Demodulate each received frame to its DD grid, then MMSE-equalize them.
 
-    frames is a list of F received frames; the result is the (F, K, M)
-    stack of equalized grids.  gram is otfs.mmse_gram (H^H H) of the
-    effective matrix, built once per curve when the beams do not depend on
-    the noise; the F grids go through one mmse_equalize_dd call, one solve
-    with noise_var loaded on the Gram's diagonal.
+    frames is a list of F received Frames, none shorter than CP plus body;
+    the result is the (F, K, M) stack of equalized grids.  gram is
+    otfs.mmse_gram (H^H H) of the effective matrix, built once per curve
+    when the beams do not depend on the noise; the F grids go through one
+    mmse_equalize_dd call, one solve with noise_var loaded on the Gram's
+    diagonal.
     """
-    need = otfs_cfg.frame_len + otfs_cfg.cp_len
     _, demodulate = otfs_modem(variant)
-    grids = []
-    for rx in frames:
-        samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
-        if len(samples) < need:
-            samples = np.concatenate([samples, np.zeros(need - len(samples), dtype=complex)])
-        grids.append(demodulate(samples, otfs_cfg))
-    return mmse_equalize_dd(np.array(grids), effective_matrix, gram, noise_var)
+    grids = np.array([demodulate(rx, otfs_cfg) for rx in frames])
+    return mmse_equalize_dd(grids, effective_matrix, gram, noise_var)
 
 
 def dominant_entries_per_column(matrix: np.ndarray, threshold_db: float = -30.0) -> np.ndarray:

@@ -515,19 +515,13 @@ def estimate_gain(rx_samples: np.ndarray, known_symbols: np.ndarray,
     return complex((known.conj() @ seg) / (known.conj() @ known))
 
 
-def ddam_equalize(rx, gain: complex, frame_cfg: DdamFrameConfig,
-                  dominant_index: int) -> np.ndarray:
-    """Soft symbols: slice the stream at the dominant lag and divide by the gain."""
-    samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
+def ddam_demodulate(rx: Frame, gain: complex, frame_cfg: DdamFrameConfig,
+                    dominant_index: int) -> np.ndarray:
+    """Symbol-wise detection: the block at the dominant lag over the gain, sliced to QPSK."""
     if abs(gain) == 0:
         raise ValueError("equivalent gain must be nonzero")
     n = frame_cfg.block_len
-    if len(samples) < dominant_index + n:
+    samples = rx.row()[dominant_index:dominant_index + n]
+    if len(samples) < n:
         raise ValueError("received stream shorter than the aligned block")
-    return samples[dominant_index:dominant_index + n] / gain
-
-
-def ddam_demodulate(rx, gain: complex, frame_cfg: DdamFrameConfig,
-                    dominant_index: int) -> np.ndarray:
-    """Symbol-wise detection: equalize by the scalar gain, then slice QPSK."""
-    return qpsk_slice(ddam_equalize(rx, gain, frame_cfg, dominant_index))
+    return qpsk_slice(samples / gain)

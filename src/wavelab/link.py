@@ -1,13 +1,13 @@
 """End-to-end link runners: per-waveform BER chains and PAPR generators.
 
 These tie the modems to the channel: MISO OFDM with per-subcarrier MRT and
-genie one-tap equalization frozen at each symbol's center time, DDAM with
-genie gain from the noiseless receive, OTFS with a wideband MRT beam and
-dense DD-domain MMSE (H and H^H H built once per curve when the beams do
-not depend on the noise, one solve per BER point), and the combined
-pipelines.  Every BER runner is a (transmit, receive, frames) triple fed
-to one frame loop: draw bits, QPSK, transmit, apply_channel, add_awgn,
-receive, count bit errors.  The PAPR
+genie one-tap equalization frozen at each symbol's center time, DDAM
+read at its equivalent channel's dominant tap, OTFS with a wideband MRT
+beam and dense DD-domain MMSE (H and H^H H built once per curve when the
+beams do not depend on the noise, one solve per BER point), and the
+combined pipelines.  Every BER runner is a (transmit, receive, frames)
+triple fed to one frame loop: draw bits, QPSK, transmit, apply_channel,
+add_awgn, receive the noisy frame, count bit errors.  The PAPR
 generators draw each trial's random values from its own generator and
 run everything after the draws over stacked chunks of trials.
 """
@@ -46,7 +46,6 @@ from .ddam import (
     ddam_demodulate,
     ddam_modulate,
     equivalent_channel,
-    estimate_gain,
     path_based_blocks,
     path_beamformers,
     psi_from_channel,
@@ -92,8 +91,8 @@ def _run_frames(channel: MultipathChannel, snr_db: float, rngs, frame_symbols,
     """Monte Carlo BER: one frame of frame_symbols[i] QPSK symbols per rngs[i].
 
     Per frame: draw the bits, transmit(symbols) -> Frame, apply_channel,
-    add_awgn (seeded from the frame's generator), then
-    receive(noisy, clean, symbols).  Without equalize, receive returns the
+    add_awgn (seeded from the frame's generator), then receive(noisy, n)
+    with the frame's symbol count n.  Without equalize, receive returns the
     frame's equalized symbols and their bit errors are counted frame by
     frame, so no frame is held.  With equalize, the point's receive outputs
     are held and equalize(list of them) returns every frame's equalized
@@ -106,7 +105,7 @@ def _run_frames(channel: MultipathChannel, snr_db: float, rngs, frame_symbols,
         symbols = qpsk_modulate(bits)
         clean = apply_channel(channel, transmit(symbols), half_length=half_length)
         noisy = add_awgn(clean, snr_db, rng_seed=rng.integers(2 ** 63))
-        received = receive(noisy, clean, symbols)
+        received = receive(noisy, n)
         if equalize is None:
             errors += int(np.sum(qpsk_demodulate(received.reshape(-1)) != bits))
         else:
@@ -175,7 +174,7 @@ def run_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
     def transmit(symbols):
         return ofdm_miso_modulate(symbols.reshape(num_symbols, k), weights, cfg)
 
-    def receive(noisy, clean, symbols):
+    def receive(noisy, n):
         bins = ofdm_demodulate(
             noisy.row()[:num_symbols * stride].reshape(num_symbols, stride), cfg)
         response = ofdm_genie_response(channel, weights, cfg, np.arange(num_symbols))
@@ -189,18 +188,24 @@ def run_ddam_ber(channel: MultipathChannel, snr_db: float, num_symbols: int,
                  rng_seed, criterion: str = "zf", mode: str = "path_based",
                  block_len: int = 100_000, window: AlignmentWindow = None,
                  half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
-    """Uncoded QPSK over DDAM, genie gain taken from the noiseless receive."""
+    """Uncoded QPSK over DDAM, detected at its equivalent channel's dominant tap.
+
+    That tap's gain omits the transmit normalization, a positive scale QPSK
+    slicing ignores, and is taken at t = 0: the residual Doppler rotation a
+    w_nu window leaves is not tracked.
+    """
     psi = psi_from_channel(channel)
     beams = path_beamformers(psi, criterion, noise_var=10 ** (-snr_db / 10))
     plan = build_compensation_plan(psi, mode=mode, window=window,
                                    half_length=half_length)
+    eq = equivalent_channel(channel, psi, beams, plan=plan, half_length=half_length)
 
     def transmit(symbols):
         return ddam_modulate(symbols, psi, beams, DdamFrameConfig(len(symbols)), plan=plan)
 
-    def receive(noisy, clean, symbols):
-        gain = estimate_gain(clean.row(), symbols, plan.n_max)
-        return ddam_demodulate(noisy, gain, DdamFrameConfig(len(symbols)), plan.n_max)
+    def receive(noisy, n):
+        return ddam_demodulate(noisy, eq.dominant_gain, DdamFrameConfig(n),
+                               eq.dominant_tap_index)
 
     blocks = [min(block_len, num_symbols - start)
               for start in range(0, num_symbols, block_len)]
@@ -266,8 +271,8 @@ def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
         return Frame(np.outer(beam, modulate(grid, cfg).row()), cfg.sample_rate)
 
-    def receive(noisy, clean, symbols):
-        return demodulate(noisy.row(), cfg)
+    def receive(noisy, n):
+        return demodulate(noisy, cfg)
 
     def equalize(grids):
         return mmse_equalize_dd(np.array(grids), h_dd, gram, 10 ** (-snr_db / 10))
@@ -294,7 +299,7 @@ def run_ddam_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
         grid = np.concatenate([pilot[np.newaxis, :], symbols.reshape(num_symbols, k)])
         return ddam_ofdm_transmit_with_link(grid, link)
 
-    def receive(noisy, clean, symbols):
+    def receive(noisy, n):
         return ddam_ofdm_receive(noisy, link, num_symbols + 1, pilot_symbol=pilot)[1:]
 
     return _run_frames(channel, snr_db, [np.random.default_rng(rng_seed)],
@@ -331,7 +336,7 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
         return ddam_otfs_transmit(grid, psi, beams, cfg, plan, variant=variant)
 
-    def receive(noisy, clean, symbols):
+    def receive(noisy, n):
         return noisy
 
     def equalize(frames):

@@ -320,6 +320,20 @@ class TestDdamOtfs:
         out = ddam_otfs_receive([rx], h, cfg, mmse_gram(h), 0.0)[0]
         assert np.array_equal(qpsk_slice(out), grid)
 
+    def test_truncated_frame_rejected(self):
+        # the guard and the channel tail only lengthen a received frame, so
+        # one shorter than CP plus body is an error, not a frame to pad
+        rng = np.random.default_rng(14)
+        channel, psi, beams = make_scenario(rng, [2, 5])
+        cfg = OtfsConfig(4, 8, 8, RATE)
+        plan = build_compensation_plan(psi)
+        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan)
+        grid = random_qpsk(rng, 32).reshape(8, 4)
+        rx = apply_channel(channel, ddam_otfs_transmit(grid, psi, beams, cfg, plan))
+        short = Frame(rx.samples[:, :cfg.frame_len + cfg.cp_len - 1], RATE)
+        with pytest.raises(ValueError):
+            ddam_otfs_receive([rx, short], h, cfg, mmse_gram(h), 0.0)
+
     def test_equalizer_bandwidth_below_plain_otfs(self):
         # residual windows leave the DDAM matrix sparser than plain OTFS
         for trial in range(5):
