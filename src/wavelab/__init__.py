@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .channel import (
     ArrayConfig,
+    BeamFrame,
     Frame,
     MultipathChannel,
     PathParams,
@@ -49,6 +50,7 @@ from .ddam import (
     PathStateInfo,
     PsiPerturbation,
     build_compensation_plan,
+    ddam_beam_modulate,
     ddam_demodulate,
     ddam_modulate,
     equivalent_channel,

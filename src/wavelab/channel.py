@@ -7,8 +7,12 @@ plus a windowed-sinc interpolation filter for the fractional residue.
 
 After beamforming every link is a short list of scalar (gain, delay,
 Doppler) taps, so ScalarChannel is the one place taps are applied:
-apply_channel projects the antenna rows onto each path's steering vector
-and hands the per-path rows to the channel's own tap list.
+apply_channel projects the transmitted signal onto each path's steering
+vector and hands the per-path rows to the channel's own tap list.  A
+transmitter that sends R streams on R beams hands it a BeamFrame, and the
+projection is the L x R cross-gain matrix A^H F times the streams, so the
+M_t antenna rows are never formed; a Frame of antenna rows is projected
+as A^H x.
 """
 
 from __future__ import annotations
@@ -85,6 +89,36 @@ class Frame:
 
     def row(self, i: int = 0) -> np.ndarray:
         return self.samples[i]
+
+
+@dataclass(frozen=True)
+class BeamFrame:
+    """R streams sent on R beams: antenna samples beams @ streams, never formed.
+
+    beams is (M_t x R), one column per beam; streams is (R x N), one row
+    per beam.  apply_channel takes it in place of the equivalent Frame.
+    """
+
+    beams: np.ndarray
+    streams: np.ndarray
+    sample_rate: float
+
+    def __post_init__(self):
+        beams = np.array(self.beams, dtype=np.complex128)
+        streams = np.array(self.streams, dtype=np.complex128)
+        if beams.ndim != 2 or streams.ndim != 2 or beams.shape[1] != len(streams):
+            raise ValueError("beams must be (M_t x R) and streams (R x N)")
+        if streams.shape[1] < 1:
+            raise ValueError("streams must be non-empty")
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be > 0")
+        for name, a in (("beams", beams), ("streams", streams)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @property
+    def num_antennas(self) -> int:
+        return self.beams.shape[0]
 
 
 @dataclass(frozen=True)
@@ -345,13 +379,14 @@ def apply_scalar_paths(signal: np.ndarray, paths, sample_rate: float,
     return ScalarChannel(paths, sample_rate, half_length)(signal)
 
 
-def apply_channel(channel: MultipathChannel, tx: Frame,
+def apply_channel(channel: MultipathChannel, tx: Frame | BeamFrame,
                   half_length: int = DEFAULT_HALF_LENGTH) -> Frame:
-    """Propagate an M_t-row frame through the channel, returning one row.
+    """Propagate an M_t-row Frame or a BeamFrame, returning one received row.
 
     y[n] = sum_l gain_l * exp(j*2*pi*doppler_l*n/B) * a(aod_l)^H x[n - delay_l]:
     the steering projection A^H x gives one row per path, which the
-    channel's scalar taps delay, rotate and sum (see ScalarChannel).
+    channel's scalar taps delay, rotate and sum (see ScalarChannel).  For a
+    BeamFrame, x = F S and the projection is (A^H F) S, L x R times R x N.
     """
     if tx.num_antennas != channel.array.num_tx_antennas:
         raise ValueError(
@@ -359,7 +394,11 @@ def apply_channel(channel: MultipathChannel, tx: Frame,
             f"{channel.array.num_tx_antennas}")
     if tx.sample_rate != channel.sample_rate:
         raise ValueError("tx frame and channel sample rates differ")
-    rows = channel.steering_matrix.conj().T @ tx.samples
+    a_h = channel.steering_matrix.conj().T
+    if isinstance(tx, BeamFrame):
+        rows = (a_h @ tx.beams) @ tx.streams
+    else:
+        rows = a_h @ tx.samples
     y = channel.scalar_taps(half_length)(rows)
     return Frame(samples=y[np.newaxis, :], sample_rate=channel.sample_rate)
 

@@ -88,32 +88,40 @@ def ddam_ofdm_link(psi: PathStateInfo, beams: BeamformerSet, ofdm_cfg: OfdmConfi
                         subcarrier_response=response)
 
 
+def _ofdm_stream(freq_symbols: np.ndarray, link: DdamOfdmLink) -> np.ndarray:
+    """The phase-aligned OFDM samples of (S x K) symbol rows, DDAM's input stream."""
+    grids = _symbol_rows(freq_symbols, link.ofdm_cfg.num_subcarriers)
+    return ofdm_modulate(link.subcarrier_weights * grids, link.ofdm_cfg).row()
+
+
 def ddam_ofdm_transmit_with_link(freq_symbols: np.ndarray, link: DdamOfdmLink) -> Frame:
     """Phase-align and OFDM-modulate (S x K) symbol rows, then DDAM-transmit them."""
-    grids = _symbol_rows(freq_symbols, link.ofdm_cfg.num_subcarriers)
-    stream = ofdm_modulate(link.subcarrier_weights * grids, link.ofdm_cfg).row()
+    stream = _ofdm_stream(freq_symbols, link)
     frame_cfg = DdamFrameConfig(block_len=len(stream))
     return ddam_modulate(stream, link.psi, link.beams, frame_cfg, plan=link.plan)
 
 
-def ddam_ofdm_receive(rx, link: DdamOfdmLink, num_symbols: int,
+def ddam_ofdm_receive(rx: Frame, link: DdamOfdmLink, num_symbols: int,
                       pilot_symbol: np.ndarray = None) -> np.ndarray:
     """Align at the residual window, demodulate and one-tap equalize.
 
-    Returns the (num_symbols x K) equalized symbols.  The transmit power
+    Returns the (num_symbols x K) equalized symbols.  A frame shorter than
+    align_start + num_symbols * stride raises ValueError.  The transmit power
     normalization leaves an unknown scalar on the link; when the first OFDM
     symbol is a known pilot, a least-squares scalar fit on it removes that
     factor from every returned symbol.  The fit is weighted by |H|^2, which
     equals fitting the bins before the one-tap division, so a near-null
     subcarrier cannot rotate the scale.
     """
-    samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
-    stream = samples[link.align_start:]
     stride = link.symbol_stride
     need = num_symbols * stride
+    stream = rx.row()[link.align_start:link.align_start + need]
     if len(stream) < need:
-        stream = np.concatenate([stream, np.zeros(need - len(stream), dtype=complex)])
-    bins = ofdm_demodulate(stream[:need].reshape(num_symbols, stride), link.ofdm_cfg)
+        raise ValueError(
+            f"received frame of {rx.num_samples} samples is shorter than the "
+            f"{link.align_start + need} that {num_symbols} symbols after the "
+            f"alignment lag need")
+    bins = ofdm_demodulate(stream.reshape(num_symbols, stride), link.ofdm_cfg)
     effective = link.subcarrier_response * link.subcarrier_weights
     out, _ = ofdm_equalize_one_tap(bins, effective)
     if pilot_symbol is not None:

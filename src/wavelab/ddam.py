@@ -17,8 +17,12 @@ for compensation headroom.
 Every term of a path shares the path's Doppler compensation, and the
 rotation above depends on the output sample n, not on kappa_t.  So
 synthesis runs one FIR per path over the symbols (its term weights at lags
-kappa_t) followed by one Doppler ramp, and one (M_t x L) @ (L x N) beam
-product forms the antenna samples.
+kappa_t) followed by one Doppler ramp, giving one stream per path beam.
+ddam_beam_modulate sends those L streams on their beams as a BeamFrame,
+normalized from L x L Grams, so a BER chain never forms the M_t antenna
+rows.  Only ddam_modulate and path_based_blocks, whose antenna samples
+the PAPR and complexity results read, form the (M_t x L) @ (L x N) beam
+product.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from .channel import (
     DEFAULT_HALF_LENGTH,
     ArrayConfig,
+    BeamFrame,
     Frame,
     MultipathChannel,
     apply_channel,
@@ -323,14 +328,14 @@ class DdamFrameConfig:
 
 def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSet,
                 sample_rate: float, total_len: int):
-    """Shared transmit-chain core; returns the unnormalized antenna matrix.
+    """Shared transmit-chain core: (beam vectors (M_t x R), streams (R x total_len)).
 
-    One FIR and Doppler ramp per path, then one beam product, as the module
-    docstring derives.  Term t of path l weighs
+    One FIR and Doppler ramp per path with plan terms, as the module
+    docstring derives, unnormalized; the antenna samples would be
+    vectors @ streams.  Term t of path l weighs
     sqrt(p_l) * conj(amp_t) / (norm of path l's tap amplitudes).
     """
     n = len(symbols)
-    mt = beams.vectors.shape[0]
     paths = {}
     for t in plan.terms:
         paths.setdefault(t.path_index, []).append(t)
@@ -348,9 +353,7 @@ def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSe
         if nu != 0.0:
             out *= _doppler_ramp(nu, lo, len(out), sample_rate)
         count(len(fir) * n + (len(out) if nu != 0.0 else 0))
-    x = beams.vectors[:, list(paths)] @ streams
-    count(mt * len(paths) * total_len)
-    return x
+    return beams.vectors[:, list(paths)], streams
 
 
 def _doppler_ramp(nu: float, start: int, length: int, sample_rate: float) -> np.ndarray:
@@ -369,7 +372,8 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
                         half_length: int = DEFAULT_HALF_LENGTH):
     """Scalar end-to-end map of the unnormalized DDAM chain over the channel.
 
-    The returned callable carries support = (lo, hi): an input impulse at j
+    Each call sends the synthesized path streams on their beams as one
+    BeamFrame through one apply_channel.  The returned callable carries support = (lo, hi): an input impulse at j
     reaches output rows j + lo .. j + hi only.  Synthesis delays each term
     by its kappa and the channel spreads by its own support, so lo is the
     smallest kappa plus the channel's lo and hi the largest kappa plus its hi.
@@ -377,9 +381,9 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
 
     def chain(signal: np.ndarray) -> np.ndarray:
         signal = np.asarray(signal, dtype=np.complex128)
-        x = _synthesize(signal, plan, beams, psi.sample_rate,
-                        len(signal) + plan.max_kappa)
-        return apply_channel(channel, Frame(x, psi.sample_rate),
+        vectors, streams = _synthesize(signal, plan, beams, psi.sample_rate,
+                                       len(signal) + plan.max_kappa)
+        return apply_channel(channel, BeamFrame(vectors, streams, psi.sample_rate),
                              half_length=half_length).row()
 
     lo, hi = channel.scalar_taps(half_length).support
@@ -418,28 +422,58 @@ def path_based_blocks(symbols: np.ndarray, psi: PathStateInfo,
     return out, span
 
 
+def _checked_symbols(symbols: np.ndarray, psi: PathStateInfo,
+                     beams: BeamformerSet) -> np.ndarray:
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    if len(symbols) == 0:
+        raise ValueError("symbol stream must be non-empty")
+    if beams.num_paths != psi.num_paths:
+        raise ValueError("beamformer set does not match the PSI path count")
+    return symbols
+
+
 def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
                   frame_cfg: DdamFrameConfig, plan: CompensationPlan = None) -> Frame:
     """Transmit one DDAM block: per-term alignment, guard tail, unit power.
 
     Without a plan, the default path-based one is built.  The average
-    transmit power over the active span is normalized to 1.
+    transmit power over the active span is normalized to 1.  Returns the
+    M_t antenna rows, which PAPR reads; ddam_beam_modulate sends the same
+    block without forming them.
     """
-    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    if len(symbols) == 0:
-        raise ValueError("symbol stream must be non-empty")
+    symbols = _checked_symbols(symbols, psi, beams)
     if len(symbols) != frame_cfg.block_len:
         raise ValueError(
             f"got {len(symbols)} symbols for a block of {frame_cfg.block_len}")
-    if beams.num_paths != psi.num_paths:
-        raise ValueError("beamformer set does not match the PSI path count")
     if plan is None:
         plan = build_compensation_plan(psi)
     total = frame_cfg.block_len + 2 * plan.n_max
-    x = _synthesize(symbols, plan, beams, psi.sample_rate, total)
+    vectors, streams = _synthesize(symbols, plan, beams, psi.sample_rate, total)
+    x = vectors @ streams
+    count(x.size * len(streams))
     _unit_power(x, len(symbols) + plan.max_kappa)
     count(x.size)
     return Frame(samples=x, sample_rate=psi.sample_rate)
+
+
+def ddam_beam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
+                       plan: CompensationPlan) -> BeamFrame:
+    """ddam_modulate's block as L streams on their beams, in the BER chains.
+
+    The same alignment, 2 * n_max guard tail and unit mean transmit power
+    over the active span, folded into the beams.  The power comes from L x L
+    Grams, ||F S||^2 = sum_ij (F^H F)_ij (S S^H)_ji over the active span;
+    the beams need not be orthogonal, so the off-diagonal terms count.  Its
+    beams @ streams equals ddam_modulate's samples up to round-off.
+    """
+    symbols = _checked_symbols(symbols, psi, beams)
+    vectors, streams = _synthesize(symbols, plan, beams, psi.sample_rate,
+                                   len(symbols) + 2 * plan.n_max)
+    active = len(symbols) + plan.max_kappa
+    s = streams[:, :active]
+    energy = np.sum((vectors.conj().T @ vectors) * (s @ s.conj().T).T).real
+    count(len(s) ** 2 * active)
+    return BeamFrame(vectors / math.sqrt(energy / active), streams, psi.sample_rate)
 
 
 @dataclass(frozen=True)

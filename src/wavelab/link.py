@@ -7,9 +7,13 @@ beam and dense DD-domain MMSE (H and H^H H built once per curve when the
 beams do not depend on the noise, one solve per BER point), and the
 combined pipelines.  Every BER runner is a (transmit, receive, frames)
 triple fed to one frame loop: draw bits, QPSK, transmit, apply_channel,
-add_awgn, receive the noisy frame, count bit errors.  The PAPR
-generators draw each trial's random values from its own generator and
-run everything after the draws over stacked chunks of trials.
+add_awgn, receive the noisy frame, count bit errors.  The DDAM-family
+transmitters hand the channel a BeamFrame of L path streams on their
+beams and OTFS one stream on its beam, so no BER frame is built as M_t
+antenna rows except MISO OFDM's, whose precoder changes per subcarrier.
+The PAPR generators draw each trial's random values from its own
+generator and run everything after the draws over stacked chunks of
+trials.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from .channel import (
     DEFAULT_HALF_LENGTH,
     ArrayConfig,
+    BeamFrame,
     Frame,
     MultipathChannel,
     ScalarChannel,
@@ -31,20 +36,19 @@ from .channel import (
     steering_vector,
 )
 from .combos import (
+    _ofdm_stream,
     ddam_ofdm_link,
     ddam_ofdm_receive,
-    ddam_ofdm_transmit_with_link,
     ddam_otfs_effective_matrix,
     ddam_otfs_receive,
-    ddam_otfs_transmit,
 )
 from .ddam import (
     NOISE_FREE_CRITERIA,
     AlignmentWindow,
     DdamFrameConfig,
     build_compensation_plan,
+    ddam_beam_modulate,
     ddam_demodulate,
-    ddam_modulate,
     equivalent_channel,
     path_based_blocks,
     path_beamformers,
@@ -90,13 +94,13 @@ def _run_frames(channel: MultipathChannel, snr_db: float, rngs, frame_symbols,
                 half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
     """Monte Carlo BER: one frame of frame_symbols[i] QPSK symbols per rngs[i].
 
-    Per frame: draw the bits, transmit(symbols) -> Frame, apply_channel,
-    add_awgn (seeded from the frame's generator), then receive(noisy, n)
-    with the frame's symbol count n.  Without equalize, receive returns the
-    frame's equalized symbols and their bit errors are counted frame by
-    frame, so no frame is held.  With equalize, the point's receive outputs
-    are held and equalize(list of them) returns every frame's equalized
-    symbols, stacked, from one call.
+    Per frame: draw the bits, transmit(symbols) -> Frame or BeamFrame,
+    apply_channel, add_awgn (seeded from the frame's generator), then
+    receive(noisy, n) with the frame's symbol count n.  Without equalize,
+    receive returns the frame's equalized symbols and their bit errors are
+    counted frame by frame, so no frame is held.  With equalize, the
+    point's receive outputs are held and equalize(list of them) returns
+    every frame's equalized symbols, stacked, from one call.
     """
     errors = total = 0
     held_bits, held = [], []
@@ -138,7 +142,9 @@ def ofdm_miso_modulate(freq_symbols: np.ndarray, weights: np.ndarray,
 
     freq_symbols is one (K,) symbol vector or an (S x K) block, one OFDM
     symbol per row; weights is (M_t x K).  Returns (M_t x S * (K + cp_len))
-    samples, the S symbols back to back on every antenna.
+    samples, the S symbols back to back on every antenna.  These stay
+    antenna rows, not a BeamFrame: the precoder changes per subcarrier, so
+    no few time-domain beams carry the frame.
     """
     k = cfg.num_subcarriers
     x = _symbol_rows(freq_symbols, k)
@@ -201,7 +207,7 @@ def run_ddam_ber(channel: MultipathChannel, snr_db: float, num_symbols: int,
     eq = equivalent_channel(channel, psi, beams, plan=plan, half_length=half_length)
 
     def transmit(symbols):
-        return ddam_modulate(symbols, psi, beams, DdamFrameConfig(len(symbols)), plan=plan)
+        return ddam_beam_modulate(symbols, psi, beams, plan)
 
     def receive(noisy, n):
         return ddam_demodulate(noisy, eq.dominant_gain, DdamFrameConfig(n),
@@ -269,7 +275,7 @@ def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
 
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
-        return Frame(np.outer(beam, modulate(grid, cfg).row()), cfg.sample_rate)
+        return BeamFrame(beam[:, np.newaxis], modulate(grid, cfg).samples, cfg.sample_rate)
 
     def receive(noisy, n):
         return demodulate(noisy, cfg)
@@ -297,7 +303,7 @@ def run_ddam_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
 
     def transmit(symbols):
         grid = np.concatenate([pilot[np.newaxis, :], symbols.reshape(num_symbols, k)])
-        return ddam_ofdm_transmit_with_link(grid, link)
+        return ddam_beam_modulate(_ofdm_stream(grid, link), psi, beams, link.plan)
 
     def receive(noisy, n):
         return ddam_ofdm_receive(noisy, link, num_symbols + 1, pilot_symbol=pilot)[1:]
@@ -332,9 +338,11 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
     else:
         h_dd, gram = build()
 
+    modulate, _ = otfs_modem(variant)
+
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
-        return ddam_otfs_transmit(grid, psi, beams, cfg, plan, variant=variant)
+        return ddam_beam_modulate(modulate(grid, cfg).row(), psi, beams, plan)
 
     def receive(noisy, n):
         return noisy

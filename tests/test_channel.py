@@ -7,6 +7,7 @@ import pytest
 import wavelab.channel
 from wavelab.channel import (
     ArrayConfig,
+    BeamFrame,
     Frame,
     PathParams,
     ScalarChannel,
@@ -214,10 +215,24 @@ class TestApplyChannel:
 
     def test_rejects_mismatches(self):
         ch = one_path_channel(mt=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3 rows"):
             apply_channel(ch, Frame(np.ones((3, 8)), 1e6))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample rates"):
             apply_channel(ch, Frame(np.ones((2, 8)), 2e6))
+        with pytest.raises(ValueError, match="3 rows"):
+            apply_channel(ch, BeamFrame(np.ones((3, 1)), np.ones((1, 8)), 1e6))
+        with pytest.raises(ValueError, match="sample rates"):
+            apply_channel(ch, BeamFrame(np.ones((2, 1)), np.ones((1, 8)), 2e6))
+
+    def test_beam_frame_shapes_checked(self):
+        for beams, streams in ((np.ones(2), np.ones((1, 8))),
+                               (np.ones((2, 2)), np.ones((1, 8))),
+                               (np.ones((2, 1)), np.ones(8)),
+                               (np.ones((2, 1)), np.ones((1, 0)))):
+            with pytest.raises(ValueError):
+                BeamFrame(beams, streams, 1e6)
+        with pytest.raises(ValueError):
+            BeamFrame(np.ones((2, 1)), np.ones((1, 8)), 0.0)
 
 
 class TestFractionalDelay:
@@ -340,6 +355,24 @@ class TestScalarTapOracle:
         tx = self.frame(mt)
         y = apply_channel(channel, tx, half_length=half_length).row()
         assert_close_relative(y, reference_apply_channel(channel, tx, half_length))
+
+    @pytest.mark.parametrize("delays", [(1.25, 4.6, 9.5), (0.0, 2.4, 5.0, 11.75)])
+    @pytest.mark.parametrize("half_length", [8, 32])
+    @pytest.mark.parametrize("num_beams", [1, 3])
+    def test_beam_frame_matches_antenna_rows(self, delays, half_length, num_beams):
+        # Fractional delays and Dopplers up to 900 Hz; beams @ streams is
+        # the antenna matrix the BeamFrame stands for.
+        channel = self.channel(8, delays)
+        rng = np.random.default_rng(2)
+        shape = (8, num_beams)
+        beams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        streams = self.frame(num_beams).samples
+        y = apply_channel(channel, BeamFrame(beams, streams, self.RATE),
+                          half_length=half_length)
+        expected = apply_channel(channel, Frame(beams @ streams, self.RATE),
+                                 half_length=half_length)
+        assert y.num_antennas == 1
+        assert_close_relative(y.samples, expected.samples)
 
     @pytest.mark.parametrize("delay", [0.2, 0.7, 1e-3])
     def test_acausal_leakage_truncated(self, delay):

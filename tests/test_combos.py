@@ -192,12 +192,8 @@ class TestDdamOfdm:
 
 def per_symbol_receive(rx, link, num_symbols, pilot_symbol=None):
     """The per-symbol ddam_ofdm_receive loop."""
-    samples = rx.row() if isinstance(rx, Frame) else np.asarray(rx, dtype=np.complex128)
-    stream = samples[link.align_start:]
+    stream = rx.row()[link.align_start:]
     stride = link.symbol_stride
-    need = num_symbols * stride
-    if len(stream) < need:
-        stream = np.concatenate([stream, np.zeros(need - len(stream), dtype=complex)])
     out = np.empty((num_symbols, link.ofdm_cfg.num_subcarriers), dtype=np.complex128)
     effective = link.subcarrier_response * link.subcarrier_weights
     for i in range(num_symbols):
@@ -268,10 +264,13 @@ class TestDdamOfdmSymbolBlocks:
         assert np.array_equal(out, ref)
         errors = np.sum(qpsk_demodulate(out[1:].ravel()) != bits[2 * 16:])
         assert errors == np.sum(qpsk_demodulate(ref[1:].ravel()) != bits[2 * 16:])
-        # a stream shorter than the symbols is zero-padded alike
-        short = rx.row()[:-100]
-        assert np.array_equal(ddam_ofdm_receive(short, link, n_sym),
-                              per_symbol_receive(short, link, n_sym))
+        # a frame ending with the last symbol suffices; one sample less is refused
+        end = link.align_start + n_sym * link.symbol_stride
+        exact = Frame(rx.row()[:end], rx.sample_rate)
+        assert np.array_equal(
+            ddam_ofdm_receive(exact, link, n_sym, pilot_symbol=symbols[0]), out)
+        with pytest.raises(ValueError, match="shorter"):
+            ddam_ofdm_receive(Frame(rx.row()[:end - 1], rx.sample_rate), link, n_sym)
 
     def test_transmit_shape_errors(self):
         _, link = doppler_scenario()

@@ -17,6 +17,7 @@ from wavelab.ddam import (
     DdamFrameConfig,
     PsiPerturbation,
     build_compensation_plan,
+    ddam_beam_modulate,
     ddam_demodulate,
     ddam_modulate,
     equivalent_channel,
@@ -312,6 +313,31 @@ class TestModulate:
                 power = np.sum(np.abs(frame.samples[:, :active]) ** 2) / active
                 assert power == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("criterion", ["mrt", "zf", "mmse"])
+    @pytest.mark.parametrize("mode", ["path_based", "tap_based"])
+    def test_beam_frame_is_the_antenna_block(self, criterion, mode):
+        # None of these beam sets is orthogonal, so the unit-power scale
+        # needs the off-diagonal terms of the beams' and streams' Grams.
+        rng = np.random.default_rng(8)
+        rate = 1e6
+        aods = sample_separated_aods(rng, 3, ArrayConfig(16))
+        paths = [PathParams(g, d / rate, f, a) for g, d, f, a in zip(
+            (rng.standard_normal(3) + 1j * rng.standard_normal(3)),
+            [3.0, 7.4, 12.8], [500.0, -200.0, 90.0], aods)]
+        psi = psi_from_channel(build_channel(ArrayConfig(16), paths, rate))
+        beams = path_beamformers(psi, criterion, noise_var=0.01)
+        plan = build_compensation_plan(psi, mode=mode, half_length=8)
+        s = random_qpsk(rng, 200)
+        frame = ddam_modulate(s, psi, beams, DdamFrameConfig(200), plan=plan)
+        beam_frame = ddam_beam_modulate(s, psi, beams, plan)
+        assert beam_frame.beams.shape == (16, 3)
+        assert beam_frame.sample_rate == rate
+        x = beam_frame.beams @ beam_frame.streams
+        assert x.shape == frame.samples.shape
+        assert np.max(np.abs(x - frame.samples)) <= 1e-12 * np.max(np.abs(frame.samples))
+        active = 200 + plan.max_kappa
+        assert np.sum(np.abs(x[:, :active]) ** 2) / active == pytest.approx(1.0, abs=1e-12)
+
     def test_guard_defaults_to_twice_n_max(self):
         psi = TestCompensationPlan().psi_with_delays([2, 5, 9])
         beams = path_beamformers(psi, "mrt")
@@ -326,6 +352,12 @@ class TestModulate:
             ddam_modulate(np.ones(8), psi, beams, DdamFrameConfig(16))
         with pytest.raises(ValueError):
             ddam_modulate([], psi, beams, DdamFrameConfig(1))
+        plan = build_compensation_plan(psi)
+        with pytest.raises(ValueError, match="non-empty"):
+            ddam_beam_modulate([], psi, beams, plan)
+        three = path_beamformers(TestCompensationPlan().psi_with_delays([0, 4, 6]), "mrt")
+        with pytest.raises(ValueError, match="path count"):
+            ddam_beam_modulate(np.ones(8), psi, three, plan)
 
 
 def per_term_synthesis(symbols, plan, beams, rate, total_len):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import wavelab.link as link
-from wavelab.channel import ArrayConfig, Frame, sample_random_channel
+from wavelab.channel import (
+    ArrayConfig,
+    BeamFrame,
+    Frame,
+    apply_channel,
+    sample_random_channel,
+)
 from wavelab.ddam import (
     AlignmentWindow,
     build_compensation_plan,
@@ -51,6 +57,30 @@ def test_receive_sees_only_the_frame_and_its_symbol_count(monkeypatch, runner, a
     getattr(link, runner)(windowed_channel(), *args, rng_seed=3, **options)
     assert [tuple(type(x) for x in r) for r in seen] == [(Frame, int)] * len(frame_symbols)
     assert [n for _, n in seen] == frame_symbols
+
+
+@pytest.mark.parametrize("runner, args, options, frame_symbols", RUNNERS,
+                         ids=[r[0] for r in RUNNERS])
+def test_channel_gets_beam_streams(monkeypatch, runner, args, options, frame_symbols):
+    # DDAM sends one stream per path beam and OTFS one beam; only MISO OFDM,
+    # whose precoder changes per subcarrier, sends M_t antenna rows.
+    sent = []
+
+    def spy(channel, tx, *rest, **kwargs):
+        sent.append(tx)
+        return apply_channel(channel, tx, *rest, **kwargs)
+
+    monkeypatch.setattr(link, "apply_channel", spy)
+    channel = windowed_channel()
+    getattr(link, runner)(channel, *args, rng_seed=3, **options)
+    assert len(sent) == len(frame_symbols)
+    if runner == "run_ofdm_ber":
+        assert all(type(tx) is Frame and tx.num_antennas == 16 for tx in sent)
+    else:
+        assert all(type(tx) is BeamFrame and tx.num_antennas == 16
+                   and len(tx.streams) <= channel.num_paths for tx in sent)
+    if runner == "run_otfs_ber":
+        assert all(len(tx.streams) == 1 for tx in sent)
 
 
 @pytest.mark.parametrize("options", [
