@@ -50,7 +50,6 @@ from .ddam import (
     PathStateInfo,
     PsiPerturbation,
     build_compensation_plan,
-    ddam_beam_modulate,
     ddam_demodulate,
     ddam_modulate,
     equivalent_channel,

@@ -410,8 +410,6 @@ def add_awgn(frame: Frame, snr_db: float, rng_seed) -> Frame:
     10^(snr_db/10), with the mean power measured over the frame itself.
     snr_db = +inf is the no-noise sentinel.  Deterministic under the seed.
     """
-    if frame.num_samples < 1:
-        raise ValueError("frame must be non-empty")
     if math.isinf(snr_db) and snr_db > 0:
         return frame
     power = float(np.mean(np.abs(frame.samples) ** 2))

@@ -252,12 +252,24 @@ _CONFIG = {
 }
 
 
+def _curve_label(entry) -> str:
+    """A papr_ccdf curve's CSV label: its own label, else its waveform and sizes."""
+    if entry["label"] is not None:
+        return entry["label"]
+    sizes = {"ofdm": "k{k}", "ddam": "l{l}_mt{mt}"}.get(entry["waveform"], "k{k}_m{m}")
+    return f"{entry['waveform']}_{sizes.format(**entry)}"
+
+
 def _cross_field(o):
     """Diagnostics of the rules that tie read fields together."""
     diags = []
     channel, waveform, window = o.get("channel", {}), o.get("waveform"), o.get("window")
+    curves = o.get("waveforms", [])
+    labels = [_curve_label(w) for w in curves]
+    diags += [f"waveforms[{i}].label: duplicate curve label '{label}'"
+              for i, label in enumerate(labels) if label in labels[:i]]
     fits = [(f"waveforms[{i}].l", w["l"], w["mt"])
-            for i, w in enumerate(o.get("waveforms", [])) if w["waveform"] == "ddam"]
+            for i, w in enumerate(curves) if w["waveform"] == "ddam"]
     if o.get("measure"):  # the measured modems run FFTs of k and m, and draw l AoDs
         sizes = [(f"k[{i}]", k) for i, k in enumerate(o["k"])] + [("m", o["m"])]
         diags += [f"{label}: must be a power of two when measure is true, got {v!r}"
@@ -381,23 +393,18 @@ def _run_papr_ccdf(o, out_dir):
         name = entry["waveform"]
         if name == "ofdm":
             gen = make_papr_generator("ofdm", num_subcarriers=entry["k"])
-            label = f"ofdm_k{entry['k']}"
         elif name in ("otfs_isfft", "otfs_zak"):
             gen = make_papr_generator(name, num_delay_bins=entry["k"],
                                       num_doppler_bins=entry["m"])
-            label = f"{name}_k{entry['k']}_m{entry['m']}"
         else:
             gen = make_papr_generator(
                 "ddam", num_paths=entry["l"], mt=entry["mt"],
                 block_len=entry["block_len"], criterion=entry["criterion"],
                 max_delay_samples=entry["max_delay_samples"],
                 max_doppler_hz=entry["max_doppler_hz"])
-            label = f"ddam_l{entry['l']}_mt{entry['mt']}"
-        if entry["label"] is not None:
-            label = entry["label"]
         ccdf = papr_ccdf(gen, o["trials"], rng_seed=np.random.SeedSequence([o["seed"], idx]),
                          oversample=o["oversample"])
-        rows.extend((label, t, p) for t, p in
+        rows.extend((_curve_label(entry), t, p) for t, p in
                     zip(ccdf.thresholds_db, ccdf.exceed_probability))
     return [_write_csv(os.path.join(out_dir, "papr_ccdf.csv"),
                        ["waveform", "threshold_db", "prob"], rows)]

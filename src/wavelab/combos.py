@@ -3,11 +3,12 @@
 DDAM-OFDM weights each subcarrier by the conjugate phase of the residual
 equivalent channel, OFDM-modulates with a reduced cyclic prefix sized to
 the residual delay window, and feeds the scalar stream through the DDAM
-time-domain chain.  DDAM-OTFS multiplexes symbols on the delay-Doppler
-grid and equalizes with the DD effective matrix of the compensated
-end-to-end channel, whose time-domain matrix comes from probing the chain
-with combs of unit impulses spaced by the chain's support, so one pass
-gives many columns.  Its functions take the plan, built per BER point,
+time-domain chain.  Both transmitters return ddam_modulate's BeamFrame, the
+L path streams on their beams.  DDAM-OTFS multiplexes symbols on the
+delay-Doppler grid and equalizes with the DD effective matrix of the
+compensated end-to-end channel, whose time-domain matrix comes from probing
+the chain with combs of unit impulses spaced by the chain's support, so one
+pass gives many columns.  Its functions take the plan, built per BER point,
 and the Gram H^H H of the effective matrix, built once per curve when the
 beams do not depend on the noise; the receiver equalizes all of a point's
 frames in one solve.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_HALF_LENGTH, Frame, MultipathChannel
+from .channel import DEFAULT_HALF_LENGTH, BeamFrame, Frame, MultipathChannel
 from .ddam import (
     AlignmentWindow,
     BeamformerSet,
@@ -88,15 +89,11 @@ def ddam_ofdm_link(psi: PathStateInfo, beams: BeamformerSet, ofdm_cfg: OfdmConfi
                         subcarrier_response=response)
 
 
-def _ofdm_stream(freq_symbols: np.ndarray, link: DdamOfdmLink) -> np.ndarray:
-    """The phase-aligned OFDM samples of (S x K) symbol rows, DDAM's input stream."""
-    grids = _symbol_rows(freq_symbols, link.ofdm_cfg.num_subcarriers)
-    return ofdm_modulate(link.subcarrier_weights * grids, link.ofdm_cfg).row()
-
-
-def ddam_ofdm_transmit_with_link(freq_symbols: np.ndarray, link: DdamOfdmLink) -> Frame:
+def ddam_ofdm_transmit_with_link(freq_symbols: np.ndarray,
+                                 link: DdamOfdmLink) -> BeamFrame:
     """Phase-align and OFDM-modulate (S x K) symbol rows, then DDAM-transmit them."""
-    stream = _ofdm_stream(freq_symbols, link)
+    grids = _symbol_rows(freq_symbols, link.ofdm_cfg.num_subcarriers)
+    stream = ofdm_modulate(link.subcarrier_weights * grids, link.ofdm_cfg).row()
     frame_cfg = DdamFrameConfig(block_len=len(stream))
     return ddam_modulate(stream, link.psi, link.beams, frame_cfg, plan=link.plan)
 
@@ -134,7 +131,7 @@ def ddam_ofdm_receive(rx: Frame, link: DdamOfdmLink, num_symbols: int,
 
 def ddam_otfs_transmit(grid: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
                        otfs_cfg: OtfsConfig, plan: CompensationPlan,
-                       variant: str = "zak") -> Frame:
+                       variant: str = "zak") -> BeamFrame:
     """OTFS-modulate the DD grid, then apply the DDAM time-domain chain of the plan."""
     modulate, _ = otfs_modem(variant)
     stream = modulate(grid, otfs_cfg).row()

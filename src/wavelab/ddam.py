@@ -18,11 +18,10 @@ Every term of a path shares the path's Doppler compensation, and the
 rotation above depends on the output sample n, not on kappa_t.  So
 synthesis runs one FIR per path over the symbols (its term weights at lags
 kappa_t) followed by one Doppler ramp, giving one stream per path beam.
-ddam_beam_modulate sends those L streams on their beams as a BeamFrame,
-normalized from L x L Grams, so a BER chain never forms the M_t antenna
-rows.  Only ddam_modulate and path_based_blocks, whose antenna samples
-the PAPR and complexity results read, form the (M_t x L) @ (L x N) beam
-product.
+ddam_modulate returns those L streams on their beams as a BeamFrame, with
+unit power set from L x L Grams, so no transmitter forms the M_t antenna
+rows.  Only path_based_blocks, whose samples the PAPR results read, forms
+the (M_t x L) @ (L x N) beam product.
 """
 
 from __future__ import annotations
@@ -137,14 +136,7 @@ def psi_from_channel(channel: MultipathChannel, perturbation: PsiPerturbation = 
         aods = np.clip(aods + perturbation.aod_err * rng.standard_normal(n), -1.0, np.nextafter(1.0, 0))
         gains = gains + perturbation.gain_err * (
             rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    return psi_from_paths(channel.array, rate, delays, dopplers, aods, gains)
-
-
-def psi_from_paths(array: ArrayConfig, sample_rate: float, delays: np.ndarray,
-                   dopplers: np.ndarray, aods: np.ndarray, gains: np.ndarray) -> PathStateInfo:
-    """PSI from per-path arrays, delays in samples; (..., L) arrays stack channels."""
-    return PathStateInfo(array=array, sample_rate=sample_rate, delays=delays,
-                         doppler_hz=dopplers, aod=aods, gain_estimate=gains)
+    return PathStateInfo(channel.array, rate, delays, dopplers, aods, gains)
 
 
 @dataclass(frozen=True)
@@ -361,10 +353,17 @@ def _doppler_ramp(nu: float, start: int, length: int, sample_rate: float) -> np.
     return np.exp(-2j * np.pi * nu * np.arange(start, start + length) / sample_rate)
 
 
-def _unit_power(x: np.ndarray, active: int):
-    """Scale the antenna rows in place to unit mean power over the first active samples."""
-    power = np.sum(np.abs(x[:, :active]) ** 2) / active
-    x *= 1.0 / math.sqrt(power)
+def _unit_power_beams(vectors: np.ndarray, streams: np.ndarray, active: int) -> np.ndarray:
+    """The beams scaled to unit mean power of vectors @ streams over active samples.
+
+    The product is not formed: the power comes from L x L Grams,
+    ||F S||^2 = sum_ij (F^H F)_ij (S S^H)_ji over the active span; the beams
+    need not be orthogonal, so the off-diagonal terms count.
+    """
+    s = streams[:, :active]
+    energy = np.sum((vectors.conj().T @ vectors) * (s @ s.conj().T).T).real
+    count(len(s) ** 2 * active)
+    return vectors / math.sqrt(energy / active)
 
 
 def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
@@ -373,10 +372,11 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
     """Scalar end-to-end map of the unnormalized DDAM chain over the channel.
 
     Each call sends the synthesized path streams on their beams as one
-    BeamFrame through one apply_channel.  The returned callable carries support = (lo, hi): an input impulse at j
-    reaches output rows j + lo .. j + hi only.  Synthesis delays each term
-    by its kappa and the channel spreads by its own support, so lo is the
-    smallest kappa plus the channel's lo and hi the largest kappa plus its hi.
+    BeamFrame through one apply_channel.  The returned callable carries
+    support = (lo, hi): an input impulse at j reaches output rows j + lo ..
+    j + hi only.  Synthesis delays each term by its kappa and the channel
+    spreads by its own support, so lo is the smallest kappa plus the
+    channel's lo and hi the largest kappa plus its hi.
     """
 
     def chain(signal: np.ndarray) -> np.ndarray:
@@ -398,10 +398,10 @@ def path_based_blocks(symbols: np.ndarray, psi: PathStateInfo,
     symbols is (T, N), one block per channel of the stacked psi (T, L) and
     beams (T, M_t, L).  The alignment and the path weights are derived once
     for the stack; each block then takes the arithmetic of ddam_modulate
-    (streams over the 2 * n_max guard, one beam product, unit power), so its
-    samples equal ddam_modulate's bit for bit.  Returns (samples
-    (T, M_t, W), span (T,)): block t over its active span N + its largest
-    kappa, zero past it, W the widest span.
+    (streams over the 2 * n_max guard, unit-power beams), and its samples,
+    the one beam product, equal ddam_modulate's beams @ streams bit for
+    bit.  Returns (samples (T, M_t, W), span (T,)): block t over its active
+    span N + its largest kappa, zero past it, W the widest span.
     """
     nearest = psi.nearest_delays()
     kappa, doppler_comp = _alignment(psi, AlignmentWindow(), nearest)
@@ -416,64 +416,34 @@ def path_based_blocks(symbols: np.ndarray, psi: PathStateInfo,
             row[k:k + n] = stream
             if nu != 0.0:
                 row[k:k + n] *= _doppler_ramp(nu, k, n, psi.sample_rate)
-        x = beams.vectors[t] @ streams
-        _unit_power(x, active)
+        x = _unit_power_beams(beams.vectors[t], streams, active) @ streams
         out[t, :, :active] = x[:, :active]
     return out, span
 
 
-def _checked_symbols(symbols: np.ndarray, psi: PathStateInfo,
-                     beams: BeamformerSet) -> np.ndarray:
+def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
+                  frame_cfg: DdamFrameConfig, plan: CompensationPlan = None) -> BeamFrame:
+    """Transmit one DDAM block: per-term alignment, guard tail, unit power.
+
+    Without a plan, the default path-based one is built.  Returns the L
+    path streams on their beams as a BeamFrame, which apply_channel takes;
+    the average power of its antenna samples beams @ streams over the
+    active span is 1, folded into the beams (see _unit_power_beams).
+    """
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
     if len(symbols) == 0:
         raise ValueError("symbol stream must be non-empty")
     if beams.num_paths != psi.num_paths:
         raise ValueError("beamformer set does not match the PSI path count")
-    return symbols
-
-
-def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
-                  frame_cfg: DdamFrameConfig, plan: CompensationPlan = None) -> Frame:
-    """Transmit one DDAM block: per-term alignment, guard tail, unit power.
-
-    Without a plan, the default path-based one is built.  The average
-    transmit power over the active span is normalized to 1.  Returns the
-    M_t antenna rows, which PAPR reads; ddam_beam_modulate sends the same
-    block without forming them.
-    """
-    symbols = _checked_symbols(symbols, psi, beams)
     if len(symbols) != frame_cfg.block_len:
         raise ValueError(
             f"got {len(symbols)} symbols for a block of {frame_cfg.block_len}")
     if plan is None:
         plan = build_compensation_plan(psi)
-    total = frame_cfg.block_len + 2 * plan.n_max
-    vectors, streams = _synthesize(symbols, plan, beams, psi.sample_rate, total)
-    x = vectors @ streams
-    count(x.size * len(streams))
-    _unit_power(x, len(symbols) + plan.max_kappa)
-    count(x.size)
-    return Frame(samples=x, sample_rate=psi.sample_rate)
-
-
-def ddam_beam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
-                       plan: CompensationPlan) -> BeamFrame:
-    """ddam_modulate's block as L streams on their beams, in the BER chains.
-
-    The same alignment, 2 * n_max guard tail and unit mean transmit power
-    over the active span, folded into the beams.  The power comes from L x L
-    Grams, ||F S||^2 = sum_ij (F^H F)_ij (S S^H)_ji over the active span;
-    the beams need not be orthogonal, so the off-diagonal terms count.  Its
-    beams @ streams equals ddam_modulate's samples up to round-off.
-    """
-    symbols = _checked_symbols(symbols, psi, beams)
     vectors, streams = _synthesize(symbols, plan, beams, psi.sample_rate,
-                                   len(symbols) + 2 * plan.n_max)
-    active = len(symbols) + plan.max_kappa
-    s = streams[:, :active]
-    energy = np.sum((vectors.conj().T @ vectors) * (s @ s.conj().T).T).real
-    count(len(s) ** 2 * active)
-    return BeamFrame(vectors / math.sqrt(energy / active), streams, psi.sample_rate)
+                                   frame_cfg.block_len + 2 * plan.n_max)
+    vectors = _unit_power_beams(vectors, streams, len(symbols) + plan.max_kappa)
+    return BeamFrame(vectors, streams, psi.sample_rate)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,12 @@ beams do not depend on the noise, one solve per BER point), and the
 combined pipelines.  Every BER runner is a (transmit, receive, frames)
 triple fed to one frame loop: draw bits, QPSK, transmit, apply_channel,
 add_awgn, receive the noisy frame, count bit errors.  The DDAM-family
-transmitters hand the channel a BeamFrame of L path streams on their
-beams and OTFS one stream on its beam, so no BER frame is built as M_t
-antenna rows except MISO OFDM's, whose precoder changes per subcarrier.
-The PAPR generators draw each trial's random values from its own
-generator and run everything after the draws over stacked chunks of
-trials.
+runners transmit with ddam_modulate or its combos wrappers, which return
+a BeamFrame of L path streams on their beams, and OTFS sends one stream
+on its beam: only MISO OFDM, whose precoder changes per subcarrier,
+sends M_t antenna rows.  The PAPR generators draw each trial's random
+values from its own generator and run everything after the draws over
+stacked chunks of trials.
 """
 
 from __future__ import annotations
@@ -36,24 +36,25 @@ from .channel import (
     steering_vector,
 )
 from .combos import (
-    _ofdm_stream,
     ddam_ofdm_link,
     ddam_ofdm_receive,
+    ddam_ofdm_transmit_with_link,
     ddam_otfs_effective_matrix,
     ddam_otfs_receive,
+    ddam_otfs_transmit,
 )
 from .ddam import (
     NOISE_FREE_CRITERIA,
     AlignmentWindow,
     DdamFrameConfig,
+    PathStateInfo,
     build_compensation_plan,
-    ddam_beam_modulate,
     ddam_demodulate,
+    ddam_modulate,
     equivalent_channel,
     path_based_blocks,
     path_beamformers,
     psi_from_channel,
-    psi_from_paths,
 )
 from .metrics import count, fft_multiplies
 from .modulation import qpsk_demodulate, qpsk_modulate, random_qpsk
@@ -207,7 +208,7 @@ def run_ddam_ber(channel: MultipathChannel, snr_db: float, num_symbols: int,
     eq = equivalent_channel(channel, psi, beams, plan=plan, half_length=half_length)
 
     def transmit(symbols):
-        return ddam_beam_modulate(symbols, psi, beams, plan)
+        return ddam_modulate(symbols, psi, beams, DdamFrameConfig(len(symbols)), plan)
 
     def receive(noisy, n):
         return ddam_demodulate(noisy, eq.dominant_gain, DdamFrameConfig(n),
@@ -303,7 +304,7 @@ def run_ddam_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
 
     def transmit(symbols):
         grid = np.concatenate([pilot[np.newaxis, :], symbols.reshape(num_symbols, k)])
-        return ddam_beam_modulate(_ofdm_stream(grid, link), psi, beams, link.plan)
+        return ddam_ofdm_transmit_with_link(grid, link)
 
     def receive(noisy, n):
         return ddam_ofdm_receive(noisy, link, num_symbols + 1, pilot_symbol=pilot)[1:]
@@ -338,11 +339,9 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
     else:
         h_dd, gram = build()
 
-    modulate, _ = otfs_modem(variant)
-
     def transmit(symbols):
         grid = symbols.reshape(cfg.num_delay_bins, cfg.num_doppler_bins)
-        return ddam_beam_modulate(modulate(grid, cfg).row(), psi, beams, plan)
+        return ddam_otfs_transmit(grid, psi, beams, cfg, plan, variant=variant)
 
     def receive(noisy, n):
         return noisy
@@ -419,8 +418,8 @@ def make_papr_generator(waveform: str, **params):
                         (-doppler, doppler), rng.integers(2 ** 63)))
                     symbols.append(random_qpsk(rng, block))
                 aods, delays, dopplers, gains = (np.array(v) for v in zip(*paths))
-                psi = psi_from_paths(array, PAPR_SAMPLE_RATE, delays * PAPR_SAMPLE_RATE,
-                                     dopplers, aods, gains)
+                psi = PathStateInfo(array, PAPR_SAMPLE_RATE, delays * PAPR_SAMPLE_RATE,
+                                    dopplers, aods, gains)
                 beams = path_beamformers(psi, criterion, noise_var=0.01)
                 yield path_based_blocks(np.array(symbols), psi, beams)
 

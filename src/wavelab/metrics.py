@@ -236,7 +236,9 @@ def measured_complexity(variant: str, p: ComplexityParams, rng_seed=0):
 
     Runs the transmitter and receiver chains on random data inside
     counting() blocks and normalizes by the number of information
-    symbols.  Beamformer construction is amortized over p.n_s.
+    symbols.  Beamformer construction is amortized over p.n_s.  DDAM's
+    transmitter returns a BeamFrame, so the antenna rows a radio sends,
+    beams @ streams, are formed and counted here.
     """
     from . import ddam as _ddam
     from . import link as _link
@@ -284,7 +286,9 @@ def measured_complexity(variant: str, p: ComplexityParams, rng_seed=0):
         block = 2048  # long enough that per-symbol cost dominates measurement noise
         symbols = (rng.standard_normal(block) + 1j * rng.standard_normal(block)) / np.sqrt(2)
         with counting() as tx_ops:
-            _ddam.ddam_modulate(symbols, psi, beams, _ddam.DdamFrameConfig(block))
+            tx = _ddam.ddam_modulate(symbols, psi, beams, _ddam.DdamFrameConfig(block))
+            x = tx.beams @ tx.streams  # the antenna rows a radio sends
+            count(x.size * len(tx.streams))
         return sum(tx_ops) / block + sum(bf_ops) / n_s, 1.0  # rx: one divide per symbol
 
     raise ValueError(f"unknown complexity variant {variant!r}")

@@ -205,6 +205,27 @@ class TestValidate:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"waveforms[1].{field}: ")
 
+    @pytest.mark.parametrize("curves,index,label", [
+        # the automatic DDAM label names only l and mt, not the criterion
+        ([{"waveform": "ddam", "l": 2, "mt": 4, "criterion": "zf"},
+          {"waveform": "ddam", "l": 2, "mt": 4, "criterion": "mrt"}], 1, "ddam_l2_mt4"),
+        ([{"waveform": "ofdm", "k": 16, "label": "x"},
+          {"waveform": "otfs_zak", "k": 8, "m": 4},
+          {"waveform": "ofdm", "k": 32, "label": "x"}], 2, "x"),
+        # an explicit label that repeats another curve's automatic one
+        ([{"waveform": "otfs_zak", "k": 8, "m": 4},
+          {"waveform": "ofdm", "k": 16, "label": "otfs_zak_k8_m4"}], 1, "otfs_zak_k8_m4"),
+    ], ids=["automatic", "explicit", "explicit_vs_automatic"])
+    def test_duplicate_papr_label_exits_config_error(self, tmp_path, capsys, curves, index,
+                                                     label):
+        doc = {"experiment": "papr_ccdf", "seed": 0, "trials": 3, "waveforms": curves}
+        cfg = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"waveforms[{index}].label: duplicate curve label '{label}'\n")
+        assert not (tmp_path / "out" / "papr_ccdf.csv").exists()
+
     @pytest.mark.parametrize("field,value,label", [
         ("channel.random.seed", "x", "channel.random.seed"),
         ("channel.random.delay_range_s", ["x", 1e-6], "channel.random.delay_range_s[0]"),

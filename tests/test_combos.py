@@ -66,7 +66,7 @@ class TestDdamOfdm:
         frame = ddam_ofdm_transmit_with_link(s, link)
         rotated = (link.subcarrier_weights[0] * s[:, 0])
         plain = ddam_modulate(rotated, psi, beams, DdamFrameConfig(40))
-        assert np.max(np.abs(frame.samples - plain.samples)) < 1e-12
+        assert np.max(np.abs(frame.beams @ frame.streams - plain.beams @ plain.streams)) < 1e-12
 
     @pytest.mark.parametrize("k", [16, 64])
     def test_ideal_zf_recovery(self, k):
@@ -171,7 +171,7 @@ class TestDdamOfdm:
         symbols = random_qpsk(rng, 3 * 32).reshape(3, 32)
         tx = ddam_ofdm_transmit_with_link(symbols, link)
         active = 3 * (32 + 4) + link.plan.max_kappa
-        power = np.sum(np.abs(tx.samples[:, :active]) ** 2) / active
+        power = np.sum(np.abs((tx.beams @ tx.streams)[:, :active]) ** 2) / active
         assert power == pytest.approx(1.0, abs=1e-12)
 
     def test_noiseless_ber_zero_over_random_scenarios(self):
@@ -247,7 +247,7 @@ class TestDdamOfdmSymbolBlocks:
         ref = ddam_modulate(stream, link.psi, link.beams,
                             DdamFrameConfig(len(stream)), plan=link.plan)
         tx = ddam_ofdm_transmit_with_link(symbols, link)
-        assert np.array_equal(tx.samples, ref.samples)
+        assert np.array_equal(tx.beams @ tx.streams, ref.beams @ ref.streams)
 
     @pytest.mark.parametrize("scenario,snr_db", [(doppler_scenario, 6.0),
                                                  (near_null_scenario, 25.0)])
@@ -367,7 +367,7 @@ class TestDdamOtfs:
         plan = build_compensation_plan(psi)
         tx = ddam_otfs_transmit(grid, psi, beams, cfg, plan)
         active = 32 + 4 + plan.max_kappa
-        power = np.sum(np.abs(tx.samples[:, :active]) ** 2) / active
+        power = np.sum(np.abs((tx.beams @ tx.streams)[:, :active]) ** 2) / active
         assert power == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["path_based", "tap_based"])

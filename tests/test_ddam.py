@@ -15,16 +15,15 @@ from wavelab.channel import (
 from wavelab.ddam import (
     AlignmentWindow,
     DdamFrameConfig,
+    PathStateInfo,
     PsiPerturbation,
     build_compensation_plan,
-    ddam_beam_modulate,
     ddam_demodulate,
     ddam_modulate,
     equivalent_channel,
     estimate_gain,
     path_beamformers,
     psi_from_channel,
-    psi_from_paths,
 )
 from wavelab.metrics import papr_db, qfunc
 from wavelab.modulation import qpsk_demodulate, random_qpsk
@@ -103,8 +102,8 @@ class TestPsi:
         assert psi.n_max == 8
         # halves round up; the residue, not d + 0.5, decides just below a half
         delays = np.array([7.5, 7.499999999999999, 0.49999999999999994])
-        psi = psi_from_paths(ArrayConfig(2), 1.0, delays, np.zeros(3), np.zeros(3),
-                             np.ones(3))
+        psi = PathStateInfo(ArrayConfig(2), 1.0, delays, np.zeros(3), np.zeros(3),
+                            np.ones(3))
         assert np.array_equal(psi.nearest_delays(), [8, 7, 0])
 
 
@@ -267,10 +266,11 @@ class TestModulate:
         beams = path_beamformers(psi, "mrt")
         rng = np.random.default_rng(5)
         s = random_qpsk(rng, 128)
-        frame = ddam_modulate(s, psi, beams, DdamFrameConfig(128))
-        assert frame.samples.shape == (4, 128)
-        assert np.allclose(frame.samples, np.outer(beams.vectors[:, 0], s), atol=1e-12)
-        assert papr_db(frame.samples) == pytest.approx(0.0, abs=1e-9)
+        tx = ddam_modulate(s, psi, beams, DdamFrameConfig(128))
+        x = tx.beams @ tx.streams
+        assert x.shape == (4, 128)
+        assert np.allclose(x, np.outer(beams.vectors[:, 0], s), atol=1e-12)
+        assert papr_db(x) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_direct_synthesis(self):
         rng = np.random.default_rng(6)
@@ -278,7 +278,7 @@ class TestModulate:
         psi = psi_from_channel(channel)
         beams = path_beamformers(psi, "zf")
         s = random_qpsk(rng, 64)
-        frame = ddam_modulate(s, psi, beams, DdamFrameConfig(64))
+        tx = ddam_modulate(s, psi, beams, DdamFrameConfig(64))
         # direct oracle: x[n] = sum_l sqrt(p_l) f_l e^{-j2pi nu_l n/B} s[n-kappa_l]
         n_max = psi.n_max
         total = 64 + 2 * n_max
@@ -292,7 +292,7 @@ class TestModulate:
                 beams.vectors[:, l], seg)
         active = 64 + max(kappas)
         x /= np.sqrt(np.sum(np.abs(x[:, :active]) ** 2) / active)
-        assert np.max(np.abs(frame.samples - x)) < 1e-12
+        assert np.max(np.abs(tx.beams @ tx.streams - x)) < 1e-12
 
     def test_power_conservation(self):
         rng = np.random.default_rng(7)
@@ -308,9 +308,9 @@ class TestModulate:
             beams = path_beamformers(psi, criterion, noise_var=0.01)
             for mode in ("path_based", "tap_based"):
                 plan = build_compensation_plan(psi, mode=mode, half_length=8)
-                frame = ddam_modulate(s, psi, beams, DdamFrameConfig(200), plan=plan)
+                tx = ddam_modulate(s, psi, beams, DdamFrameConfig(200), plan=plan)
                 active = 200 + plan.max_kappa
-                power = np.sum(np.abs(frame.samples[:, :active]) ** 2) / active
+                power = np.sum(np.abs((tx.beams @ tx.streams)[:, :active]) ** 2) / active
                 assert power == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("criterion", ["mrt", "zf", "mmse"])
@@ -318,6 +318,7 @@ class TestModulate:
     def test_beam_frame_is_the_antenna_block(self, criterion, mode):
         # None of these beam sets is orthogonal, so the unit-power scale
         # needs the off-diagonal terms of the beams' and streams' Grams.
+        # The oracle normalizes the antenna rows themselves.
         rng = np.random.default_rng(8)
         rate = 1e6
         aods = sample_separated_aods(rng, 3, ArrayConfig(16))
@@ -328,22 +329,23 @@ class TestModulate:
         beams = path_beamformers(psi, criterion, noise_var=0.01)
         plan = build_compensation_plan(psi, mode=mode, half_length=8)
         s = random_qpsk(rng, 200)
-        frame = ddam_modulate(s, psi, beams, DdamFrameConfig(200), plan=plan)
-        beam_frame = ddam_beam_modulate(s, psi, beams, plan)
-        assert beam_frame.beams.shape == (16, 3)
-        assert beam_frame.sample_rate == rate
-        x = beam_frame.beams @ beam_frame.streams
-        assert x.shape == frame.samples.shape
-        assert np.max(np.abs(x - frame.samples)) <= 1e-12 * np.max(np.abs(frame.samples))
+        tx = ddam_modulate(s, psi, beams, DdamFrameConfig(200), plan=plan)
+        assert tx.beams.shape == (16, 3)
+        assert tx.sample_rate == rate
+        x = tx.beams @ tx.streams
         active = 200 + plan.max_kappa
+        oracle = per_term_synthesis(s, plan, beams, rate, 200 + 2 * plan.n_max)
+        oracle /= np.sqrt(np.sum(np.abs(oracle[:, :active]) ** 2) / active)
+        assert x.shape == oracle.shape
+        assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
         assert np.sum(np.abs(x[:, :active]) ** 2) / active == pytest.approx(1.0, abs=1e-12)
 
     def test_guard_defaults_to_twice_n_max(self):
         psi = TestCompensationPlan().psi_with_delays([2, 5, 9])
         beams = path_beamformers(psi, "mrt")
-        frame = ddam_modulate(np.ones(32), psi, beams, DdamFrameConfig(32))
-        assert frame.num_samples == 32 + 18
-        assert np.all(frame.samples[:, -9:] == 0)  # flush tail is silent
+        tx = ddam_modulate(np.ones(32), psi, beams, DdamFrameConfig(32))
+        assert tx.streams.shape[1] == 32 + 18
+        assert np.all(tx.streams[:, -9:] == 0)  # flush tail is silent
 
     def test_input_validation(self):
         psi = TestCompensationPlan().psi_with_delays([0, 4])
@@ -352,12 +354,11 @@ class TestModulate:
             ddam_modulate(np.ones(8), psi, beams, DdamFrameConfig(16))
         with pytest.raises(ValueError):
             ddam_modulate([], psi, beams, DdamFrameConfig(1))
-        plan = build_compensation_plan(psi)
         with pytest.raises(ValueError, match="non-empty"):
-            ddam_beam_modulate([], psi, beams, plan)
+            ddam_modulate([], psi, beams, DdamFrameConfig(1), build_compensation_plan(psi))
         three = path_beamformers(TestCompensationPlan().psi_with_delays([0, 4, 6]), "mrt")
         with pytest.raises(ValueError, match="path count"):
-            ddam_beam_modulate(np.ones(8), psi, three, plan)
+            ddam_modulate(np.ones(8), psi, three, DdamFrameConfig(8))
 
 
 def per_term_synthesis(symbols, plan, beams, rate, total_len):
@@ -400,12 +401,12 @@ class TestSynthesisOracle:
                                        window=AlignmentWindow(*window),
                                        half_length=self.HALF)
         s = random_qpsk(rng, 96)
-        frame = ddam_modulate(s, psi, beams, DdamFrameConfig(96), plan=plan)
+        tx = ddam_modulate(s, psi, beams, DdamFrameConfig(96), plan=plan)
         x = per_term_synthesis(s, plan, beams, self.RATE, 96 + 2 * plan.n_max)
         active = 96 + plan.max_kappa
         x /= np.sqrt(np.sum(np.abs(x[:, :active]) ** 2) / active)
-        assert frame.samples.shape == x.shape
-        assert np.max(np.abs(frame.samples - x)) < 1e-12
+        assert tx.streams.shape[1] == x.shape[1]
+        assert np.max(np.abs(tx.beams @ tx.streams - x)) < 1e-12
 
         eq = equivalent_channel(channel, psi, beams, plan=plan, half_length=self.HALF)
         probe = per_term_synthesis(np.ones(1), plan, beams, self.RATE, 1 + plan.max_kappa)
@@ -604,9 +605,9 @@ class TestPaprScaling:
                 psi = psi_from_channel(channel)
                 beams = path_beamformers(psi, "zf", power_allocation="uniform")
                 s = random_qpsk(rng, 256)
-                frame = ddam_modulate(s, psi, beams, DdamFrameConfig(256))
+                tx = ddam_modulate(s, psi, beams, DdamFrameConfig(256))
                 plan = build_compensation_plan(psi)
-                values.append(papr_db(frame.samples[:, :256 + plan.max_kappa]))
+                values.append(papr_db((tx.beams @ tx.streams)[:, :256 + plan.max_kappa]))
             percentiles.append(np.percentile(values, 99.9))
         assert all(a <= b + 1e-9 for a, b in zip(percentiles, percentiles[1:]))
         assert percentiles[0] == pytest.approx(0.0, abs=1e-6)

@@ -59,18 +59,35 @@ def test_receive_sees_only_the_frame_and_its_symbol_count(monkeypatch, runner, a
     assert [n for _, n in seen] == frame_symbols
 
 
+# The public transmitter each DDAM-family runner builds its frames with.
+TRANSMITTERS = {"run_ddam_ber": "ddam_modulate",
+                "run_ddam_ofdm_ber": "ddam_ofdm_transmit_with_link",
+                "run_ddam_otfs_ber": "ddam_otfs_transmit"}
+
+
 @pytest.mark.parametrize("runner, args, options, frame_symbols", RUNNERS,
                          ids=[r[0] for r in RUNNERS])
 def test_channel_gets_beam_streams(monkeypatch, runner, args, options, frame_symbols):
     # DDAM sends one stream per path beam and OTFS one beam; only MISO OFDM,
-    # whose precoder changes per subcarrier, sends M_t antenna rows.
+    # whose precoder changes per subcarrier, sends M_t antenna rows.  A
+    # DDAM-family runner calls its transmitter once per frame and sends
+    # that very frame.
     sent = []
+    made = {name: [] for name in TRANSMITTERS.values()}
 
     def spy(channel, tx, *rest, **kwargs):
         sent.append(tx)
         return apply_channel(channel, tx, *rest, **kwargs)
 
+    def recording(name, transmit):
+        def record(*a, **kw):
+            made[name].append(transmit(*a, **kw))
+            return made[name][-1]
+        return record
+
     monkeypatch.setattr(link, "apply_channel", spy)
+    for name in made:
+        monkeypatch.setattr(link, name, recording(name, getattr(link, name)))
     channel = windowed_channel()
     getattr(link, runner)(channel, *args, rng_seed=3, **options)
     assert len(sent) == len(frame_symbols)
@@ -81,6 +98,10 @@ def test_channel_gets_beam_streams(monkeypatch, runner, args, options, frame_sym
                    and len(tx.streams) <= channel.num_paths for tx in sent)
     if runner == "run_otfs_ber":
         assert all(len(tx.streams) == 1 for tx in sent)
+    assert {name: len(txs) for name, txs in made.items()} == {
+        name: len(sent) if name == TRANSMITTERS.get(runner) else 0 for name in made}
+    if runner in TRANSMITTERS:
+        assert all(a is b for a, b in zip(sent, made[TRANSMITTERS[runner]]))
 
 
 @pytest.mark.parametrize("options", [

@@ -7,11 +7,11 @@ import wavelab.link as link
 from wavelab.channel import ArrayConfig, sample_random_channel
 from wavelab.ddam import (
     DdamFrameConfig,
+    PathStateInfo,
     build_compensation_plan,
     ddam_modulate,
     path_beamformers,
     psi_from_channel,
-    psi_from_paths,
 )
 from wavelab.link import make_papr_generator
 from wavelab.metrics import (
@@ -174,7 +174,7 @@ def oracle_generator(waveform, **params):
         plan = build_compensation_plan(psi)
         symbols = random_qpsk(rng, block)
         frame = ddam_modulate(symbols, psi, beams, DdamFrameConfig(block), plan=plan)
-        return frame.samples[:, :block + plan.max_kappa]
+        return (frame.beams @ frame.streams)[:, :block + plan.max_kappa]
 
     return gen
 
@@ -266,12 +266,12 @@ class TestPaprChunkOracle:
     def test_stacked_rank_check_names_the_collinear_trial_paths(self):
         aods = np.array([[0.1, -0.4, 0.7], [0.3, -0.2, -0.2]])
         shape = aods.shape
-        psi = psi_from_paths(ArrayConfig(8), 1e6, np.zeros(shape), np.zeros(shape),
-                             aods, np.ones(shape, dtype=complex))
+        psi = PathStateInfo(ArrayConfig(8), 1e6, np.zeros(shape), np.zeros(shape),
+                            aods, np.ones(shape, dtype=complex))
         with pytest.raises(ValueError, match="paths 1 and 2 are nearly collinear"):
             path_beamformers(psi, "zf")
-        single = psi_from_paths(ArrayConfig(8), 1e6, np.zeros(3), np.zeros(3),
-                                aods[1], np.ones(3, dtype=complex))
+        single = PathStateInfo(ArrayConfig(8), 1e6, np.zeros(3), np.zeros(3),
+                               aods[1], np.ones(3, dtype=complex))
         with pytest.raises(ValueError, match="paths 1 and 2 are nearly collinear"):
             path_beamformers(single, "zf")
 
@@ -283,11 +283,11 @@ class TestPaprChunkOracle:
         delays = rng.uniform(0, 30, size=aods.shape)
         array = ArrayConfig(8)
         stacked = path_beamformers(
-            psi_from_paths(array, 1e6, delays, np.zeros(aods.shape), aods, gains),
+            PathStateInfo(array, 1e6, delays, np.zeros(aods.shape), aods, gains),
             criterion, noise_var=0.05)
         for t in range(len(aods)):
             one = path_beamformers(
-                psi_from_paths(array, 1e6, delays[t], np.zeros(3), aods[t], gains[t]),
+                PathStateInfo(array, 1e6, delays[t], np.zeros(3), aods[t], gains[t]),
                 criterion, noise_var=0.05)
             assert np.allclose(stacked.vectors[t], one.vectors, rtol=0, atol=1e-12)
             assert np.allclose(stacked.power_allocation[t], one.power_allocation,

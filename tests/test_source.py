@@ -65,3 +65,28 @@ def test_every_dataclass_field_is_read():
     unread = [f"{cls}.{name}" for path in MODULES
               for cls, name in dataclass_fields(path.read_text()) if name not in read]
     assert unread == []
+
+
+def uncalled_private_helpers(sources: list) -> list:
+    """Module-level private (_name) functions and classes that no other
+    top-level statement of any of the sources reads, in source order."""
+    statements = [node for source in sources for node in ast.parse(source).body]
+    reads = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+              if isinstance(n, (ast.Name, ast.Attribute))} for node in statements]
+    return [node.name for i, node in enumerate(statements)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not any(node.name in r for j, r in enumerate(reads) if j != i)]
+
+
+def test_uncalled_private_helpers_detects_left_behind_helpers():
+    a = ("def _used():\n    pass\n\ndef _self_only():\n    return _self_only()\n\n"
+         "class _Dead:\n    pass\n\ndef _imported_only():\n    pass\n\n"
+         "def public():\n    return _used()\n")
+    b = "from .a import _imported_only\n\nx = m._attr_read\n"
+    c = "def _attr_read():\n    pass\n"
+    assert uncalled_private_helpers([a, b, c]) == ["_self_only", "_Dead", "_imported_only"]
+
+
+def test_every_private_helper_has_a_caller():
+    assert uncalled_private_helpers([p.read_text() for p in MODULES]) == []
