@@ -29,6 +29,9 @@ FRACTIONAL_TOL = 1e-9
 # Default half-length of the windowed-sinc fractional delay filter.
 DEFAULT_HALF_LENGTH = 32
 
+# phasor splits each sample index as n = PHASOR_BLOCK * q + r.
+PHASOR_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -182,6 +185,23 @@ def steering_vector(aod, array: ArrayConfig) -> np.ndarray:
     return np.exp(1j * np.pi * m * (2.0 * array.element_spacing) * aod)
 
 
+def phasor(freq_hz: float, start: int, length: int, sample_rate: float) -> np.ndarray:
+    """exp(j*2*pi*freq_hz*n/B) for n = start .. start + length - 1.
+
+    With n = PHASOR_BLOCK * q + r, the ramp is the flattened outer product
+    of a coarse exp table over q and a fine one over r: about
+    length / PHASOR_BLOCK + PHASOR_BLOCK exps, not one per sample.  The
+    split is on the absolute n, so any slice equals the same samples of a
+    longer ramp.
+    """
+    first, last = start // PHASOR_BLOCK, -(-(start + length) // PHASOR_BLOCK)
+    step = 2j * np.pi * freq_hz / sample_rate
+    coarse = np.exp(step * PHASOR_BLOCK * np.arange(first, last))
+    fine = np.exp(step * np.arange(PHASOR_BLOCK))
+    offset = start - first * PHASOR_BLOCK
+    return (coarse[:, np.newaxis] * fine).ravel()[offset:offset + length]
+
+
 def build_channel(array: ArrayConfig, paths, sample_rate: float) -> MultipathChannel:
     """Assemble a channel from explicit per-path parameters."""
     return MultipathChannel(array=array, paths=tuple(paths), sample_rate=sample_rate)
@@ -290,7 +310,8 @@ class ScalarChannel:
     """Scalar channel of (gain, delay_samples, doppler_hz) taps.
 
     y[n] = sum_l gain_l * exp(j*2*pi*doppler_l*n/B) * x_l[n - delay_l], with
-    the Doppler ramp indexed by the receiver clock.  A 1-D signal goes
+    the Doppler ramp indexed by the receiver clock and taken from phasor,
+    so matrix and __call__ read the same ramp samples.  A 1-D signal goes
     through every tap; an (L x N) block sends row l through tap l.  Each
     tap's delay filter (delay_filter: one FIR, even for an integer delay)
     is built once, with the object.
@@ -340,9 +361,8 @@ class ScalarChannel:
             segment = np.convolve(signal[l] if signal.ndim == 2 else signal, fir)
             if start < 0:
                 segment, start = segment[-start:], 0
-            n = np.arange(start, start + len(segment))
-            y[start:start + len(segment)] += gain * np.exp(
-                2j * np.pi * doppler_hz * n / self.sample_rate) * segment
+            y[start:start + len(segment)] += gain * phasor(
+                doppler_hz, start, len(segment), self.sample_rate) * segment
         return y
 
     def matrix(self, n_in: int) -> np.ndarray:
@@ -353,9 +373,8 @@ class ScalarChannel:
         """
         n_out = n_in + self._tail
         h = np.zeros((n_out, n_in), dtype=np.complex128)
-        n = np.arange(n_out)
         for (gain, _, doppler_hz), (start, fir) in zip(self.taps, self._filters):
-            ramp = gain * np.exp(2j * np.pi * doppler_hz * n / self.sample_rate)
+            ramp = gain * phasor(doppler_hz, 0, n_out, self.sample_rate)
             lag, col = np.indices((len(fir), n_in)).reshape(2, -1)
             row = start + lag + col
             keep = row >= 0

@@ -17,11 +17,11 @@ for compensation headroom.
 Every term of a path shares the path's Doppler compensation, and the
 rotation above depends on the output sample n, not on kappa_t.  So
 synthesis runs one FIR per path over the symbols (its term weights at lags
-kappa_t) followed by one Doppler ramp, giving one stream per path beam.
-ddam_modulate returns those L streams on their beams as a BeamFrame, with
-unit power set from L x L Grams, so no transmitter forms the M_t antenna
-rows.  Only path_based_blocks, whose samples the PAPR results read, forms
-the (M_t x L) @ (L x N) beam product.
+kappa_t) followed by one Doppler ramp from channel.phasor, giving one
+stream per path beam.  ddam_modulate returns those L streams on their beams
+as a BeamFrame, with unit power set from L x L Grams, so no transmitter
+forms the M_t antenna rows.  Only path_based_blocks, whose samples the PAPR
+results read, forms the (M_t x L) @ (L x N) beam product.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .channel import (
     MultipathChannel,
     apply_channel,
     delay_filter,
+    phasor,
     steering_vector,
 )
 from .metrics import count
@@ -343,14 +344,9 @@ def _synthesize(symbols: np.ndarray, plan: CompensationPlan, beams: BeamformerSe
         out = row[lo:lo + len(fir) - 1 + n]
         out[:] = np.convolve(symbols, fir)
         if nu != 0.0:
-            out *= _doppler_ramp(nu, lo, len(out), sample_rate)
+            out *= phasor(-nu, lo, len(out), sample_rate)
         count(len(fir) * n + (len(out) if nu != 0.0 else 0))
     return beams.vectors[:, list(paths)], streams
-
-
-def _doppler_ramp(nu: float, start: int, length: int, sample_rate: float) -> np.ndarray:
-    """Doppler pre-rotation exp(-j*2*pi*nu*n/B) at samples start .. start + length - 1."""
-    return np.exp(-2j * np.pi * nu * np.arange(start, start + length) / sample_rate)
 
 
 def _unit_power_beams(vectors: np.ndarray, streams: np.ndarray, active: int) -> np.ndarray:
@@ -415,7 +411,7 @@ def path_based_blocks(symbols: np.ndarray, psi: PathStateInfo,
         for row, k, nu, stream in zip(streams, kappa[t], doppler_comp[t], weighted[t]):
             row[k:k + n] = stream
             if nu != 0.0:
-                row[k:k + n] *= _doppler_ramp(nu, k, n, psi.sample_rate)
+                row[k:k + n] *= phasor(-nu, k, n, psi.sample_rate)
         x = _unit_power_beams(beams.vectors[t], streams, active) @ streams
         out[t, :, :active] = x[:, :active]
     return out, span

@@ -17,6 +17,7 @@ from wavelab.channel import (
     channel_from_json,
     channel_to_json,
     fractional_delay_taps,
+    phasor,
     sample_random_channel,
     sample_separated_aods,
     steering_vector,
@@ -77,6 +78,29 @@ class TestSteeringVector:
             steering_vector(1.0, ArrayConfig(4))
         with pytest.raises(ValueError):
             steering_vector(-1.0001, ArrayConfig(4))
+
+
+class TestPhasor:
+    RATE = 1e6
+
+    @pytest.mark.parametrize("start", [0, 1, 511, 512, 513, 1000])
+    @pytest.mark.parametrize("length", [0, 1, 511, 512, 1025])
+    def test_slice_equals_longer_ramp(self, start, length):
+        # The block split is on the absolute sample index, so a ramp that
+        # starts mid-block reads the same bits as a ramp from sample 0.
+        f = 1734.25
+        ramp = phasor(f, start, length, self.RATE)
+        assert len(ramp) == length
+        assert np.array_equal(ramp, phasor(f, 0, start + length, self.RATE)[start:])
+
+    def test_zero_frequency_is_exactly_one(self):
+        assert np.array_equal(phasor(0.0, 37, 1500, self.RATE), np.ones(1500))
+
+    @pytest.mark.parametrize("freq_hz", [2e3, -2e3])
+    def test_matches_direct_exp_over_long_block(self, freq_hz):
+        n = np.arange(100_000)
+        direct = np.exp(2j * np.pi * freq_hz * n / self.RATE)
+        assert_close_relative(phasor(freq_hz, 0, len(n), self.RATE), direct)
 
 
 class TestBuildChannel:
@@ -352,9 +376,10 @@ class TestScalarTapOracle:
     @pytest.mark.parametrize("half_length", [4, 32])
     def test_matches_per_path_loop(self, mt, delays, half_length):
         channel = self.channel(mt, delays)
-        tx = self.frame(mt)
-        y = apply_channel(channel, tx, half_length=half_length).row()
-        assert_close_relative(y, reference_apply_channel(channel, tx, half_length))
+        for n in (96, 20_000):  # within one and across many phasor blocks
+            tx = self.frame(mt, n)
+            y = apply_channel(channel, tx, half_length=half_length).row()
+            assert_close_relative(y, reference_apply_channel(channel, tx, half_length))
 
     @pytest.mark.parametrize("delays", [(1.25, 4.6, 9.5), (0.0, 2.4, 5.0, 11.75)])
     @pytest.mark.parametrize("half_length", [8, 32])
@@ -424,7 +449,7 @@ class TestScalarTapOracle:
         ((0.8, 0.0, 0.0), (0.3 - 0.2j, 2.0, 350.0)),               # integer
         ((0.8, 0.3, 120.0), (0.3 - 0.2j, 2.4, 350.0), (0.1j, 6.5, -90.0)),
     ])
-    @pytest.mark.parametrize("n_in", [1, 13, 40])
+    @pytest.mark.parametrize("n_in", [1, 13, 40, 520])  # 520: past one phasor block
     def test_matrix_columns_are_impulse_responses(self, taps, n_in):
         scalar = ScalarChannel(taps, self.RATE, half_length=6)
         h = scalar.matrix(n_in)

@@ -395,15 +395,15 @@ class TestSynthesisOracle:
         psi = psi_from_channel(channel)
         return rng, channel, psi, path_beamformers(psi, "zf")
 
-    def check(self, seed, delays, window=(0, 0.0)):
+    def check(self, seed, delays, window=(0, 0.0), n=96):
         rng, channel, psi, beams = self.scenario(seed, delays)
         plan = build_compensation_plan(psi, mode="tap_based",
                                        window=AlignmentWindow(*window),
                                        half_length=self.HALF)
-        s = random_qpsk(rng, 96)
-        tx = ddam_modulate(s, psi, beams, DdamFrameConfig(96), plan=plan)
-        x = per_term_synthesis(s, plan, beams, self.RATE, 96 + 2 * plan.n_max)
-        active = 96 + plan.max_kappa
+        s = random_qpsk(rng, n)
+        tx = ddam_modulate(s, psi, beams, DdamFrameConfig(n), plan=plan)
+        x = per_term_synthesis(s, plan, beams, self.RATE, n + 2 * plan.n_max)
+        active = n + plan.max_kappa
         x /= np.sqrt(np.sum(np.abs(x[:, :active]) ** 2) / active)
         assert tx.streams.shape[1] == x.shape[1]
         assert np.max(np.abs(tx.beams @ tx.streams - x)) < 1e-12
@@ -419,6 +419,12 @@ class TestSynthesisOracle:
     def test_tap_based_fractional(self, seed):
         plan = self.check(seed, [3.5, 7.25, 12.4])
         assert len(plan.terms) > 3
+
+    def test_block_past_one_phasor_block(self):
+        # 600 symbols: the Doppler ramps of the paths with nonzero kappa
+        # start mid-block and cross the 512-sample phasor block boundary.
+        plan = self.check(7, [3.5, 7.25, 12.4], n=600)
+        assert any(t.kappa > 0 and t.doppler_comp_hz != 0.0 for t in plan.terms)
 
     def test_doppler_window(self):
         plan = self.check(5, [2.3, 6.5, 9.8], window=(2, 1500.0))

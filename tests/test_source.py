@@ -90,3 +90,50 @@ def test_uncalled_private_helpers_detects_left_behind_helpers():
 
 def test_every_private_helper_has_a_caller():
     assert uncalled_private_helpers([p.read_text() for p in MODULES]) == []
+
+
+# The functions allowed to call np.exp.  Per-sample Doppler ramps come from
+# channel.phasor; the others evaluate a few values each: one per antenna,
+# the DFT of a short FIR, one per symbol centre.
+EXP_CALLERS = {
+    "channel.phasor",
+    "channel.steering_vector",
+    "channel.ScalarChannel.frequency_response",
+    "link.ofdm_genie_response",
+}
+
+
+def exp_call_sites(module: str, source: str) -> list:
+    """Qualified name (module.Class.function) of the scope of each np.exp call."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "np.exp":
+                sites.append(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_exp_call_sites_names_each_scope():
+    # The three per-sample ramp shapes phasor replaced: inline in a method,
+    # in a local, and in a module-level helper; plus a call at module level.
+    source = ("import numpy as np\n\nx = np.exp(0)\n\n"
+              "class ScalarChannel:\n    def __call__(self, n):\n"
+              "        return np.exp(2j * n) * np.sqrt(n)\n\n"
+              "    def matrix(self, n):\n        ramp = np.exp(2j * n)\n"
+              "        return [np.exp(r) for r in ramp]\n\n"
+              "def _doppler_ramp(nu, n):\n    return np.exp(-2j * nu * n)\n")
+    assert exp_call_sites("m", source) == [
+        "m", "m.ScalarChannel.__call__", "m.ScalarChannel.matrix",
+        "m.ScalarChannel.matrix", "m._doppler_ramp"]
+
+
+def test_np_exp_only_in_allowed_functions():
+    sites = {site for path in MODULES for site in exp_call_sites(path.stem, path.read_text())}
+    assert sorted(sites - EXP_CALLERS) == []
