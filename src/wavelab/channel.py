@@ -406,6 +406,7 @@ def apply_channel(channel: MultipathChannel, tx: Frame | BeamFrame,
     the steering projection A^H x gives one row per path, which the
     channel's scalar taps delay, rotate and sum (see ScalarChannel).  For a
     BeamFrame, x = F S and the projection is (A^H F) S, L x R times R x N.
+    Every BER runner sends a BeamFrame; antenna rows are the reference form.
     """
     if tx.num_antennas != channel.array.num_tx_antennas:
         raise ValueError(

@@ -25,7 +25,6 @@ from .ddam import (
     AlignmentWindow,
     BeamformerSet,
     CompensationPlan,
-    DdamFrameConfig,
     EquivalentChannel,
     PathStateInfo,
     build_compensation_plan,
@@ -94,8 +93,7 @@ def ddam_ofdm_transmit_with_link(freq_symbols: np.ndarray,
     """Phase-align and OFDM-modulate (S x K) symbol rows, then DDAM-transmit them."""
     grids = _symbol_rows(freq_symbols, link.ofdm_cfg.num_subcarriers)
     stream = ofdm_modulate(link.subcarrier_weights * grids, link.ofdm_cfg).row()
-    frame_cfg = DdamFrameConfig(block_len=len(stream))
-    return ddam_modulate(stream, link.psi, link.beams, frame_cfg, plan=link.plan)
+    return ddam_modulate(stream, link.psi, link.beams, plan=link.plan)
 
 
 def ddam_ofdm_receive(rx: Frame, link: DdamOfdmLink, num_symbols: int,
@@ -135,8 +133,7 @@ def ddam_otfs_transmit(grid: np.ndarray, psi: PathStateInfo, beams: BeamformerSe
     """OTFS-modulate the DD grid, then apply the DDAM time-domain chain of the plan."""
     modulate, _ = otfs_modem(variant)
     stream = modulate(grid, otfs_cfg).row()
-    frame_cfg = DdamFrameConfig(block_len=len(stream))
-    return ddam_modulate(stream, psi, beams, frame_cfg, plan=plan)
+    return ddam_modulate(stream, psi, beams, plan=plan)
 
 
 def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,

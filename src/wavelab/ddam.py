@@ -418,26 +418,28 @@ def path_based_blocks(symbols: np.ndarray, psi: PathStateInfo,
 
 
 def ddam_modulate(symbols: np.ndarray, psi: PathStateInfo, beams: BeamformerSet,
-                  frame_cfg: DdamFrameConfig, plan: CompensationPlan = None) -> BeamFrame:
+                  frame_cfg: DdamFrameConfig = None,
+                  plan: CompensationPlan = None) -> BeamFrame:
     """Transmit one DDAM block: per-term alignment, guard tail, unit power.
 
-    Without a plan, the default path-based one is built.  Returns the L
-    path streams on their beams as a BeamFrame, which apply_channel takes;
-    the average power of its antenna samples beams @ streams over the
-    active span is 1, folded into the beams (see _unit_power_beams).
+    The block is the symbols given; a passed frame_cfg must match their
+    count.  Without a plan, the default path-based one is built.  Returns
+    the L path streams on their beams as a BeamFrame; the average power of
+    its antenna samples beams @ streams over the active span is 1, folded
+    into the beams (see _unit_power_beams).
     """
     symbols = np.asarray(symbols, dtype=np.complex128).ravel()
     if len(symbols) == 0:
         raise ValueError("symbol stream must be non-empty")
     if beams.num_paths != psi.num_paths:
         raise ValueError("beamformer set does not match the PSI path count")
-    if len(symbols) != frame_cfg.block_len:
+    if frame_cfg is not None and len(symbols) != frame_cfg.block_len:
         raise ValueError(
             f"got {len(symbols)} symbols for a block of {frame_cfg.block_len}")
     if plan is None:
         plan = build_compensation_plan(psi)
     vectors, streams = _synthesize(symbols, plan, beams, psi.sample_rate,
-                                   frame_cfg.block_len + 2 * plan.n_max)
+                                   len(symbols) + 2 * plan.n_max)
     vectors = _unit_power_beams(vectors, streams, len(symbols) + plan.max_kappa)
     return BeamFrame(vectors, streams, psi.sample_rate)
 

@@ -7,13 +7,12 @@ beam and dense DD-domain MMSE (H and H^H H built once per curve when the
 beams do not depend on the noise, one solve per BER point), and the
 combined pipelines.  Every BER runner is a (transmit, receive, frames)
 triple fed to one frame loop: draw bits, QPSK, transmit, apply_channel,
-add_awgn, receive the noisy frame, count bit errors.  The DDAM-family
-runners transmit with ddam_modulate or its combos wrappers, which return
-a BeamFrame of L path streams on their beams, and OTFS sends one stream
-on its beam: only MISO OFDM, whose precoder changes per subcarrier,
-sends M_t antenna rows.  The PAPR generators draw each trial's random
-values from its own generator and run everything after the draws over
-stacked chunks of trials.
+add_awgn, receive the noisy frame, count bit errors.  Every transmitter
+returns a BeamFrame: the DDAM family sends L path streams on their beams,
+OTFS one stream on its beam, and MISO OFDM L streams on the L steering
+vectors, since its per-subcarrier MRT lies in their span.  The PAPR
+generators draw each trial's random values from its own generator and run
+everything after the draws over stacked chunks of trials.
 """
 
 from __future__ import annotations
@@ -95,13 +94,13 @@ def _run_frames(channel: MultipathChannel, snr_db: float, rngs, frame_symbols,
                 half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
     """Monte Carlo BER: one frame of frame_symbols[i] QPSK symbols per rngs[i].
 
-    Per frame: draw the bits, transmit(symbols) -> Frame or BeamFrame,
-    apply_channel, add_awgn (seeded from the frame's generator), then
-    receive(noisy, n) with the frame's symbol count n.  Without equalize,
-    receive returns the frame's equalized symbols and their bit errors are
-    counted frame by frame, so no frame is held.  With equalize, the
-    point's receive outputs are held and equalize(list of them) returns
-    every frame's equalized symbols, stacked, from one call.
+    Per frame: draw the bits, transmit(symbols) -> BeamFrame, apply_channel,
+    add_awgn (seeded from the frame's generator), then receive(noisy, n)
+    with the frame's symbol count n.  Without equalize, receive returns the
+    frame's equalized symbols and their bit errors are counted frame by
+    frame, so no frame is held.  With equalize, the point's receive outputs
+    are held and equalize(list of them) returns every frame's equalized
+    symbols, stacked, from one call.
     """
     errors = total = 0
     held_bits, held = [], []
@@ -130,36 +129,40 @@ def _spawned_rngs(rng_seed, num_frames: int) -> list:
 
 
 def ofdm_miso_precoder(channel: MultipathChannel, cfg: OfdmConfig) -> np.ndarray:
-    """Per-subcarrier MRT toward the composite response, (M_t x K) unit columns."""
+    """Per-subcarrier MRT toward the composite response, in path coordinates.
+
+    Returns the (L x K) path-domain precoder C = conj(g * F), g the path
+    gains and F their delay filters' K-point responses, each column scaled
+    so that the antenna precoder steering_matrix @ C has unit columns.
+    """
     taps = channel.scalar_taps()
-    response = taps.gains[:, np.newaxis] * taps.frequency_response(cfg.num_subcarriers)
-    w = channel.steering_matrix @ np.conj(response)
-    return w / np.linalg.norm(w, axis=0)
+    c = np.conj(taps.gains[:, np.newaxis] * taps.frequency_response(cfg.num_subcarriers))
+    return c / np.linalg.norm(channel.steering_matrix @ c, axis=0)
 
 
 def ofdm_miso_modulate(freq_symbols: np.ndarray, weights: np.ndarray,
                        cfg: OfdmConfig) -> Frame:
-    """Weight each subcarrier per antenna, IFFT per antenna, prepend the CP.
+    """Weight each subcarrier per row, IFFT per row, prepend the CP.
 
     freq_symbols is one (K,) symbol vector or an (S x K) block, one OFDM
-    symbol per row; weights is (M_t x K).  Returns (M_t x S * (K + cp_len))
-    samples, the S symbols back to back on every antenna.  These stay
-    antenna rows, not a BeamFrame: the precoder changes per subcarrier, so
-    no few time-domain beams carry the frame.
+    symbol per row; weights is (R x K), one row per antenna or per beam.
+    Returns (R x S * (K + cp_len)) samples, the S symbols back to back on
+    every row.
     """
     k = cfg.num_subcarriers
     x = _symbol_rows(freq_symbols, k)
-    mt = weights.shape[0]
+    rows = weights.shape[0]
     grid = weights[:, np.newaxis, :] * x[np.newaxis, :, :]
-    count(len(x) * (mt * k + mt * fft_multiplies(k)))
+    count(len(x) * (rows * k + rows * fft_multiplies(k)))
     time = _add_cyclic_prefix(np.fft.ifft(grid, axis=-1, norm="ortho"), cfg.cp_len)
-    return Frame(samples=time.reshape(mt, -1), sample_rate=cfg.sample_rate)
+    return Frame(samples=time.reshape(rows, -1), sample_rate=cfg.sample_rate)
 
 
 def ofdm_genie_response(channel: MultipathChannel, weights: np.ndarray,
                         cfg: OfdmConfig, symbol_index) -> np.ndarray:
     """One-tap response per subcarrier, channel frozen at each symbol center.
 
+    weights is the (L x K) path-domain precoder of ofdm_miso_precoder.
     symbol_index is one index, giving a (K,) response, or an array of S
     indices, giving an (S x K) response with one row per index.
     """
@@ -168,7 +171,7 @@ def ofdm_genie_response(channel: MultipathChannel, weights: np.ndarray,
     t_center = np.asarray(symbol_index) * (k + cp) + cp + k / 2.0
     ramp = np.exp(2j * np.pi * taps.dopplers * t_center[..., np.newaxis]
                   / channel.sample_rate)
-    cross = channel.steering_matrix.conj().T @ weights
+    cross = channel.steering_matrix.conj().T @ channel.steering_matrix @ weights
     return (ramp * taps.gains) @ (taps.frequency_response(k) * cross)
 
 
@@ -179,7 +182,8 @@ def run_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
     weights = ofdm_miso_precoder(channel, cfg)
 
     def transmit(symbols):
-        return ofdm_miso_modulate(symbols.reshape(num_symbols, k), weights, cfg)
+        streams = ofdm_miso_modulate(symbols.reshape(num_symbols, k), weights, cfg)
+        return BeamFrame(channel.steering_matrix, streams.samples, cfg.sample_rate)
 
     def receive(noisy, n):
         bins = ofdm_demodulate(
@@ -208,7 +212,7 @@ def run_ddam_ber(channel: MultipathChannel, snr_db: float, num_symbols: int,
     eq = equivalent_channel(channel, psi, beams, plan=plan, half_length=half_length)
 
     def transmit(symbols):
-        return ddam_modulate(symbols, psi, beams, DdamFrameConfig(len(symbols)), plan)
+        return ddam_modulate(symbols, psi, beams, plan=plan)
 
     def receive(noisy, n):
         return ddam_demodulate(noisy, eq.dominant_gain, DdamFrameConfig(n),
@@ -222,26 +226,20 @@ def run_ddam_ber(channel: MultipathChannel, snr_db: float, num_symbols: int,
 
 def otfs_miso_modulate_isfft(grid: np.ndarray, weights: np.ndarray,
                              cfg: OtfsConfig) -> Frame:
-    """ISFFT chain with per-subcarrier MRT: per-antenna Heisenberg IFFTs.
+    """ISFFT chain with per-subcarrier MRT: the ISFFT, then MISO OFDM.
 
-    weights is (M_t x K), one unit-norm column per subcarrier, as in the
-    OFDM baseline; the subcarrier-dependent precoding forces one inverse
-    transform per antenna.
+    weights is (R x K), one row per antenna or per beam, as in the OFDM
+    baseline.  Each of the M time slots of the ISFFT's (K x M) grid is one
+    CP-less MISO OFDM symbol; the frame carries one CP of cfg.cp_len.
     """
     k, m = cfg.num_delay_bins, cfg.num_doppler_bins
     grid = np.asarray(grid, dtype=np.complex128)
     if grid.shape != (k, m):
         raise ValueError(f"grid shape {grid.shape} does not match ({k}, {m})")
-    mt = weights.shape[0]
     count(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
-    count(mt * k * m)                                     # per-bin weights
-    count(mt * m * fft_multiplies(k))                     # per-antenna IFFTs
     tf = np.fft.ifft(np.fft.fft(grid, axis=0, norm="ortho"), axis=1, norm="ortho")
-    weighted = weights[:, :, np.newaxis] * tf[np.newaxis, :, :]
-    chunks = np.fft.ifft(weighted, axis=1, norm="ortho")
-    time = chunks.transpose(0, 2, 1).reshape(mt, k * m)
-    time = _add_cyclic_prefix(time, cfg.cp_len)
-    return Frame(samples=time, sample_rate=cfg.sample_rate)
+    rows = ofdm_miso_modulate(tf.T, weights, OfdmConfig(k, 0, cfg.sample_rate)).samples
+    return Frame(_add_cyclic_prefix(rows, cfg.cp_len), cfg.sample_rate)
 
 
 def otfs_miso_beam(channel: MultipathChannel) -> np.ndarray:

@@ -286,7 +286,7 @@ def measured_complexity(variant: str, p: ComplexityParams, rng_seed=0):
         block = 2048  # long enough that per-symbol cost dominates measurement noise
         symbols = (rng.standard_normal(block) + 1j * rng.standard_normal(block)) / np.sqrt(2)
         with counting() as tx_ops:
-            tx = _ddam.ddam_modulate(symbols, psi, beams, _ddam.DdamFrameConfig(block))
+            tx = _ddam.ddam_modulate(symbols, psi, beams)
             x = tx.beams @ tx.streams  # the antenna rows a radio sends
             count(x.size * len(tx.streams))
         return sum(tx_ops) / block + sum(bf_ops) / n_s, 1.0  # rx: one divide per symbol

@@ -346,6 +346,9 @@ class TestModulate:
         tx = ddam_modulate(np.ones(32), psi, beams, DdamFrameConfig(32))
         assert tx.streams.shape[1] == 32 + 18
         assert np.all(tx.streams[:, -9:] == 0)  # flush tail is silent
+        bare = ddam_modulate(np.ones(32), psi, beams)  # the block is the symbols given
+        assert np.array_equal(bare.streams, tx.streams)
+        assert np.array_equal(bare.beams, tx.beams)
 
     def test_input_validation(self):
         psi = TestCompensationPlan().psi_with_delays([0, 4])

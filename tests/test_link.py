@@ -17,7 +17,8 @@ from wavelab.ddam import (
     path_beamformers,
     psi_from_channel,
 )
-from wavelab.ofdm import OfdmConfig
+from wavelab.metrics import count, counting, fft_multiplies
+from wavelab.ofdm import OfdmConfig, _add_cyclic_prefix
 from wavelab.otfs import OtfsConfig
 
 RATE = 1e6
@@ -68,10 +69,9 @@ TRANSMITTERS = {"run_ddam_ber": "ddam_modulate",
 @pytest.mark.parametrize("runner, args, options, frame_symbols", RUNNERS,
                          ids=[r[0] for r in RUNNERS])
 def test_channel_gets_beam_streams(monkeypatch, runner, args, options, frame_symbols):
-    # DDAM sends one stream per path beam and OTFS one beam; only MISO OFDM,
-    # whose precoder changes per subcarrier, sends M_t antenna rows.  A
-    # DDAM-family runner calls its transmitter once per frame and sends
-    # that very frame.
+    # DDAM sends one stream per path beam, OTFS one beam and MISO OFDM one
+    # stream per steering vector.  A DDAM-family runner calls its
+    # transmitter once per frame and sends that very frame.
     sent = []
     made = {name: [] for name in TRANSMITTERS.values()}
 
@@ -91,11 +91,11 @@ def test_channel_gets_beam_streams(monkeypatch, runner, args, options, frame_sym
     channel = windowed_channel()
     getattr(link, runner)(channel, *args, rng_seed=3, **options)
     assert len(sent) == len(frame_symbols)
+    assert all(type(tx) is BeamFrame and tx.num_antennas == 16
+               and len(tx.streams) <= channel.num_paths for tx in sent)
     if runner == "run_ofdm_ber":
-        assert all(type(tx) is Frame and tx.num_antennas == 16 for tx in sent)
-    else:
-        assert all(type(tx) is BeamFrame and tx.num_antennas == 16
-                   and len(tx.streams) <= channel.num_paths for tx in sent)
+        assert all(np.array_equal(tx.beams, channel.steering_matrix)
+                   and len(tx.streams) == channel.num_paths for tx in sent)
     if runner == "run_otfs_ber":
         assert all(len(tx.streams) == 1 for tx in sent)
     assert {name: len(txs) for name, txs in made.items()} == {
@@ -140,3 +140,33 @@ def test_windowed_ddam_reads_the_aimed_lag(w_tau):
                                window=AlignmentWindow(w_tau, 0.0))
     assert result.bits == 40_000
     assert result.ber < 0.05
+
+
+def per_antenna_isfft(grid, weights, cfg):
+    """The ISFFT chain with its own per-antenna Heisenberg IFFTs."""
+    k, m = cfg.num_delay_bins, cfg.num_doppler_bins
+    mt = weights.shape[0]
+    count(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
+    count(mt * k * m)                                     # per-bin weights
+    count(mt * m * fft_multiplies(k))                     # per-antenna IFFTs
+    tf = np.fft.ifft(np.fft.fft(grid, axis=0, norm="ortho"), axis=1, norm="ortho")
+    weighted = weights[:, :, np.newaxis] * tf[np.newaxis, :, :]
+    chunks = np.fft.ifft(weighted, axis=1, norm="ortho")
+    return _add_cyclic_prefix(chunks.transpose(0, 2, 1).reshape(mt, k * m), cfg.cp_len)
+
+
+@pytest.mark.parametrize("cfg, rows", [(OtfsConfig(4, 8, 8, RATE), 16),
+                                       (OtfsConfig(16, 32, 0, RATE), 3),
+                                       (OtfsConfig(1, 4, 4, RATE), 1)])
+def test_isfft_modulator_matches_per_antenna_oracle(cfg, rows):
+    rng = np.random.default_rng(40)
+    k, m = cfg.num_delay_bins, cfg.num_doppler_bins
+    grid = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    weights = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+    with counting() as ops:
+        frame = link.otfs_miso_modulate_isfft(grid, weights, cfg)
+    with counting() as oracle_ops:
+        oracle = per_antenna_isfft(grid, weights, cfg)
+    assert frame.samples.shape == (rows, k * m + cfg.cp_len)
+    assert np.max(np.abs(frame.samples - oracle)) < 1e-12
+    assert sum(ops) == sum(oracle_ops)

@@ -194,14 +194,16 @@ def near_null_channel(k=16, null_bin=5):
 
 
 def per_symbol_ofdm_ber(channel, cfg, snr_db, num_symbols, rng_seed):
-    """The per-symbol run_ofdm_ber loop: (bit errors, equalized symbols)."""
+    """The per-symbol run_ofdm_ber loop on M_t antenna rows: (bit errors,
+    equalized symbols)."""
     rng = np.random.default_rng(rng_seed)
     k, stride = cfg.num_subcarriers, cfg.num_subcarriers + cfg.cp_len
     weights = ofdm_miso_precoder(channel, cfg)
+    antenna = channel.steering_matrix @ weights
     bits = rng.integers(0, 2, size=2 * k * num_symbols)
     symbols = qpsk_modulate(bits).reshape(num_symbols, k)
     tx = np.concatenate(
-        [ofdm_miso_modulate(row, weights, cfg).samples for row in symbols], axis=1)
+        [ofdm_miso_modulate(row, antenna, cfg).samples for row in symbols], axis=1)
     rx = apply_channel(channel, Frame(tx, cfg.sample_rate))
     noisy = add_awgn(rx, snr_db, rng_seed=rng.integers(2 ** 63)).row()
     errors = 0
@@ -245,6 +247,18 @@ class TestSymbolBlocks:
         batch = ofdm_miso_modulate(x, weights, self.cfg)
         assert batch.samples.shape == (4, 7 * 21)
         assert np.array_equal(batch.samples, stacked)
+
+    def test_precoder_is_the_antenna_mrt_in_path_coordinates(self):
+        channel = doppler_channel()
+        weights = ofdm_miso_precoder(channel, self.cfg)
+        assert weights.shape == (channel.num_paths, 16)
+        antenna = channel.steering_matrix @ weights
+        assert np.max(np.abs(np.linalg.norm(antenna, axis=0) - 1.0)) < 1e-12
+        # MRT toward each subcarrier's composite antenna response
+        taps = channel.scalar_taps()
+        response = taps.gains[:, np.newaxis] * taps.frequency_response(16)
+        mrt = channel.steering_matrix @ np.conj(response)
+        assert np.max(np.abs(antenna - mrt / np.linalg.norm(mrt, axis=0))) < 1e-12
 
     def test_genie_response_equals_stacked_indices(self):
         channel = doppler_channel()
@@ -309,7 +323,8 @@ class TestSymbolBlocks:
         weights = ofdm_miso_precoder(channel, self.cfg)
         bits = rng.integers(0, 2, size=2 * 16 * num_symbols)
         symbols = qpsk_modulate(bits).reshape(num_symbols, 16)
-        rx = apply_channel(channel, ofdm_miso_modulate(symbols, weights, self.cfg))
+        antenna = channel.steering_matrix @ weights
+        rx = apply_channel(channel, ofdm_miso_modulate(symbols, antenna, self.cfg))
         noisy = add_awgn(rx, snr_db, rng_seed=rng.integers(2 ** 63)).row()
         bins = ofdm_demodulate(noisy[:num_symbols * 21].reshape(num_symbols, 21),
                                self.cfg)
