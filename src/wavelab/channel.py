@@ -208,15 +208,18 @@ def build_channel(array: ArrayConfig, paths, sample_rate: float) -> MultipathCha
 
 
 def sample_separated_aods(rng, num_paths: int, array: ArrayConfig,
-                          max_tries: int = 1000) -> np.ndarray:
+                          max_tries: int = 1000, count: int = None) -> np.ndarray:
     """Draw AoDs uniform on [-1, 1) with pairwise separation >= one beamwidth.
 
     The separation floor is 2/M_t.  Plain uniform draws are tried up to
-    max_tries times.  When all fail, as they almost always do with
-    num_paths near M_t, the AoDs come from an exact construction on the
-    same generator: sorted uniform offsets on [0, 2 - (L-1)*2/M_t), the
-    i-th plus i*2/M_t, shifted to start at -1 and shuffled.  Raises for
-    L > M_t, where no L AoDs fit.
+    max_tries times; a try succeeds with probability
+    (1 - (L-1)/M_t)^L.  When that is below 1/max_tries, or all tries fail,
+    the AoDs come from an exact construction on the same generator: sorted
+    uniform offsets on [0, 2 - (L-1)*2/M_t), the i-th plus i*2/M_t, shifted
+    to start at -1 and shuffled.  Returns (L,), or (count, L) for a stack
+    of count scenarios: each try draws every row still failing at once,
+    and the rows the tries leave are built at once.  Raises for L > M_t,
+    where no L AoDs fit.
     """
     min_sep = 2.0 / array.num_tx_antennas
     width = 2.0 - (num_paths - 1) * min_sep
@@ -224,24 +227,37 @@ def sample_separated_aods(rng, num_paths: int, array: ArrayConfig,
         raise ValueError(
             f"cannot place {num_paths} AoDs separated by {min_sep:.4g} on [-1, 1); "
             f"reduce the path count or use a larger array")
+    if (width / 2.0) ** num_paths * max_tries < 1.0:
+        max_tries = 0  # the tries would most likely all fail
+    aods = np.empty((1 if count is None else count, num_paths))
+    todo = np.arange(len(aods))
     for _ in range(max_tries):
-        aods = rng.uniform(-1.0, 1.0, size=num_paths)
-        diffs = np.abs(aods[:, None] - aods[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() >= min_sep:
-            return aods
-    offsets = np.sort(rng.uniform(0.0, width, size=num_paths))
-    return rng.permutation(offsets - 1.0 + min_sep * np.arange(num_paths))
+        if len(todo) == 0:
+            break
+        tries = rng.uniform(-1.0, 1.0, size=(len(todo), num_paths))
+        # The closest pair of a row is adjacent once it is sorted.
+        gaps = np.diff(np.sort(tries, axis=-1), axis=-1)
+        ok = gaps.min(axis=-1, initial=np.inf) >= min_sep
+        aods[todo[ok]] = tries[ok]
+        todo = todo[~ok]
+    if len(todo):
+        offsets = np.sort(rng.uniform(0.0, width, size=(len(todo), num_paths)), axis=-1)
+        aods[todo] = rng.permuted(offsets - 1.0 + min_sep * np.arange(num_paths), axis=-1)
+    return aods[0] if count is None else aods
 
 
 def draw_random_paths(array: ArrayConfig, num_paths: int, delay_range,
-                      doppler_range, rng_seed):
-    """(aods, delays_s, dopplers_hz, gains) of one random scenario.
+                      doppler_range, rng_seed, count: int = None):
+    """(aods, delays_s, dopplers_hz, gains) of one random scenario, or a stack.
 
-    The draws, in order from default_rng(rng_seed): separated AoDs, uniform
-    delays, uniform Dopplers, then i.i.d. circular Gaussian gains
-    normalized so sum |gain|^2 = 1.  A degenerate range (low == high) draws
-    nothing.  Deterministic for a fixed seed.
+    The draws, in order from default_rng(rng_seed) (a Generator is used as
+    it is): separated AoDs, uniform delays, uniform Dopplers, then i.i.d.
+    circular Gaussian gains normalized so each scenario's sum |gain|^2 = 1.
+    Each array is (L,), or (count, L) with one row per scenario: a stack
+    draws each quantity for all its rows before the next, with one AoD
+    rejection pass over all its rows per try (see sample_separated_aods).
+    A degenerate range (low == high) draws nothing.  Deterministic for a
+    fixed seed.
     """
     if num_paths < 1:
         raise ValueError("num_paths must be >= 1")
@@ -250,11 +266,16 @@ def draw_random_paths(array: ArrayConfig, num_paths: int, delay_range,
     if hi_d < lo_d or hi_f < lo_f:
         raise ValueError("ranges must be (low, high) with low <= high")
     rng = np.random.default_rng(rng_seed)
-    aods = sample_separated_aods(rng, num_paths, array)
-    delays = rng.uniform(lo_d, hi_d, size=num_paths) if hi_d > lo_d else np.full(num_paths, lo_d)
-    dopplers = rng.uniform(lo_f, hi_f, size=num_paths) if hi_f > lo_f else np.full(num_paths, lo_f)
-    gains = (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)) / np.sqrt(2.0)
-    return aods, delays, dopplers, gains / np.linalg.norm(gains)
+    shape = (num_paths,) if count is None else (count, num_paths)
+    aods = sample_separated_aods(rng, num_paths, array, count=count)
+    delays = rng.uniform(lo_d, hi_d, size=shape) if hi_d > lo_d else np.full(shape, lo_d)
+    dopplers = rng.uniform(lo_f, hi_f, size=shape) if hi_f > lo_f else np.full(shape, lo_f)
+    gains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    # The 1-D norm sums in another order than the per-row one, so a single
+    # scenario keeps it and its gains do not depend on the stacked form.
+    norm = (np.linalg.norm(gains) if count is None
+            else np.linalg.norm(gains, axis=-1, keepdims=True))
+    return aods, delays, dopplers, gains / norm
 
 
 def sample_random_channel(array: ArrayConfig, num_paths: int, delay_range,

@@ -11,14 +11,14 @@ add_awgn, receive the noisy frame, count bit errors.  Every transmitter
 returns a BeamFrame: the DDAM family sends L path streams on their beams,
 OTFS one stream on its beam, and MISO OFDM L streams on the L steering
 vectors, since its per-subcarrier MRT lies in their span.  The PAPR
-generators draw each trial's random values from its own generator and run
-everything after the draws over stacked chunks of trials.
+generators draw the random values of a group of trials in stacked calls on
+the group's generator and run everything after the draws over chunks of
+trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -73,8 +73,9 @@ from .otfs import (
     otfs_samples,
 )
 
-# A PAPR chunk holds as many trials as fit about this many bytes of
-# (trials x rows x N) complex samples.  The trials run at PAPR_SAMPLE_RATE.
+# A PAPR chunk holds as many trials of one seeding group as fit about this
+# many bytes of (trials x rows x N) complex samples.  The trials run at
+# PAPR_SAMPLE_RATE.
 PAPR_CHUNK_BYTES = 1 << 20
 PAPR_SAMPLE_RATE = 1e6
 
@@ -352,23 +353,23 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                        half_length=half_length)
 
 
-def _chunks(rngs, rows: int, width: int):
-    """The per-trial generators in lists that fill about PAPR_CHUNK_BYTES
+def _chunks(count: int, rows: int, width: int):
+    """Slices of count trials, each as many as fill about PAPR_CHUNK_BYTES
     of (trials x rows x width) complex samples."""
     size = max(1, PAPR_CHUNK_BYTES // (16 * rows * width))
-    rngs = iter(rngs)
-    while chunk := list(islice(rngs, size)):
-        yield chunk
+    return (slice(start, start + size) for start in range(0, count, size))
 
 
 def make_papr_generator(waveform: str, **params):
     """Build a seeded chunk generator of PAPR trials (guard/CP excluded).
 
-    The generator takes the per-trial Generators and yields, for papr_ccdf,
-    one (samples (T x rows x N), span (T,)) chunk per T consecutive trials,
-    T sized from PAPR_CHUNK_BYTES.  Each trial draws from its own generator
-    in the order of a trial run on its own; everything after the draws runs
-    once per chunk, and each trial's samples equal the one-trial chain's.
+    The generator takes papr_ccdf's (Generator, count) groups and yields
+    (samples (T x rows x N), span (T,)) chunks.  A group's random values
+    are stacked draws on its generator: one random_qpsk call for all its
+    trials, and for DDAM first one draw_random_paths stack.  Its trials
+    then run in chunks of T, T sized from PAPR_CHUNK_BYTES; everything
+    after the draws runs once per chunk, and each trial's samples equal
+    the one-trial chain's on its draws, whatever the chunk size.
 
     ofdm: one OFDM symbol body of K subcarriers.  otfs_*: one frame body.
     ddam: one block over a fresh random channel, all antennas, over its
@@ -377,10 +378,12 @@ def make_papr_generator(waveform: str, **params):
     if waveform == "ofdm":
         k = params["num_subcarriers"]
 
-        def gen(rngs):
-            for chunk in _chunks(rngs, 1, k):
-                x = np.fft.ifft([random_qpsk(rng, k) for rng in chunk], norm="ortho")
-                yield x[:, np.newaxis, :], np.full(len(chunk), k)
+        def gen(groups):
+            for rng, count in groups:
+                symbols = random_qpsk(rng, count * k).reshape(count, k)
+                for part in _chunks(count, 1, k):
+                    x = np.fft.ifft(symbols[part], norm="ortho")
+                    yield x[:, np.newaxis, :], np.full(len(x), k)
 
         return gen
 
@@ -391,11 +394,12 @@ def make_papr_generator(waveform: str, **params):
         k, m = cfg.num_delay_bins, cfg.num_doppler_bins
         variant = waveform.split("_")[1]
 
-        def gen(rngs):
-            for chunk in _chunks(rngs, 1, k * m):
-                grids = np.array([random_qpsk(rng, k * m).reshape(k, m) for rng in chunk])
-                x = otfs_samples(grids, variant)
-                yield x[:, np.newaxis, :], np.full(len(chunk), k * m)
+        def gen(groups):
+            for rng, count in groups:
+                grids = random_qpsk(rng, count * k * m).reshape(count, k, m)
+                for part in _chunks(count, 1, k * m):
+                    x = otfs_samples(grids[part], variant)
+                    yield x[:, np.newaxis, :], np.full(len(x), k * m)
 
         return gen
 
@@ -407,19 +411,18 @@ def make_papr_generator(waveform: str, **params):
         max_delay = params.get("max_delay_samples", 32)
         doppler = params.get("max_doppler_hz", 0.0)
 
-        def gen(rngs):
-            for chunk in _chunks(rngs, array.num_tx_antennas, block + max_delay):
-                paths, symbols = [], []
-                for rng in chunk:
-                    paths.append(draw_random_paths(
-                        array, num_paths, (0.0, max_delay / PAPR_SAMPLE_RATE),
-                        (-doppler, doppler), rng.integers(2 ** 63)))
-                    symbols.append(random_qpsk(rng, block))
-                aods, delays, dopplers, gains = (np.array(v) for v in zip(*paths))
-                psi = PathStateInfo(array, PAPR_SAMPLE_RATE, delays * PAPR_SAMPLE_RATE,
-                                    dopplers, aods, gains)
-                beams = path_beamformers(psi, criterion, noise_var=0.01)
-                yield path_based_blocks(np.array(symbols), psi, beams)
+        def gen(groups):
+            for rng, count in groups:
+                aods, delays, dopplers, gains = draw_random_paths(
+                    array, num_paths, (0.0, max_delay / PAPR_SAMPLE_RATE),
+                    (-doppler, doppler), rng, count)
+                symbols = random_qpsk(rng, count * block).reshape(count, block)
+                for part in _chunks(count, array.num_tx_antennas, block + max_delay):
+                    psi = PathStateInfo(array, PAPR_SAMPLE_RATE,
+                                        delays[part] * PAPR_SAMPLE_RATE, dopplers[part],
+                                        aods[part], gains[part])
+                    beams = path_beamformers(psi, criterion, noise_var=0.01)
+                    yield path_based_blocks(symbols[part], psi, beams)
 
         return gen
 

@@ -129,27 +129,39 @@ class PaprCcdf:
         return float(self.thresholds_db[below[0]])
 
 
+# papr_ccdf seeds one Generator per group of this many consecutive trials.
+# It is fixed, so no memory setting moves the values.
+PAPR_GROUP_TRIALS = 32
+
+
 def papr_ccdf(waveform_generator, num_trials: int, rng_seed,
               thresholds_db=None, oversample: int = 1) -> PaprCcdf:
     """Monte Carlo CCDF of PAPR for a seeded chunk generator.
 
     The generator (see link.make_papr_generator) is called once with an
-    iterator of num_trials child Generators, spawned from rng_seed in
-    trial order, one per trial.  It yields (samples, span) chunks, one per
-    group of consecutive trials: samples is (T x rows x N) with guard/CP
-    already excluded, and span the T active lengths (see papr_db).  A
-    threshold's exceed probability is the fraction of trials whose PAPR
-    lies strictly above it.
+    iterator of (Generator, count) groups: the trials in order, in groups
+    of PAPR_GROUP_TRIALS (the last may be shorter), one child Generator
+    per group spawned from rng_seed.  A SeedSequence passed as rng_seed is
+    not advanced, so it gives the same curve each time.  The generator
+    yields (samples, span) chunks of consecutive trials: samples is
+    (T x rows x N) with guard/CP already excluded, and span the T active
+    lengths (see papr_db).  A threshold's exceed probability is the
+    fraction of trials whose PAPR lies strictly above it.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be >= 1")
     thresholds = (DEFAULT_CCDF_THRESHOLDS if thresholds_db is None
                   else np.asarray(thresholds_db, dtype=float))
-    root = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
+    seed = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
             else np.random.SeedSequence(rng_seed))
-    rngs = (np.random.default_rng(root.spawn(1)[0]) for _ in range(num_trials))
+    root = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                  pool_size=seed.pool_size,
+                                  n_children_spawned=seed.n_children_spawned)
+    counts = [min(PAPR_GROUP_TRIALS, num_trials - start)
+              for start in range(0, num_trials, PAPR_GROUP_TRIALS)]
+    groups = zip(map(np.random.default_rng, root.spawn(len(counts))), counts)
     values = np.sort(np.concatenate([papr_db(samples, oversample, span)
-                                     for samples, span in waveform_generator(rngs)]))
+                                     for samples, span in waveform_generator(groups)]))
     at_or_below = np.searchsorted(values, thresholds, side="right")
     exceed = (len(values) - at_or_below) / len(values)
     return PaprCcdf(thresholds_db=thresholds, exceed_probability=exceed)

@@ -16,6 +16,7 @@ from wavelab.channel import (
     build_channel,
     channel_from_json,
     channel_to_json,
+    draw_random_paths,
     fractional_delay_taps,
     phasor,
     sample_random_channel,
@@ -138,7 +139,8 @@ class TestRandomChannel:
     @pytest.mark.parametrize("num_paths", [7, 8])
     def test_paths_up_to_mt_always_drawn(self, num_paths):
         # A plain uniform draw almost never separates 7 or 8 AoDs on 8
-        # antennas; the exact construction after max_tries always does.
+        # antennas; the exact construction, which such draws start with,
+        # always does.
         for seed in range(20):
             aods = sample_separated_aods(np.random.default_rng(seed), num_paths,
                                          ArrayConfig(8))
@@ -157,6 +159,134 @@ class TestRandomChannel:
         with pytest.raises(ValueError, match="reduce the path count"):
             sample_random_channel(ArrayConfig(2), 4, (0, 1e-6), (0, 0), 1,
                                   sample_rate=1e6)
+
+
+# The one-scenario path draw before stacked draws existed, kept as the oracle
+# of a single draw: plain tries, then the exact construction.
+
+def oracle_separated_aods(rng, num_paths, array, max_tries=1000):
+    min_sep = 2.0 / array.num_tx_antennas
+    for _ in range(max_tries):
+        aods = rng.uniform(-1.0, 1.0, size=num_paths)
+        diffs = np.abs(aods[:, None] - aods[None, :])
+        np.fill_diagonal(diffs, np.inf)
+        if diffs.min() >= min_sep:
+            return aods
+    width = 2.0 - (num_paths - 1) * min_sep
+    offsets = np.sort(rng.uniform(0.0, width, size=num_paths))
+    return rng.permutation(offsets - 1.0 + min_sep * np.arange(num_paths))
+
+
+def oracle_random_paths(array, num_paths, delay_range, doppler_range, rng_seed):
+    (lo_d, hi_d), (lo_f, hi_f) = delay_range, doppler_range
+    rng = np.random.default_rng(rng_seed)
+    aods = oracle_separated_aods(rng, num_paths, array)
+    delays = rng.uniform(lo_d, hi_d, size=num_paths) if hi_d > lo_d else np.full(num_paths, lo_d)
+    dopplers = rng.uniform(lo_f, hi_f, size=num_paths) if hi_f > lo_f else np.full(num_paths, lo_f)
+    gains = (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)) / np.sqrt(2.0)
+    return aods, delays, dopplers, gains / np.linalg.norm(gains)
+
+
+class TestPathDraws:
+    RANGES = dict(delay_range=(0.0, 8e-6), doppler_range=(-2000.0, 2000.0))
+
+    @pytest.mark.parametrize("mt", [8, 16, 32])
+    @pytest.mark.parametrize("num_paths", [3, 4])
+    def test_single_draw_matches_oracle(self, num_paths, mt):
+        for seed in range(20):
+            got = draw_random_paths(ArrayConfig(mt), num_paths, rng_seed=seed, **self.RANGES)
+            expected = oracle_random_paths(ArrayConfig(mt), num_paths, rng_seed=seed,
+                                           **self.RANGES)
+            for g, e in zip(got, expected):
+                assert g.shape == (num_paths,)
+                assert np.array_equal(g, e)
+
+    def test_single_draw_matches_oracle_through_the_construction(self):
+        # 6 AoDs on 8 antennas: a try succeeds with probability 0.0028, so
+        # the tries still run, and about 1 seed in 20 fails all 1000 of them
+        # and reaches the construction (4 of these 40 do).
+        array = ArrayConfig(8)
+        constructed = 0
+        for seed in range(100, 140):
+            expected = oracle_separated_aods(np.random.default_rng(seed), 6, array)
+            got = sample_separated_aods(np.random.default_rng(seed), 6, array)
+            assert np.array_equal(got, expected)
+            replay = np.random.default_rng(seed)
+            constructed += all(
+                np.min(np.diff(np.sort(replay.uniform(-1.0, 1.0, size=6)))) < 0.25
+                for _ in range(1000))
+        assert constructed >= 1
+
+    @pytest.mark.parametrize("num_paths,mt", [(7, 8), (8, 8), (10, 16)])
+    def test_unlikely_tries_are_skipped(self, num_paths, mt):
+        # (1 - (L-1)/M_t)^L is below 1/1000: the draw starts with the
+        # exact construction, for one scenario and for a stack alike.
+        width = 2.0 - (num_paths - 1) * 2.0 / mt
+        spacing = 2.0 / mt * np.arange(num_paths)
+        for count in (None, 5):
+            rng = np.random.default_rng(3)
+            got = sample_separated_aods(rng, num_paths, ArrayConfig(mt), count=count)
+            replay = np.random.default_rng(3)
+            size = (1 if count is None else count, num_paths)
+            offsets = np.sort(replay.uniform(0.0, width, size=size), axis=-1)
+            rows = [replay.permutation(row - 1.0 + spacing) for row in offsets]
+            assert np.array_equal(got, rows[0] if count is None else np.array(rows))
+            assert rng.random() == replay.random()  # nothing else was drawn
+
+    def test_likely_tries_still_run(self):
+        # 9 AoDs on 16 antennas: a try succeeds with probability 0.0020,
+        # above 1/1000, so a draw starts with plain tries.
+        array = ArrayConfig(16)
+        got = sample_separated_aods(np.random.default_rng(0), 9, array, count=50)
+        tried = sample_separated_aods(np.random.default_rng(0), 9, array,
+                                      max_tries=0, count=50)
+        assert not np.array_equal(got, tried)
+
+    @pytest.mark.parametrize("num_paths,mt", [(1, 4), (3, 8), (6, 8), (4, 16)])
+    def test_stacked_draw_rows_are_valid_scenarios(self, num_paths, mt):
+        aods, delays, dopplers, gains = draw_random_paths(
+            ArrayConfig(mt), num_paths, rng_seed=5, count=40, **self.RANGES)
+        for value in (aods, delays, dopplers, gains):
+            assert value.shape == (40, num_paths)
+        gaps = np.diff(np.sort(aods, axis=-1), axis=-1)
+        assert np.all(gaps >= 2.0 / mt)
+        assert np.all((aods >= -1.0) & (aods < 1.0))
+        assert np.all((delays >= 0.0) & (delays <= 8e-6))
+        assert np.all(np.abs(dopplers) <= 2000.0)
+        assert np.allclose(np.sum(np.abs(gains) ** 2, axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert len({tuple(row) for row in aods}) == 40
+
+    def test_stacked_draw_of_one_is_the_single_draw(self):
+        single = draw_random_paths(ArrayConfig(16), 4, rng_seed=9, **self.RANGES)
+        stacked = draw_random_paths(ArrayConfig(16), 4, rng_seed=9, count=1, **self.RANGES)
+        for s, t in zip(single, stacked):
+            assert t.shape == (1, 4)
+            assert np.allclose(t[0], s, rtol=0, atol=1e-15)
+        assert np.array_equal(stacked[0][0], single[0])
+
+    def test_stacked_rejection_redraws_only_failing_rows(self):
+        sizes = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def uniform(self, low, high, size):
+                sizes.append(size)
+                return self.rng.uniform(low, high, size)
+
+        count = 200
+        aods = sample_separated_aods(Recording(np.random.default_rng(4)), 4,
+                                     ArrayConfig(8), count=count)
+        rows = [size[0] for size in sizes]
+        # 4 AoDs on 8 antennas: about 15% of the rows pass each try.
+        assert rows[0] == count
+        assert len(rows) > 2
+        assert all(b < a for a, b in zip(rows, rows[1:4]))
+        assert np.all(np.diff(np.sort(aods, axis=-1), axis=-1) >= 0.25)
+        expected = sample_separated_aods(np.random.default_rng(4), 4, ArrayConfig(8),
+                                         count=count)
+        assert np.array_equal(aods, expected)
 
 
 class TestApplyChannel:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavelab.link as link
-from wavelab.channel import ArrayConfig, sample_random_channel
+from wavelab.channel import ArrayConfig, PathParams, build_channel, draw_random_paths
 from wavelab.ddam import (
     DdamFrameConfig,
     PathStateInfo,
@@ -15,6 +15,7 @@ from wavelab.ddam import (
 )
 from wavelab.link import make_papr_generator
 from wavelab.metrics import (
+    PAPR_GROUP_TRIALS,
     ComplexityParams,
     ber,
     complexity_model,
@@ -32,11 +33,13 @@ from wavelab.modulation import random_qpsk
 
 def per_trial(gen_one):
     """Adapter: a one-trial generator, rng -> samples, as a chunk generator
-    yielding one-trial chunks."""
-    def gen(rngs):
-        for rng in rngs:
-            x = np.atleast_2d(gen_one(rng))
-            yield x[np.newaxis], [x.shape[-1]]
+    yielding one-trial chunks; a group's trials draw in turn from its
+    generator."""
+    def gen(groups):
+        for rng, count in groups:
+            for _ in range(count):
+                x = np.atleast_2d(gen_one(rng))
+                yield x[np.newaxis], [x.shape[-1]]
     return gen
 
 
@@ -107,6 +110,32 @@ class TestPaprCcdf:
         b = papr_ccdf(per_trial(ofdm), trials, rng_seed=6).papr_at_level(level)
         assert a < b
 
+    def test_seed_sequence_is_not_advanced(self):
+        gen = make_papr_generator("ofdm", num_subcarriers=64)
+        seed = np.random.SeedSequence(17)
+        a = papr_ccdf(gen, 200, seed)
+        b = papr_ccdf(gen, 200, seed)
+        assert seed.n_children_spawned == 0
+        assert np.array_equal(a.exceed_probability, b.exceed_probability)
+        fresh = papr_ccdf(gen, 200, np.random.SeedSequence(17))
+        assert np.array_equal(a.exceed_probability, fresh.exceed_probability)
+        # A sequence that has spawned children seeds the groups after them.
+        seed.spawn(1)
+        c = papr_ccdf(gen, 200, seed)
+        assert seed.n_children_spawned == 1
+        assert not np.array_equal(a.exceed_probability, c.exceed_probability)
+
+    def test_one_generator_per_group_of_trials(self):
+        seen = []
+
+        def gen(groups):
+            for rng, count in groups:
+                seen.append(count)
+                yield np.ones((count, 1, 4)), np.full(count, 4)
+
+        papr_ccdf(gen, 2 * PAPR_GROUP_TRIALS + 3, rng_seed=0)
+        assert seen == [PAPR_GROUP_TRIALS, PAPR_GROUP_TRIALS, 3]
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             papr_ccdf(per_trial(lambda rng: np.ones(4)), 0, rng_seed=0)
@@ -122,8 +151,8 @@ class TestPaprCcdf:
 
 
 # The per-trial PAPR path that the chunk generators replaced, kept as their
-# oracle: one generator call and one papr_db per trial, one exceed count per
-# threshold.
+# oracle: the group's stacked draws, then one one-trial chain and one
+# papr_db per trial, and one exceed count per threshold.
 
 def oracle_papr_db(samples, oversample=1):
     x = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
@@ -142,54 +171,73 @@ def oracle_papr_db(samples, oversample=1):
 
 
 def oracle_generator(waveform, **params):
+    """(rng, count) -> the samples of each of a group's count trials."""
     if waveform == "ofdm":
         k = params["num_subcarriers"]
-        return lambda rng: np.fft.ifft(random_qpsk(rng, k), norm="ortho")
+
+        def gen(rng, count):
+            symbols = random_qpsk(rng, count * k).reshape(count, k)
+            return [np.fft.ifft(row, norm="ortho") for row in symbols]
+
+        return gen
 
     if waveform in ("otfs_zak", "otfs_isfft"):
         k, m = params["num_delay_bins"], params["num_doppler_bins"]
 
-        def gen(rng):
-            grid = random_qpsk(rng, k * m).reshape(k, m)
+        def one(grid):
             if waveform == "otfs_zak":
                 return np.fft.ifft(grid, axis=1, norm="ortho").reshape(-1, order="F")
             tf = np.fft.ifft(np.fft.fft(grid, axis=0, norm="ortho"), axis=1, norm="ortho")
             return np.fft.ifft(tf, axis=0, norm="ortho").T.reshape(-1)
 
-        return gen
+        return lambda rng, count: [one(grid) for grid in
+                                   random_qpsk(rng, count * k * m).reshape(count, k, m)]
 
-    num_paths, mt = params["num_paths"], params["mt"]
+    num_paths, array = params["num_paths"], ArrayConfig(params["mt"])
     block = params.get("block_len", 512)
     criterion = params.get("criterion", "zf")
     max_delay = params.get("max_delay_samples", 32)
     rate = params.get("sample_rate", 1e6)
     doppler = params.get("max_doppler_hz", 0.0)
 
-    def gen(rng):
-        channel = sample_random_channel(
-            ArrayConfig(mt), num_paths, (0.0, max_delay / rate),
-            (-doppler, doppler), rng.integers(2 ** 63), sample_rate=rate)
-        psi = psi_from_channel(channel)
-        beams = path_beamformers(psi, criterion, noise_var=0.01)
-        plan = build_compensation_plan(psi)
-        symbols = random_qpsk(rng, block)
-        frame = ddam_modulate(symbols, psi, beams, DdamFrameConfig(block), plan=plan)
-        return (frame.beams @ frame.streams)[:, :block + plan.max_kappa]
+    def gen(rng, count):
+        drawn = draw_random_paths(array, num_paths, (0.0, max_delay / rate),
+                                  (-doppler, doppler), rng, count)
+        symbols = random_qpsk(rng, count * block).reshape(count, block)
+        out = []
+        for t, (aods, delays, dopplers, gains) in enumerate(zip(*drawn)):
+            channel = build_channel(array, [
+                PathParams(gain=g, delay_s=d, doppler_hz=f, aod=a)
+                for g, d, f, a in zip(gains, delays, dopplers, aods)], sample_rate=rate)
+            psi = psi_from_channel(channel)
+            beams = path_beamformers(psi, criterion, noise_var=0.01)
+            plan = build_compensation_plan(psi)
+            frame = ddam_modulate(symbols[t], psi, beams, DdamFrameConfig(block), plan=plan)
+            out.append((frame.beams @ frame.streams)[:, :block + plan.max_kappa])
+        return out
 
     return gen
 
 
-def oracle_values(gen_one, num_trials, rng_seed, oversample=1):
-    root = np.random.SeedSequence(rng_seed)
-    return np.array([oracle_papr_db(gen_one(np.random.default_rng(seed)), oversample)
-                     for seed in root.spawn(num_trials)])
+def groups(num_trials, rng_seed):
+    """The trials in groups of PAPR_GROUP_TRIALS, one spawned Generator per
+    group, as papr_ccdf seeds them."""
+    counts = [min(PAPR_GROUP_TRIALS, num_trials - start)
+              for start in range(0, num_trials, PAPR_GROUP_TRIALS)]
+    seeds = np.random.SeedSequence(rng_seed).spawn(len(counts))
+    return zip(map(np.random.default_rng, seeds), counts)
+
+
+def oracle_values(gen_group, num_trials, rng_seed, oversample=1):
+    return np.array([oracle_papr_db(x, oversample)
+                     for rng, count in groups(num_trials, rng_seed)
+                     for x in gen_group(rng, count)])
 
 
 def chunk_values(gen, num_trials, rng_seed, oversample=1):
     """Per-trial PAPR of a chunk generator, trials seeded as papr_ccdf seeds them."""
-    root = np.random.SeedSequence(rng_seed)
-    rngs = (np.random.default_rng(seed) for seed in root.spawn(num_trials))
-    return np.concatenate([papr_db(x, oversample, span) for x, span in gen(rngs)])
+    return np.concatenate([papr_db(x, oversample, span)
+                           for x, span in gen(groups(num_trials, rng_seed))])
 
 
 # (waveform, params, rows x width of one trial's samples for chunk sizing)
@@ -207,15 +255,15 @@ ORACLE_CASES = {
 
 
 class TestPaprChunkOracle:
-    """Chunked generators against the per-trial path: PAPR within 1e-12 dB,
-    identical exceed probabilities."""
+    """Chunked generators against the per-trial path on the same group
+    draws: identical PAPR values and exceed probabilities."""
 
     @pytest.mark.parametrize("oversample", [1, 4])
     @pytest.mark.parametrize("trials,chunk", [(1, None), (37, None), (37, 4)])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_per_trial_oracle(self, monkeypatch, case, trials, chunk, oversample):
         waveform, params, size = ORACLE_CASES[case]
-        if chunk is not None:  # 37 trials in chunks of 4: nine full, one of 1
+        if chunk is not None:  # groups of 32 and 5 in chunks of 4: nine full, one of 1
             monkeypatch.setattr(link, "PAPR_CHUNK_BYTES", chunk * 16 * size)
         seed = 100 + trials
         expected = oracle_values(oracle_generator(waveform, **params), trials, seed,
@@ -244,6 +292,7 @@ class TestPaprChunkOracle:
 
         monkeypatch.setattr(link, "path_beamformers", counting)
         papr_ccdf(make_papr_generator(waveform, **params), 37, rng_seed=1)
+        # groups of 32 and 5 trials, each in chunks of 4
         assert calls == [(4, 3)] * 9 + [(1, 3)]
 
     def test_collinear_trial_in_chunk_raises_rank_error(self, monkeypatch):
@@ -252,16 +301,27 @@ class TestPaprChunkOracle:
 
         def one_collinear(*args):
             aods, delays, dopplers, gains = draw(*args)
-            drawn.append(None)
-            if len(drawn) == 3:  # the third trial of the first chunk
-                aods = np.array([0.25, 0.25, -0.5])
+            drawn.append(aods.shape)
+            aods[2] = [0.25, 0.25, -0.5]  # the third trial of the first chunk
             return aods, delays, dopplers, gains
 
         monkeypatch.setattr(link, "draw_random_paths", one_collinear)
         gen = make_papr_generator("ddam", num_paths=3, mt=8, block_len=64)
         with pytest.raises(ValueError, match="paths 0 and 1 are nearly collinear"):
             papr_ccdf(gen, 10, rng_seed=3)
-        assert len(drawn) == 10  # the whole chunk was drawn before the beam design
+        assert drawn == [(10, 3)]  # the group's paths, one stack before the beam design
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_values_do_not_depend_on_chunk_bytes(self, monkeypatch, case):
+        waveform, params, size = ORACLE_CASES[case]
+        gen = make_papr_generator(waveform, **params)
+        values, ccdfs = [], []
+        for chunk in (1, 3, 64):  # trials per chunk
+            monkeypatch.setattr(link, "PAPR_CHUNK_BYTES", chunk * 16 * size)
+            values.append(chunk_values(gen, 70, 12))
+            ccdfs.append(papr_ccdf(gen, 70, 12).exceed_probability)
+        assert all(np.array_equal(v, values[0]) for v in values)
+        assert all(np.array_equal(c, ccdfs[0]) for c in ccdfs)
 
     def test_stacked_rank_check_names_the_collinear_trial_paths(self):
         aods = np.array([[0.1, -0.4, 0.7], [0.3, -0.2, -0.2]])
