@@ -35,12 +35,14 @@ from .ofdm import (
 )
 from .otfs import (
     OtfsConfig,
+    banded_gram,
     dd_effective_matrix,
     mmse_equalize_dd,
     otfs_demodulate_isfft,
     otfs_demodulate_zak,
     otfs_modulate_isfft,
     otfs_modulate_zak,
+    time_matrix,
 )
 from .ddam import (
     AlignmentWindow,

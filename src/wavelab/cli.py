@@ -6,7 +6,7 @@ waveform read; any other key is a config error.  Results land in the
 output directory as CSV files plus a manifest recording the seed, the
 config echo and hash, the library version and the wall time.  Identical
 config and seed produce byte-identical CSVs at a fixed BLAS thread count
-(the MMSE solves' last bits depend on it).
+(the last bits of the OTFS MMSE's products and block solves depend on it).
 
     wavelab run --config scenario.json --out results/ [--seed-override N]
                 [--validate-only]

@@ -9,9 +9,9 @@ delay-Doppler grid and equalizes with the DD effective matrix of the
 compensated end-to-end channel, whose time-domain matrix comes from probing
 the chain with combs of unit impulses spaced by the chain's support, so one
 pass gives many columns.  Its functions take the plan, built per BER point,
-and the Gram H^H H of the effective matrix, built once per curve when the
-beams do not depend on the noise; the receiver equalizes all of a point's
-frames in one solve.
+and the blocks of C^H C of that time matrix C, built once per curve when
+the beams do not depend on the noise; the receiver equalizes all of a
+point's frames in one mmse_equalize_dd call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,13 @@ from .ofdm import (
     ofdm_equalize_one_tap,
     ofdm_modulate,
 )
-from .otfs import OtfsConfig, dd_effective_matrix, mmse_equalize_dd, otfs_modem
+from .otfs import (
+    BandedGram,
+    OtfsConfig,
+    dd_effective_matrix,
+    mmse_equalize_dd,
+    otfs_modem,
+)
 
 
 @dataclass(frozen=True)
@@ -143,27 +149,27 @@ def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,
     """DD effective matrix of the compensated end-to-end channel.
 
     The unnormalized chain is probed with combs of unit impulses spaced by
-    its support (see otfs.dd_effective_matrix).
+    its support (see otfs.time_matrix).
     """
     chain = ddam_chain_callable(channel, psi, beams, plan, half_length)
     return dd_effective_matrix(chain, otfs_cfg, variant=variant)
 
 
 def ddam_otfs_receive(frames, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig,
-                      gram: np.ndarray, noise_var: float,
+                      gram: BandedGram, noise_var: float,
                       variant: str = "zak") -> np.ndarray:
     """Demodulate each received frame to its DD grid, then MMSE-equalize them.
 
     frames is a list of F received Frames, none shorter than CP plus body;
     the result is the (F, K, M) stack of equalized grids.  gram is
-    otfs.mmse_gram (H^H H) of the effective matrix, built once per curve
-    when the beams do not depend on the noise; the F grids go through one
-    mmse_equalize_dd call, one solve with noise_var loaded on the Gram's
-    diagonal.
+    otfs.banded_gram of the time matrix C the effective matrix was built
+    from, built once per curve when the beams do not depend on the noise;
+    the F grids go through one mmse_equalize_dd call, which factors
+    C^H C + noise_var I once.
     """
     _, demodulate = otfs_modem(variant)
     grids = np.array([demodulate(rx, otfs_cfg) for rx in frames])
-    return mmse_equalize_dd(grids, effective_matrix, gram, noise_var)
+    return mmse_equalize_dd(grids, effective_matrix, gram, noise_var, variant=variant)
 
 
 def dominant_entries_per_column(matrix: np.ndarray, threshold_db: float = -30.0) -> np.ndarray:

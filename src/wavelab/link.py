@@ -3,17 +3,18 @@
 These tie the modems to the channel: MISO OFDM with per-subcarrier MRT and
 genie one-tap equalization frozen at each symbol's center time, DDAM
 read at its equivalent channel's dominant tap, OTFS with a wideband MRT
-beam and dense DD-domain MMSE (H and H^H H built once per curve when the
-beams do not depend on the noise, one solve per BER point), and the
-combined pipelines.  Every BER runner is a (transmit, receive, frames)
-triple fed to one frame loop: draw bits, QPSK, transmit, apply_channel,
-add_awgn, receive the noisy frame, count bit errors.  Every transmitter
-returns a BeamFrame: the DDAM family sends L path streams on their beams,
+beam and DD-domain MMSE solved as a banded time-domain system (the DD
+matrix H and the blocks of C^H C, C the time matrix it comes from, built
+once per curve when the beams do not depend on the noise; one factoring
+per BER point), and the combined pipelines.  Every BER runner is a
+(transmit, receive, frames) triple fed to one frame loop: draw bits,
+QPSK, transmit, apply_channel, add_awgn, receive the noisy frame, count
+bit errors.  Every transmitter returns a BeamFrame: the DDAM family sends L path streams on their beams,
 OTFS one stream on its beam, and MISO OFDM L streams on the L steering
 vectors, since its per-subcarrier MRT lies in their span.  The PAPR
 generators draw the random values of a group of trials in stacked calls on
 the group's generator and run everything after the draws over chunks of
-trials.
+trials filled across groups.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .combos import (
     ddam_ofdm_link,
     ddam_ofdm_receive,
     ddam_ofdm_transmit_with_link,
-    ddam_otfs_effective_matrix,
     ddam_otfs_receive,
     ddam_otfs_transmit,
 )
@@ -48,6 +48,7 @@ from .ddam import (
     DdamFrameConfig,
     PathStateInfo,
     build_compensation_plan,
+    ddam_chain_callable,
     ddam_demodulate,
     ddam_modulate,
     equivalent_channel,
@@ -66,15 +67,16 @@ from .ofdm import (
 )
 from .otfs import (
     OtfsConfig,
+    banded_gram,
     dd_effective_matrix,
     mmse_equalize_dd,
-    mmse_gram,
     otfs_modem,
     otfs_samples,
+    time_matrix,
 )
 
-# A PAPR chunk holds as many trials of one seeding group as fit about this
-# many bytes of (trials x rows x N) complex samples.  The trials run at
+# A PAPR chunk holds as many consecutive trials as fit about this many
+# bytes of (trials x rows x N) complex samples.  The trials run at
 # PAPR_SAMPLE_RATE.
 PAPR_CHUNK_BYTES = 1 << 20
 PAPR_SAMPLE_RATE = 1e6
@@ -258,19 +260,21 @@ def otfs_scalar_taps(channel: MultipathChannel, beam: np.ndarray) -> ScalarChann
     return ScalarChannel(taps, channel.sample_rate)
 
 
-def _with_gram(h_dd: np.ndarray) -> tuple:
-    return h_dd, mmse_gram(h_dd)
+def _mmse_operators(c: np.ndarray, cfg: OtfsConfig, variant: str) -> tuple:
+    """(H, banded_gram(C)) of a time matrix C, which is not kept."""
+    return dd_effective_matrix(c, cfg, variant=variant), banded_gram(c)
 
 
 def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                  num_frames: int, rng_seed, variant: str = "zak") -> LinkResult:
-    """Uncoded QPSK over MISO OTFS with dense DD-domain MMSE equalization.
+    """Uncoded QPSK over MISO OTFS with DD-domain MMSE equalization.
 
-    H and H^H H are kept on the channel, built once per curve.
+    H and the blocks of C^H C are kept on the channel, built once per curve
+    from one time matrix C of the beamformed channel.
     """
     beam = otfs_miso_beam(channel)
-    h_dd, gram = channel.cached(("otfs", cfg, variant), lambda: _with_gram(
-        dd_effective_matrix(otfs_scalar_taps(channel, beam), cfg, variant=variant)))
+    h_dd, gram = channel.cached(("otfs", cfg, variant), lambda: _mmse_operators(
+        time_matrix(otfs_scalar_taps(channel, beam), cfg), cfg, variant))
     modulate, demodulate = otfs_modem(variant)
 
     def transmit(symbols):
@@ -281,7 +285,8 @@ def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
         return demodulate(noisy, cfg)
 
     def equalize(grids):
-        return mmse_equalize_dd(np.array(grids), h_dd, gram, 10 ** (-snr_db / 10))
+        return mmse_equalize_dd(np.array(grids), h_dd, gram, 10 ** (-snr_db / 10),
+                                variant=variant)
 
     return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
                        [cfg.frame_len] * num_frames, transmit, receive, equalize)
@@ -319,8 +324,9 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                       half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
     """Uncoded QPSK over DDAM-OTFS with the compensated-channel DD MMSE.
 
-    H and H^H H are kept on the channel, built once per curve, unless the
-    beams depend on the noise (rzf, mmse): then they are built per point.
+    H and the blocks of C^H C, from one time matrix C of the compensated
+    chain, are kept on the channel, built once per curve, unless the beams
+    depend on the noise (rzf, mmse): then they are built per point.
     """
     psi = psi_from_channel(channel)
     noise_var = 10 ** (-snr_db / 10)
@@ -329,8 +335,8 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                                    half_length=half_length)
 
     def build():
-        return _with_gram(ddam_otfs_effective_matrix(
-            channel, psi, beams, cfg, plan, variant=variant, half_length=half_length))
+        chain = ddam_chain_callable(channel, psi, beams, plan, half_length)
+        return _mmse_operators(time_matrix(chain, cfg), cfg, variant)
 
     if criterion.lower() in NOISE_FREE_CRITERIA:
         key = ("ddam_otfs", cfg, variant, criterion, mode, window, half_length)
@@ -353,11 +359,23 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                        half_length=half_length)
 
 
-def _chunks(count: int, rows: int, width: int):
-    """Slices of count trials, each as many as fill about PAPR_CHUNK_BYTES
-    of (trials x rows x width) complex samples."""
+def _chunks(stacks, rows: int, width: int):
+    """Chunks of consecutive trials from per-group stacks of draws.
+
+    stacks yields one tuple of arrays per group, trials on axis 0.  Each
+    chunk holds as many trials as fill about PAPR_CHUNK_BYTES of (trials x
+    rows x width) complex samples, filled across group boundaries; only the
+    last chunk may be shorter.
+    """
     size = max(1, PAPR_CHUNK_BYTES // (16 * rows * width))
-    return (slice(start, start + size) for start in range(0, count, size))
+    held = None
+    for stack in stacks:
+        held = stack if held is None else tuple(map(np.concatenate, zip(held, stack)))
+        while len(held[0]) >= size:
+            yield tuple(a[:size] for a in held)
+            held = tuple(a[size:] for a in held)
+    if held is not None and len(held[0]):
+        yield held
 
 
 def make_papr_generator(waveform: str, **params):
@@ -366,10 +384,11 @@ def make_papr_generator(waveform: str, **params):
     The generator takes papr_ccdf's (Generator, count) groups and yields
     (samples (T x rows x N), span (T,)) chunks.  A group's random values
     are stacked draws on its generator: one random_qpsk call for all its
-    trials, and for DDAM first one draw_random_paths stack.  Its trials
-    then run in chunks of T, T sized from PAPR_CHUNK_BYTES; everything
-    after the draws runs once per chunk, and each trial's samples equal
-    the one-trial chain's on its draws, whatever the chunk size.
+    trials, and for DDAM first one draw_random_paths stack.  The trials
+    then run in chunks of T, T sized from PAPR_CHUNK_BYTES and filled
+    across groups; everything after the draws runs once per chunk, and
+    each trial's samples equal the one-trial chain's on its draws, whatever
+    the chunk size.
 
     ofdm: one OFDM symbol body of K subcarriers.  otfs_*: one frame body.
     ddam: one block over a fresh random channel, all antennas, over its
@@ -379,11 +398,11 @@ def make_papr_generator(waveform: str, **params):
         k = params["num_subcarriers"]
 
         def gen(groups):
-            for rng, count in groups:
-                symbols = random_qpsk(rng, count * k).reshape(count, k)
-                for part in _chunks(count, 1, k):
-                    x = np.fft.ifft(symbols[part], norm="ortho")
-                    yield x[:, np.newaxis, :], np.full(len(x), k)
+            draws = ((random_qpsk(rng, count * k).reshape(count, k),)
+                     for rng, count in groups)
+            for symbols, in _chunks(draws, 1, k):
+                x = np.fft.ifft(symbols, norm="ortho")
+                yield x[:, np.newaxis, :], np.full(len(x), k)
 
         return gen
 
@@ -395,11 +414,11 @@ def make_papr_generator(waveform: str, **params):
         variant = waveform.split("_")[1]
 
         def gen(groups):
-            for rng, count in groups:
-                grids = random_qpsk(rng, count * k * m).reshape(count, k, m)
-                for part in _chunks(count, 1, k * m):
-                    x = otfs_samples(grids[part], variant)
-                    yield x[:, np.newaxis, :], np.full(len(x), k * m)
+            draws = ((random_qpsk(rng, count * k * m).reshape(count, k, m),)
+                     for rng, count in groups)
+            for grids, in _chunks(draws, 1, k * m):
+                x = otfs_samples(grids, variant)
+                yield x[:, np.newaxis, :], np.full(len(x), k * m)
 
         return gen
 
@@ -412,17 +431,17 @@ def make_papr_generator(waveform: str, **params):
         doppler = params.get("max_doppler_hz", 0.0)
 
         def gen(groups):
-            for rng, count in groups:
-                aods, delays, dopplers, gains = draw_random_paths(
-                    array, num_paths, (0.0, max_delay / PAPR_SAMPLE_RATE),
-                    (-doppler, doppler), rng, count)
-                symbols = random_qpsk(rng, count * block).reshape(count, block)
-                for part in _chunks(count, array.num_tx_antennas, block + max_delay):
-                    psi = PathStateInfo(array, PAPR_SAMPLE_RATE,
-                                        delays[part] * PAPR_SAMPLE_RATE, dopplers[part],
-                                        aods[part], gains[part])
-                    beams = path_beamformers(psi, criterion, noise_var=0.01)
-                    yield path_based_blocks(symbols[part], psi, beams)
+            draws = ((*draw_random_paths(array, num_paths,
+                                         (0.0, max_delay / PAPR_SAMPLE_RATE),
+                                         (-doppler, doppler), rng, count),
+                      random_qpsk(rng, count * block).reshape(count, block))
+                     for rng, count in groups)
+            for aods, delays, dopplers, gains, symbols in _chunks(
+                    draws, array.num_tx_antennas, block + max_delay):
+                psi = PathStateInfo(array, PAPR_SAMPLE_RATE, delays * PAPR_SAMPLE_RATE,
+                                    dopplers, aods, gains)
+                beams = path_beamformers(psi, criterion, noise_var=0.01)
+                yield path_based_blocks(symbols, psi, beams)
 
         return gen
 

@@ -6,6 +6,9 @@ delay fastest (sample n = k + K*m), plus one cyclic prefix per frame.
 The delay-Doppler effective matrix is the exact linear map for
 equalization: the channel's time-domain matrix between two unitary OTFS
 transforms, each one batched FFT pass over blocks of rows or columns.
+Because those transforms are unitary, the DD-domain MMSE is solved in the
+time domain, where C^H C is banded and, in a folded sample order,
+block-tridiagonal.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ class OtfsConfig:
         """Samples per frame excluding the cyclic prefix."""
         return self.num_doppler_bins * self.num_delay_bins
 
+    @property
+    def grid_shape(self) -> tuple:
+        """(K, M): delay bins x Doppler bins."""
+        return self.num_delay_bins, self.num_doppler_bins
+
 
 def _check_grid(grid: np.ndarray, cfg: OtfsConfig) -> np.ndarray:
     grid = np.asarray(grid, dtype=np.complex128)
@@ -86,7 +94,7 @@ def otfs_demodulate_isfft(rx, cfg: OtfsConfig) -> np.ndarray:
     k, m = cfg.num_delay_bins, cfg.num_doppler_bins
     count(m * fft_multiplies(k))
     count(m * fft_multiplies(k) + k * fft_multiplies(m))
-    return otfs_grids(body, cfg, "isfft")
+    return otfs_grids(body, cfg.grid_shape, "isfft")
 
 
 def otfs_modulate_zak(grid: np.ndarray, cfg: OtfsConfig) -> Frame:
@@ -101,7 +109,7 @@ def otfs_demodulate_zak(rx, cfg: OtfsConfig) -> np.ndarray:
     """Discrete Zak transform, inverse of otfs_modulate_zak."""
     body = _frame_body(rx, cfg)
     count(cfg.num_delay_bins * fft_multiplies(cfg.num_doppler_bins))
-    return otfs_grids(body, cfg, "zak")
+    return otfs_grids(body, cfg.grid_shape, "zak")
 
 
 VARIANTS = ("zak", "isfft")
@@ -129,15 +137,15 @@ def otfs_samples(grids: np.ndarray, variant: str) -> np.ndarray:
     return np.swapaxes(z, -1, -2).reshape(*z.shape[:-2], -1)
 
 
-def otfs_grids(samples: np.ndarray, cfg: OtfsConfig, variant: str) -> np.ndarray:
+def otfs_grids(samples: np.ndarray, shape: tuple, variant: str) -> np.ndarray:
     """(..., K, M) DD grids of (..., K*M) CP-free samples, inverse of otfs_samples.
 
-    zak: the Zak transform, a DFT over the Doppler axis.  isfft: a DFT of
-    size K per column, then the SFFT back to the DD grid.  A stack is one
-    batched transform per step.
+    shape is the grid's (K, M).  zak: the Zak transform, a DFT over the
+    Doppler axis.  isfft: a DFT of size K per column, then the SFFT back to
+    the DD grid.  A stack is one batched transform per step.
     """
     _check_variant(variant)
-    k, m = cfg.num_delay_bins, cfg.num_doppler_bins
+    k, m = shape
     z = np.swapaxes(samples.reshape(*samples.shape[:-1], m, k), -1, -2)
     if variant == "zak":
         return np.fft.fft(z, axis=-1, norm="ortho")
@@ -155,8 +163,8 @@ def otfs_modem(variant: str):
     return otfs_modulate_isfft, otfs_demodulate_isfft
 
 
-def _time_matrix(channel, cfg: OtfsConfig) -> np.ndarray:
-    """(N x N) map from the CP-free frame body to the received body.
+def time_matrix(channel, cfg: OtfsConfig) -> np.ndarray:
+    """(N x N) map C from the CP-free frame body to the received body.
 
     The body rows of the channel's matrix over the N + cp transmitted
     samples, with each CP column added to the column of the body sample it
@@ -190,48 +198,134 @@ def _time_matrix(channel, cfg: OtfsConfig) -> np.ndarray:
 def dd_effective_matrix(channel, cfg: OtfsConfig, variant: str = "zak") -> np.ndarray:
     """Exact end-to-end DD-domain map H = M^H C M of a scalar channel.
 
-    channel is a callable mapping a 1-D time signal to the received signal.
+    channel is a callable mapping a 1-D time signal to the received signal,
+    or the channel's (N x N) time matrix C itself, which is left unchanged.
     A ScalarChannel gives its time-domain matrix from its taps; any other
     callable is probed with combs of unit impulses spaced by its support
-    (see _time_matrix), or one impulse per pass without one.  C is that
-    matrix on the frame body with the CP folded in, and M the unitary OTFS
-    modulator, so column j of H is the demodulated response to a unit
-    impulse at flattened DD bin j (row-major over the K x M grid).  C M is
-    the conjugated demodulation of the rows of conj(C), and M^H (C M) the
-    demodulation of its columns: two batched transforms over blocks.
+    (see time_matrix).  C is that matrix on the frame body with the CP
+    folded in, and M the unitary OTFS modulator, so column j of H is the
+    demodulated response to a unit impulse at flattened DD bin j (row-major
+    over the K x M grid).  C M is the conjugated demodulation of the rows
+    of conj(C), and M^H (C M) the demodulation of its columns: two batched
+    transforms over blocks.
     """
     size = cfg.frame_len
     if size > MAX_DENSE_GRID:
         raise ValueError(f"grid size {size} exceeds dense limit {MAX_DENSE_GRID}")
     _check_variant(variant)
-    h = _time_matrix(channel, cfg)
+    if isinstance(channel, np.ndarray):
+        if channel.shape != (size, size):
+            raise ValueError(f"time matrix shape {channel.shape} does not match the "
+                             f"frame length {size}")
+        h = channel.astype(np.complex128)
+    else:
+        h = time_matrix(channel, cfg)
     block = max(1, TRANSFORM_BLOCK_BYTES // (16 * size))
     for i in range(0, size, block):
-        rows = otfs_grids(h[i:i + block].conj(), cfg, variant)
+        rows = otfs_grids(h[i:i + block].conj(), cfg.grid_shape, variant)
         h[i:i + block] = rows.reshape(-1, size).conj()
     for j in range(0, size, block):
-        columns = otfs_grids(h[:, j:j + block].T, cfg, variant)
+        columns = otfs_grids(h[:, j:j + block].T, cfg.grid_shape, variant)
         h[:, j:j + block] = columns.reshape(-1, size).T
     return h
 
 
-def mmse_gram(effective_matrix: np.ndarray) -> np.ndarray:
-    """H^H H, built once per curve; mmse_equalize_dd loads each point's
-    noise_var onto its diagonal."""
-    h = np.asarray(effective_matrix, dtype=np.complex128)
-    return h.conj().T @ h
+@dataclass(frozen=True)
+class BandedGram:
+    """C^H C of a time matrix C, block-tridiagonal in the folded sample order.
+
+    order is the folded order 0, N-1, 1, N-2, ... of the N body samples.
+    diagonal[i] and upper[i] are the blocks (i, i) and (i, i + 1) of C^H C
+    with its rows and columns taken in that order; the blocks below the
+    diagonal are the conjugate transposes of upper.
+    """
+
+    order: np.ndarray
+    diagonal: tuple
+    upper: tuple
+
+
+def banded_gram(c: np.ndarray) -> BandedGram:
+    """The blocks of C^H C for mmse_equalize_dd, built without C^H C itself.
+
+    C is cyclic-banded: its nonzeros lie on cyclic diagonals r - j (mod N)
+    whose signed offsets span some width w, so those of C^H C, their
+    differences, lie within w of the main diagonal.  Two samples at cyclic
+    distance d are at most 2d apart in the folded order, so there C^H C is
+    a plain band of half-width 2w, and blocks of that many samples make it
+    block-tridiagonal.  When 2w reaches N there is one block.  Each block
+    product runs over the rows of C that its columns reach.
+    """
+    n = len(c)
+    live = c != 0
+    rows, cols = np.nonzero(live)
+    signed = ((rows - cols) % n + n // 2) % n - n // 2
+    size = max(1, 2 * int(signed.max() - signed.min())) if len(signed) else n
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    blocks = [order[i:i + size] for i in range(0, n, size)]
+    diagonal, upper = [], []
+    for i, here in enumerate(blocks):
+        reached = np.flatnonzero(live[:, here].any(axis=1))
+        block = c[np.ix_(reached, here)]
+        block_h = block.conj().T
+        diagonal.append(block_h @ block)
+        if i + 1 < len(blocks):
+            upper.append(block_h @ c[np.ix_(reached, blocks[i + 1])])
+    return BandedGram(order, tuple(diagonal), tuple(upper))
+
+
+def _block_thomas(gram: BandedGram, noise_var: float) -> tuple:
+    """Schur complements S_i of gram + noise_var I and the W_i = S_i^-1 B_i
+    that carry each block's solution back, B_i the upper blocks.  Every S_i
+    is Hermitian positive definite for noise_var > 0, so no pivoting
+    across blocks is needed."""
+    schur, carry = [], []
+    loaded = [a + noise_var * np.eye(len(a)) for a in gram.diagonal]
+    s = loaded[0]
+    for b, a in zip(gram.upper, loaded[1:]):
+        w = np.linalg.solve(s, b)
+        schur.append(s)
+        carry.append(w)
+        s = a - b.conj().T @ w
+    schur.append(s)
+    return schur, carry
+
+
+def _block_substitute(gram: BandedGram, schur: list, carry: list,
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solve (gram + noise_var I) x = rhs for one (N,) right-hand side in
+    natural sample order, with _block_thomas's factors of that matrix."""
+    v = rhs[gram.order]
+    bounds = np.cumsum([0] + [len(s) for s in schur])
+    g = []
+    for i, s in enumerate(schur):
+        z = v[bounds[i]:bounds[i + 1]]
+        if i:
+            z = z - gram.upper[i - 1].conj().T @ g[-1]
+        g.append(np.linalg.solve(s, z[:, np.newaxis])[:, 0])
+    x = [g[-1]]
+    for gi, w in zip(g[-2::-1], carry[::-1]):
+        x.append(gi - w @ x[-1])
+    out = np.empty_like(v)
+    out[gram.order] = np.concatenate(x[::-1])
+    return out
 
 
 def mmse_equalize_dd(received: np.ndarray, effective_matrix: np.ndarray,
-                     gram: np.ndarray, noise_var: float) -> np.ndarray:
+                     gram: BandedGram, noise_var: float,
+                     variant: str = "zak") -> np.ndarray:
     """Linear MMSE estimate (H^H H + noise_var I)^-1 H^H y of each received grid.
 
     received is an (F, K, M) stack of F grids, and the estimate has its
-    shape.  gram is mmse_gram(H) of the same H, built once per curve.
-    noise_var is added to its diagonal in place for one solve with one
-    right-hand side per grid, and the diagonal is restored after.  Each
-    H^H y stays its own matrix-vector product.  With noise_var 0 the Gram
-    must be well conditioned.
+    shape.  H = M^H C M with M the unitary modulator of the variant, so the
+    estimate is M^H (C^H C + noise_var I)^-1 M (H^H y): a time-domain solve
+    against gram, the banded_gram(C) of the C that H was built from.  That
+    system is factored once per call by block Thomas; each frame's H^H y
+    and substitution run on their own, so an estimate is bit-identical
+    whether its frame comes alone or in a stack.  With noise_var 0,
+    C^H C must be well conditioned (its condition number is H's squared).
     """
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
@@ -241,16 +335,18 @@ def mmse_equalize_dd(received: np.ndarray, effective_matrix: np.ndarray,
     if y.ndim != 3 or y.shape[1] * y.shape[2] != size or h.shape != (size, size):
         raise ValueError(f"received shape {y.shape} is not a stack of grids of "
                          f"the effective matrix {h.shape}")
-    if noise_var == 0 and not np.linalg.cond(gram) <= 1e12:  # NaN fails it too
+    if len(gram.order) != size:
+        raise ValueError(f"gram of {len(gram.order)} samples does not match the "
+                         f"effective matrix {h.shape}")
+    _check_variant(variant)
+    if noise_var == 0 and not np.linalg.cond(h) ** 2 <= 1e12:  # NaN fails it too
         raise np.linalg.LinAlgError(
             "singular effective matrix with noise_var=0; add regularization")
-    h_h = h.conj().T
-    rhs = np.stack([h_h @ grid for grid in y.reshape(-1, size)], axis=1)
-    del h_h  # freed before the solve copies the Gram, so peak memory stays put
-    diagonal = gram.diagonal().copy()
-    gram[np.diag_indices(size)] += noise_var
-    try:
-        x = np.linalg.solve(gram, rhs)
-    finally:
-        np.fill_diagonal(gram, diagonal)
-    return x.T.reshape(y.shape)
+    schur, carry = _block_thomas(gram, noise_var)
+    out = np.empty_like(y)
+    for f, grid in enumerate(y):
+        h_h_y = (grid.reshape(-1).conj() @ h).conj()  # H^H y, with no copy of H^H
+        body = otfs_samples(h_h_y.reshape(grid.shape), variant)
+        x = _block_substitute(gram, schur, carry, body)
+        out[f] = otfs_grids(x, grid.shape, variant)
+    return out

@@ -34,8 +34,15 @@ from wavelab.ddam import (
 from wavelab.metrics import ber
 from wavelab.modulation import qpsk_demodulate, qpsk_modulate, qpsk_slice, random_qpsk
 from wavelab.ofdm import OfdmConfig, ofdm_demodulate, ofdm_equalize_one_tap, ofdm_modulate
-from wavelab.otfs import OtfsConfig, dd_effective_matrix, mmse_equalize_dd, mmse_gram
-from wavelab.otfs import otfs_modulate_zak
+from wavelab.otfs import (
+    OtfsConfig,
+    banded_gram,
+    dd_effective_matrix,
+    mmse_equalize_dd,
+    otfs_modem,
+    otfs_modulate_zak,
+    time_matrix,
+)
 
 
 RATE = 1e6
@@ -53,6 +60,19 @@ def make_scenario(rng, delays_samples, dopplers=None, mt=16):
     psi = psi_from_channel(channel)
     beams = path_beamformers(psi, "zf")
     return channel, psi, beams
+
+
+def ddam_otfs_operators(channel, psi, beams, cfg, plan, variant="zak"):
+    """(H, banded_gram(C)) of the compensated chain's time matrix C."""
+    c = time_matrix(ddam_chain_callable(channel, psi, beams, plan), cfg)
+    return dd_effective_matrix(c, cfg, variant), banded_gram(c)
+
+
+def dense_mmse(grids, h, noise_var):
+    """Oracle: the dense DD MMSE, one solve against H^H H + noise_var I per grid."""
+    gram = h.conj().T @ h + noise_var * np.eye(len(h))
+    return np.stack([np.linalg.solve(gram, (h.conj().T @ g.reshape(-1))[:, np.newaxis])
+                     .reshape(g.shape) for g in grids])
 
 
 class TestDdamOfdm:
@@ -299,10 +319,10 @@ class TestDdamOtfs:
         cfg = OtfsConfig(4, 8, 0, RATE)
         grid = random_qpsk(rng, 32).reshape(8, 4)
         plan = build_compensation_plan(psi)
-        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan)
+        h, gram = ddam_otfs_operators(channel, psi, beams, cfg, plan)
         tx = ddam_otfs_transmit(grid, psi, beams, cfg, plan)
         rx = apply_channel(channel, tx)
-        out = ddam_otfs_receive([rx], h, cfg, mmse_gram(h), 0.0)[0]
+        out = ddam_otfs_receive([rx], h, cfg, gram, 0.0)[0]
         # the transmit power normalization is a real positive scalar
         scale = out[0, 0] / grid[0, 0]
         assert abs(scale.imag) < 1e-9
@@ -314,9 +334,9 @@ class TestDdamOtfs:
         cfg = OtfsConfig(4, 8, 8, RATE)
         grid = random_qpsk(rng, 32).reshape(8, 4)
         plan = build_compensation_plan(psi)
-        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan)
+        h, gram = ddam_otfs_operators(channel, psi, beams, cfg, plan)
         rx = apply_channel(channel, ddam_otfs_transmit(grid, psi, beams, cfg, plan))
-        out = ddam_otfs_receive([rx], h, cfg, mmse_gram(h), 0.0)[0]
+        out = ddam_otfs_receive([rx], h, cfg, gram, 0.0)[0]
         assert np.array_equal(qpsk_slice(out), grid)
 
     def test_truncated_frame_rejected(self):
@@ -326,12 +346,12 @@ class TestDdamOtfs:
         channel, psi, beams = make_scenario(rng, [2, 5])
         cfg = OtfsConfig(4, 8, 8, RATE)
         plan = build_compensation_plan(psi)
-        h = ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan)
+        h, gram = ddam_otfs_operators(channel, psi, beams, cfg, plan)
         grid = random_qpsk(rng, 32).reshape(8, 4)
         rx = apply_channel(channel, ddam_otfs_transmit(grid, psi, beams, cfg, plan))
         short = Frame(rx.samples[:, :cfg.frame_len + cfg.cp_len - 1], RATE)
         with pytest.raises(ValueError):
-            ddam_otfs_receive([rx, short], h, cfg, mmse_gram(h), 0.0)
+            ddam_otfs_receive([rx, short], h, cfg, gram, 0.0)
 
     def test_equalizer_bandwidth_below_plain_otfs(self):
         # residual windows leave the DDAM matrix sparser than plain OTFS
@@ -403,17 +423,17 @@ class TestDdamOtfs:
 
         builds, calls = [], []
 
-        def counting(h):
+        def counting(c):
             builds.append(None)
-            return mmse_gram(h)
+            return banded_gram(c)
 
-        def recording(grids, h, gram, noise_var):
-            out = mmse_equalize_dd(grids, h, gram, noise_var)
+        def recording(grids, h, gram, noise_var, variant="zak"):
+            out = mmse_equalize_dd(grids, h, gram, noise_var, variant)
             calls.append((grids, h, noise_var, out))
             return out
 
         for module in (wavelab.otfs, wavelab.combos, wavelab.link):
-            monkeypatch.setattr(module, "mmse_gram", counting, raising=False)
+            monkeypatch.setattr(module, "banded_gram", counting, raising=False)
             monkeypatch.setattr(module, "mmse_equalize_dd", recording, raising=False)
         rng = np.random.default_rng(18)
         channel, _, _ = make_scenario(rng, [1.3, 4.6], dopplers=[300.0, -200.0], mt=8)
@@ -421,16 +441,14 @@ class TestDdamOtfs:
         points = [(6.0, 1), (10.0, 3)]  # (SNR dB, frames) of one curve
         for snr_db, frames in points:
             getattr(wavelab.link, runner)(channel, cfg, snr_db, frames, rng_seed=5)
-        assert len(builds) == 1  # H^H H once per curve
-        # one stacked equalize call, and so one solve, per point
+        assert len(builds) == 1  # the blocks of C^H C once per curve
+        # one stacked equalize call, and so one factoring, per point
         assert [grids.shape for grids, *_ in calls] == [(1, 8, 4), (3, 8, 4)]
-        # each frame's estimate equals a lone solve against a Gram built for it
+        # each frame's estimate equals the dense MMSE of the same H
         for (grids, h, noise_var, out), (snr_db, _) in zip(calls, points):
             assert noise_var == 10 ** (-snr_db / 10)
-            gram = mmse_gram(h) + noise_var * np.eye(len(h))
-            for grid, estimate in zip(grids, out):
-                x = np.linalg.solve(gram, h.conj().T @ grid.reshape(-1))
-                assert np.array_equal(estimate, x.reshape(grid.shape))
+            expected = dense_mmse(grids, h, noise_var)
+            assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_cache_key_holds_what_the_matrix_depends_on(self, monkeypatch):
         import wavelab.combos
@@ -438,9 +456,9 @@ class TestDdamOtfs:
 
         seen = []
 
-        def recording(grids, h, gram, noise_var):
+        def recording(grids, h, gram, noise_var, variant="zak"):
             seen.append(h)
-            return mmse_equalize_dd(grids, h, gram, noise_var)
+            return mmse_equalize_dd(grids, h, gram, noise_var, variant)
 
         for module in (wavelab.combos, wavelab.link):
             monkeypatch.setattr(module, "mmse_equalize_dd", recording, raising=False)
@@ -466,6 +484,26 @@ class TestDdamOtfs:
             fresh = build_channel(channel.array, channel.paths, channel.sample_rate)
             getattr(wavelab.link, runner)(fresh, run_cfg, 6.0, 1, rng_seed=5, **options)
         assert all(np.array_equal(a, b) for a, b in zip(shared, seen))
+
+    @pytest.mark.parametrize("variant", ["zak", "isfft"])
+    def test_banded_receiver_matches_dense_mmse(self, variant):
+        # the combos receiver on the grids of this class against the dense oracle
+        rng = np.random.default_rng(20)
+        channel, psi, beams = make_scenario(rng, [1.3, 4.6], dopplers=[300.0, -200.0])
+        for cfg in (OtfsConfig(4, 8, 8, RATE), OtfsConfig(8, 8, 8, RATE)):
+            plan = build_compensation_plan(psi, mode="tap_based")
+            h, gram = ddam_otfs_operators(channel, psi, beams, cfg, plan, variant)
+            assert np.array_equal(
+                h, ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan, variant))
+            grid = random_qpsk(rng, cfg.frame_len).reshape(cfg.grid_shape)
+            rx = apply_channel(channel, ddam_otfs_transmit(grid, psi, beams, cfg, plan,
+                                                           variant=variant))
+            for noise_var in (1e-3, 0.4, 1e3):
+                out = ddam_otfs_receive([rx], h, cfg, gram, noise_var, variant=variant)
+                _, demodulate = otfs_modem(variant)
+                expected = dense_mmse([demodulate(rx, cfg)], h, noise_var)
+                assert (np.max(np.abs(out - expected))
+                        <= 1e-10 * np.max(np.abs(expected)))
 
     def test_chain_callable_matches_modulate(self):
         rng = np.random.default_rng(16)

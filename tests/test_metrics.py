@@ -323,6 +323,18 @@ class TestPaprChunkOracle:
         assert all(np.array_equal(v, values[0]) for v in values)
         assert all(np.array_equal(c, ccdfs[0]) for c in ccdfs)
 
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_chunks_fill_across_groups(self, monkeypatch, case):
+        # 15 trials per chunk over groups of 32, 32 and 6: the chunks straddle
+        # the group boundaries, and only the last one is short
+        waveform, params, size = ORACLE_CASES[case]
+        monkeypatch.setattr(link, "PAPR_CHUNK_BYTES", 15 * 16 * size)
+        chunks = list(make_papr_generator(waveform, **params)(groups(70, 21)))
+        assert [len(x) for x, _ in chunks] == [15] * 4 + [10]
+        got = np.concatenate([papr_db(x, 1, span) for x, span in chunks])
+        expected = oracle_values(oracle_generator(waveform, **params), 70, 21)
+        assert np.array_equal(got, expected)
+
     def test_stacked_rank_check_names_the_collinear_trial_paths(self):
         aods = np.array([[0.1, -0.4, 0.7], [0.3, -0.2, -0.2]])
         shape = aods.shape

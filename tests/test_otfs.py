@@ -19,15 +19,15 @@ from wavelab.ddam import (
 from wavelab.modulation import random_qpsk
 from wavelab.otfs import (
     OtfsConfig,
-    _time_matrix,
+    banded_gram,
     dd_effective_matrix,
     mmse_equalize_dd,
-    mmse_gram,
     otfs_demodulate_isfft,
     otfs_demodulate_zak,
     otfs_modulate_isfft,
     otfs_modem,
     otfs_modulate_zak,
+    time_matrix,
 )
 
 
@@ -265,7 +265,7 @@ class TestCombProbing:
         assert lo < 0 and hi - lo + 1 < cfg.frame_len  # several impulses per pass
         expected = impulse_matrix(chain, cfg)
         chain_passes.clear()
-        np.testing.assert_array_equal(_time_matrix(chain, cfg), expected)
+        np.testing.assert_array_equal(time_matrix(chain, cfg), expected)
         assert len(chain_passes) == min(hi - lo + 1, cfg.frame_len + cp)
 
     @pytest.mark.parametrize("mode", ["path_based", "tap_based"])
@@ -275,14 +275,14 @@ class TestCombProbing:
         lo, hi = chain.support
         expected = impulse_matrix(chain, cfg)
         chain_passes.clear()
-        np.testing.assert_array_equal(_time_matrix(chain, cfg), expected)
+        np.testing.assert_array_equal(time_matrix(chain, cfg), expected)
         assert len(chain_passes) == hi - lo + 1 < 100
 
     def test_callable_without_support_gets_one_impulse_per_pass(self, chain_passes):
         chain = near_zero_chain("path_based", half_length=4)
         cfg = OtfsConfig(4, 8, 5, RATE)
-        np.testing.assert_array_equal(_time_matrix(lambda s: chain(s), cfg),
-                                      _time_matrix(chain, cfg))
+        np.testing.assert_array_equal(time_matrix(lambda s: chain(s), cfg),
+                                      time_matrix(chain, cfg))
         lo, hi = chain.support
         assert len(chain_passes) == cfg.frame_len + 5 + hi - lo + 1
 
@@ -324,61 +324,212 @@ class TestChainSupport:
                 assert rows.min() == j + lo and rows.max() == j + hi
 
 
+def dense_mmse(grids, h, noise_var):
+    """Oracle: the dense DD MMSE, one solve against H^H H + noise_var I per grid."""
+    gram = h.conj().T @ h + noise_var * np.eye(len(h))
+    return np.stack([np.linalg.solve(gram, (h.conj().T @ g.reshape(-1))[:, np.newaxis])
+                     .reshape(g.shape) for g in grids])
+
+
+def operators(c, cfg, variant="zak"):
+    """(H, banded_gram(C)) of a time matrix C, as the BER runners build them."""
+    return dd_effective_matrix(c, cfg, variant), banded_gram(c)
+
+
+def random_grids(rng, count, cfg):
+    shape = (count, *cfg.grid_shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_matches_dense(channel, cfg, variant, noise_vars, seed=0):
+    """The banded MMSE of a channel within 1e-10 of the dense oracle on
+    random grids; returns the banded_gram."""
+    h, gram = operators(time_matrix(channel, cfg), cfg, variant)
+    grids = random_grids(np.random.default_rng(seed), 2, cfg)
+    for noise_var in noise_vars:
+        expected = dense_mmse(grids, h, noise_var)
+        got = mmse_equalize_dd(grids, h, gram, noise_var, variant)
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+    return gram
+
+
+def bench_like_channel(seed):
+    """A beamformed 4-path channel as ber_dd_grid draws them: M_t 16, delays
+    up to 8 us, Doppler up to 1 kHz."""
+    from wavelab.link import otfs_miso_beam, otfs_scalar_taps
+
+    channel = sample_random_channel(ArrayConfig(16), 4, (0.0, 8e-6), (-1000.0, 1000.0),
+                                    rng_seed=seed, sample_rate=1e6)
+    return channel, otfs_scalar_taps(channel, otfs_miso_beam(channel))
+
+
 class TestMmse:
     def test_identity_no_noise(self):
         y = np.arange(8, dtype=complex).reshape(1, 4, 2)
-        out = mmse_equalize_dd(y, np.eye(8), mmse_gram(np.eye(8)), 0.0)
+        h, gram = operators(np.eye(8), OtfsConfig(2, 4, 0, 1e6))
+        out = mmse_equalize_dd(y, h, gram, 0.0)
         assert np.allclose(out, y, atol=1e-12)
 
     def test_noiseless_invertible_recovery(self):
         rng = np.random.default_rng(13)
         cfg = OtfsConfig(4, 8, 4, 1e6)
         channel = ScalarChannel(((0.9, 0, 0.0), (0.5j, 2, 400.0)), 1e6)
-        h = dd_effective_matrix(channel, cfg)
-        grid = random_grid(rng, cfg)
-        rx = channel(otfs_modulate_zak(grid, cfg).row())
-        y = otfs_demodulate_zak(rx, cfg)
-        out = mmse_equalize_dd([y], h, mmse_gram(h), 0.0)[0]
-        assert np.max(np.abs(out - grid)) < 1e-9
+        for variant in ("zak", "isfft"):
+            h, gram = operators(time_matrix(channel, cfg), cfg, variant)
+            grid = random_grid(rng, cfg)
+            modulate, demodulate = otfs_modem(variant)
+            y = demodulate(channel(modulate(grid, cfg).row()), cfg)
+            out = mmse_equalize_dd([y], h, gram, 0.0, variant)[0]
+            assert np.max(np.abs(out - grid)) < 1e-9
 
     def test_infinite_noise_shrinks_to_zero(self):
         rng = np.random.default_rng(14)
-        h = np.eye(16) * 2.0
+        h, gram = operators(np.eye(16) * 2.0, OtfsConfig(4, 4, 0, 1e6))
         y = rng.standard_normal(16).reshape(4, 4).astype(complex)
-        out = mmse_equalize_dd([y], h, mmse_gram(h), 1e12)
+        out = mmse_equalize_dd([y], h, gram, 1e12)
         assert np.max(np.abs(out)) < 1e-10
 
     def test_singular_without_noise_raises(self):
-        h = np.zeros((4, 4), dtype=complex)
-        h[0, 0] = 1.0
-        gram = mmse_gram(h)
+        c = np.zeros((4, 4), dtype=complex)
+        c[0, 0] = 1.0
+        h, gram = operators(c, OtfsConfig(2, 2, 0, 1e6))
         with pytest.raises(np.linalg.LinAlgError):
             mmse_equalize_dd(np.ones((1, 2, 2)), h, gram, 0.0)
-        assert np.array_equal(gram, mmse_gram(h))  # the diagonal is restored
+        # the same matrix is fine once regularized
+        assert np.all(np.isfinite(mmse_equalize_dd(np.ones((1, 2, 2)), h, gram, 1e-3)))
+
+    def test_condition_bound_on_c_h_c(self):
+        # cond(C^H C) = cond(H^H H) = cond(C)^2: C = diag(1, ..., 1, e) has
+        # cond(C^H C) = 1 / e^2, so e = 1e-5 gives 1e10 and passes, while
+        # e = 1e-7 gives 1e14 and fails the 1e12 bound.
+        cfg = OtfsConfig(2, 4, 0, 1e6)
+        for e, fails in ((1e-5, False), (1e-7, True)):
+            h, gram = operators(np.diag([1.0] * 7 + [e]).astype(complex), cfg)
+            if fails:
+                with pytest.raises(np.linalg.LinAlgError):
+                    mmse_equalize_dd(np.ones((1, 4, 2)), h, gram, 0.0)
+            else:
+                mmse_equalize_dd(np.ones((1, 4, 2)), h, gram, 0.0)
 
     def test_negative_noise_rejected(self):
+        h, gram = operators(np.eye(4), OtfsConfig(2, 2, 0, 1e6))
         with pytest.raises(ValueError, match="noise_var"):
-            mmse_equalize_dd(np.ones((1, 2, 2)), np.eye(4), mmse_gram(np.eye(4)), -1.0)
+            mmse_equalize_dd(np.ones((1, 2, 2)), h, gram, -1.0)
 
     def test_stack_equals_per_grid_solves(self):
+        # a dense random C: its band wraps, so the system is one block
         rng = np.random.default_rng(15)
-        h = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-        grids = rng.standard_normal((3, 8, 4)) + 1j * rng.standard_normal((3, 8, 4))
-        gram = mmse_gram(h)
+        cfg = OtfsConfig(4, 8, 0, 1e6)
+        c = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        h, gram = operators(c, cfg)
+        assert len(gram.diagonal) == 1
+        grids = random_grids(rng, 3, cfg)
         out = mmse_equalize_dd(grids, h, gram, 0.25)
         assert out.shape == grids.shape
-        assert np.array_equal(gram, mmse_gram(h))  # the diagonal is restored
         for grid, estimate in zip(grids, out):
             assert np.array_equal(estimate, mmse_equalize_dd([grid], h, gram, 0.25)[0])
-            # and each equals a lone solve against the regularized Gram
-            x = np.linalg.solve(mmse_gram(h) + 0.25 * np.eye(32),
-                                h.conj().T @ grid.reshape(-1))
-            assert np.array_equal(estimate, x.reshape(grid.shape))
+        expected = dense_mmse(grids, h, 0.25)
+        assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("shape", [(32,), (4, 4), (8, 4), (2, 4, 4), (1, 2, 8, 4)])
     def test_received_shape_checked(self, shape):
+        h, gram = operators(np.eye(32), OtfsConfig(4, 8, 0, 1e6))
         with pytest.raises(ValueError, match="received shape"):
-            mmse_equalize_dd(np.zeros(shape), np.eye(32), mmse_gram(np.eye(32)), 0.1)
+            mmse_equalize_dd(np.zeros(shape), h, gram, 0.1)
+
+    def test_gram_size_checked(self):
+        h, _ = operators(np.eye(32), OtfsConfig(4, 8, 0, 1e6))
+        with pytest.raises(ValueError, match="gram of 16 samples"):
+            mmse_equalize_dd(np.zeros((1, 8, 4)), h, banded_gram(np.eye(16)), 0.1)
+
+
+class TestBandedSolve:
+    """The block-tridiagonal solve against the dense DD MMSE oracle."""
+
+    @pytest.mark.parametrize("variant", ["zak", "isfft"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_64x16_many_blocks(self, variant, seed):
+        _, taps = bench_like_channel(seed)
+        gram = assert_matches_dense(taps, OtfsConfig(16, 64, 16, 1e6), variant,
+                                    (1e-3, 0.4, 1e3))
+        assert len(gram.diagonal) >= 6
+
+    @pytest.mark.parametrize("variant", ["zak", "isfft"])
+    def test_64x16_ddam_otfs_chain(self, variant):
+        channel, _ = bench_like_channel(3)
+        psi = psi_from_channel(channel)
+        chain = ddam_chain_callable(channel, psi, path_beamformers(psi, "zf"),
+                                    build_compensation_plan(psi))
+        gram = assert_matches_dense(chain, OtfsConfig(16, 64, 16, 1e6), variant,
+                                    (1e-3, 0.4, 1e3))
+        assert len(gram.diagonal) >= 6
+
+    @pytest.mark.parametrize("variant", ["zak", "isfft"])
+    @pytest.mark.parametrize("cp", [0, 5, 32])
+    @pytest.mark.parametrize("taps", [INTEGER_TAPS, DOPPLER_TAPS, FRACTIONAL_TAPS])
+    def test_small_grids(self, variant, cp, taps):
+        # the grids of TestEffectiveMatrixOracle, where the band wraps
+        assert_matches_dense(ScalarChannel(taps, 1e6, half_length=8),
+                             OtfsConfig(4, 8, cp, 1e6), variant, (1e-3, 0.4, 1e3))
+
+    @pytest.mark.parametrize("variant", ["zak", "isfft"])
+    def test_small_grid_chain_and_truncated_output(self, variant):
+        channel = ScalarChannel(FRACTIONAL_TAPS, 1e6, half_length=4)
+        assert_matches_dense(lambda s: channel(s)[:len(s) - 20],
+                             OtfsConfig(4, 8, 6, 1e6), variant, (1e-3, 0.4))
+        assert_matches_dense(near_zero_chain("tap_based", half_length=4),
+                             OtfsConfig(4, 8, 5, RATE), variant, (1e-3, 0.4))
+
+    def test_single_tap_gives_one_sample_blocks(self):
+        cfg = OtfsConfig(4, 8, 0, 1e6)
+        gram = assert_matches_dense(ScalarChannel(((0.8j, 0, 0.0),), 1e6), cfg, "zak",
+                                    (0.0, 0.4))
+        assert [len(a) for a in gram.diagonal] == [1] * 32
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_blocks_hold_all_of_c_h_c(self, seed):
+        # the band read off C's pattern covers every nonzero of C^H C in the
+        # folded order, and the blocks equal its entries
+        _, taps = bench_like_channel(seed)
+        c = time_matrix(taps, OtfsConfig(16, 64, 16, 1e6))
+        gram = banded_gram(c)
+        folded = (c.conj().T @ c)[np.ix_(gram.order, gram.order)]
+        assert sorted(gram.order) == list(range(1024))
+        assembled = np.zeros_like(folded)
+        starts = np.cumsum([0] + [len(a) for a in gram.diagonal])
+        for i, a in enumerate(gram.diagonal):
+            here = slice(starts[i], starts[i + 1])
+            assembled[here, here] = a
+            if i < len(gram.upper):
+                there = slice(starts[i + 1], starts[i + 2])
+                assembled[here, there] = gram.upper[i]
+                assembled[there, here] = gram.upper[i].conj().T
+        assert np.max(np.abs(assembled - folded)) <= 1e-12 * np.max(np.abs(folded))
+        outside = np.ones(folded.shape, dtype=bool)
+        outside[assembled != 0] = False
+        assert np.all(folded[outside] == 0)
+
+    def test_stack_equals_lone_calls_with_many_blocks(self):
+        _, taps = bench_like_channel(1)
+        cfg = OtfsConfig(16, 64, 16, 1e6)
+        h, gram = operators(time_matrix(taps, cfg), cfg, "isfft")
+        grids = random_grids(np.random.default_rng(5), 3, cfg)
+        out = mmse_equalize_dd(grids, h, gram, 0.1, "isfft")
+        for grid, estimate in zip(grids, out):
+            assert np.array_equal(estimate,
+                                  mmse_equalize_dd([grid], h, gram, 0.1, "isfft")[0])
+
+    def test_time_matrix_is_not_changed(self):
+        _, taps = bench_like_channel(1)
+        cfg = OtfsConfig(16, 64, 16, 1e6)
+        c = time_matrix(taps, cfg)
+        kept = c.copy()
+        h = dd_effective_matrix(c, cfg, "zak")
+        banded_gram(c)
+        assert np.array_equal(c, kept)
+        assert np.array_equal(h, dd_effective_matrix(taps, cfg, "zak"))
+        with pytest.raises(ValueError, match="time matrix shape"):
+            dd_effective_matrix(c[:-1], cfg)
 
 
 class TestSingleTapBer:
@@ -389,9 +540,8 @@ class TestSingleTapBer:
         cfg = OtfsConfig(16, 64, 0, 1e6)
         gain = 0.8 * np.exp(0.9j)
         channel = ScalarChannel(((gain, 0, 0.0),), 1e6)
-        h = dd_effective_matrix(channel, cfg)
+        h, gram = operators(time_matrix(channel, cfg), cfg)
         noise_var = 10 ** (-snr_db / 10)
-        gram = mmse_gram(h)
         seeds = np.random.SeedSequence(seed).spawn(num_frames)
         errors = 0
         for seq in seeds:
