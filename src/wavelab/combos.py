@@ -8,10 +8,11 @@ L path streams on their beams.  DDAM-OTFS multiplexes symbols on the
 delay-Doppler grid and equalizes with the DD effective matrix of the
 compensated end-to-end channel, whose time-domain matrix comes from probing
 the chain with combs of unit impulses spaced by the chain's support, so one
-pass gives many columns.  Its functions take the plan, built per BER point,
-and the blocks of C^H C of that time matrix C, built once per curve when
-the beams do not depend on the noise; the receiver equalizes all of a
-point's frames in one mmse_equalize_dd call.
+pass gives many columns, each equal to a lone impulse's up to round-off.
+Its functions take the plan, built per BER point, and the blocks of C^H C
+of that time matrix C, built once per curve when the beams do not depend
+on the noise; the receiver equalizes all of a point's frames in one
+mmse_equalize_dd call.
 """
 
 from __future__ import annotations

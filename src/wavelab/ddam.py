@@ -370,9 +370,12 @@ def ddam_chain_callable(channel: MultipathChannel, psi: PathStateInfo,
     Each call sends the synthesized path streams on their beams as one
     BeamFrame through one apply_channel.  The returned callable carries
     support = (lo, hi): an input impulse at j reaches output rows j + lo ..
-    j + hi only.  Synthesis delays each term by its kappa and the channel
-    spreads by its own support, so lo is the smallest kappa plus the
-    channel's lo and hi the largest kappa plus its hi.
+    j + hi, and the other rows get only the channel's round-off (see
+    ScalarChannel.support).  Synthesis delays each term by its kappa and
+    the channel spreads by its own support, so lo is the smallest kappa
+    plus the channel's lo and hi the largest kappa plus its hi.  Both ends
+    are reached when the beams leak between paths; under ZF a term meets
+    only its own path, and the response can be narrower.
     """
 
     def chain(signal: np.ndarray) -> np.ndarray:

@@ -28,6 +28,10 @@ MAX_DENSE_GRID = 4096
 # about this many bytes, so their temporaries stay small.
 TRANSFORM_BLOCK_BYTES = 1 << 20
 
+# banded_gram's blocks hold at least this many samples (or all N when fewer),
+# so a C with a narrow band is not solved one tiny block at a time.
+MIN_GRAM_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class OtfsConfig:
@@ -170,10 +174,12 @@ def time_matrix(channel, cfg: OtfsConfig) -> np.ndarray:
     samples, with each CP column added to the column of the body sample it
     repeats (the last cp).  A ScalarChannel builds its matrix from its
     taps.  Any other callable is probed with combs of unit impulses: with a
-    support (lo, hi), an impulse at j reaches rows j + lo .. j + hi only,
-    so impulses step = hi - lo + 1 apart never overlap and one pass gives
-    every step-th column, min(step, N + cp) passes in all.  A callable
-    without a support gets one impulse per pass.
+    support (lo, hi), an impulse at j reaches rows j + lo .. j + hi, so
+    impulses step = hi - lo + 1 apart do not overlap and one pass gives
+    every step-th column, min(step, N + cp) passes in all.  Only those rows
+    are read, so a comb column equals a lone impulse's up to the round-off
+    that a channel summing its taps by FFT leaves on the other rows.  A
+    callable without a support gets one impulse per pass.
     """
     n, cp = cfg.frame_len, cfg.cp_len
     if isinstance(channel, ScalarChannel):
@@ -253,14 +259,17 @@ def banded_gram(c: np.ndarray) -> BandedGram:
     differences, lie within w of the main diagonal.  Two samples at cyclic
     distance d are at most 2d apart in the folded order, so there C^H C is
     a plain band of half-width 2w, and blocks of that many samples make it
-    block-tridiagonal.  When 2w reaches N there is one block.  Each block
-    product runs over the rows of C that its columns reach.
+    block-tridiagonal.  Blocks are never smaller than MIN_GRAM_BLOCK
+    samples, or N when N is smaller; when the block size reaches N there is
+    one block.  Each block product runs over the rows of C that its columns
+    reach.
     """
     n = len(c)
     live = c != 0
     rows, cols = np.nonzero(live)
     signed = ((rows - cols) % n + n // 2) % n - n // 2
-    size = max(1, 2 * int(signed.max() - signed.min())) if len(signed) else n
+    size = (max(min(MIN_GRAM_BLOCK, n), 2 * int(signed.max() - signed.min()))
+            if len(signed) else n)
     order = np.empty(n, dtype=int)
     order[0::2] = np.arange((n + 1) // 2)
     order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)

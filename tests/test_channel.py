@@ -6,6 +6,7 @@ import pytest
 
 import wavelab.channel
 from wavelab.channel import (
+    OVERLAP_SAVE_FFT,
     ArrayConfig,
     BeamFrame,
     Frame,
@@ -505,11 +506,53 @@ class TestScalarTapOracle:
     ])
     @pytest.mark.parametrize("half_length", [4, 32])
     def test_matches_per_path_loop(self, mt, delays, half_length):
+        # Integer delays, and fractional ones whose filter starts before
+        # sample 0 and is truncated there.
         channel = self.channel(mt, delays)
-        for n in (96, 20_000):  # within one and across many phasor blocks
+        lo, hi = channel.scalar_taps(half_length).support
+        span = hi - lo + 1
+        step = OVERLAP_SAVE_FFT - span + 1  # outputs per overlap-save block
+        # one sample; the longest input whose whole output fits one FFT
+        # block, and one more; one block step; within one and across many
+        # phasor blocks
+        for n in (1, step - span + 1, step - span + 2, step, 96, 20_000):
             tx = self.frame(mt, n)
             y = apply_channel(channel, tx, half_length=half_length).row()
+            assert len(y) == n + hi
             assert_close_relative(y, reference_apply_channel(channel, tx, half_length))
+
+    def test_long_frame_matches_per_path_loop(self):
+        channel = self.channel(4, (0.0, 2.4, 5.0, 11.75))
+        tx = self.frame(4, 272_000)
+        assert_close_relative(apply_channel(channel, tx).row(),
+                              reference_apply_channel(channel, tx))
+
+    def test_span_wider_than_the_fft(self):
+        # a delay spread wider than the default FFT length takes a longer FFT
+        channel = self.channel(2, (0.3, 2500.0))
+        lo, hi = channel.scalar_taps().support
+        assert hi - lo + 1 > OVERLAP_SAVE_FFT
+        tx = self.frame(2, 3000)
+        assert_close_relative(apply_channel(channel, tx).row(),
+                              reference_apply_channel(channel, tx))
+
+    def test_zero_and_extreme_dopplers_match_per_path_loop(self):
+        paths = [PathParams(0.8 - 0.1j, 1.25 / self.RATE, 0.0, -0.5),
+                 PathParams(-0.3 + 0.4j, 4.0 / self.RATE, 2000.0, 0.1),
+                 PathParams(0.2j, 9.5 / self.RATE, -2000.0, 0.6)]
+        channel = build_channel(ArrayConfig(4), paths, self.RATE)
+        tx = self.frame(4, 5000)
+        assert_close_relative(apply_channel(channel, tx).row(),
+                              reference_apply_channel(channel, tx))
+
+    @pytest.mark.parametrize("n", [1, 96, 5000])
+    def test_shared_signal_matches_per_path_loop(self, n):
+        # One antenna: every path sees the same row, so the oracle's
+        # projected rows are the shared 1-D signal.
+        channel = self.channel(1, (0.0, 2.4, 5.0, 11.75))
+        tx = self.frame(1, n)
+        assert_close_relative(channel.scalar_taps()(tx.row()),
+                              reference_apply_channel(channel, tx))
 
     @pytest.mark.parametrize("delays", [(1.25, 4.6, 9.5), (0.0, 2.4, 5.0, 11.75)])
     @pytest.mark.parametrize("half_length", [8, 32])
@@ -581,10 +624,17 @@ class TestScalarTapOracle:
     ])
     @pytest.mark.parametrize("n_in", [1, 13, 40, 520])  # 520: past one phasor block
     def test_matrix_columns_are_impulse_responses(self, taps, n_in):
+        # The call sums its taps by FFT, so it matches the exact band up to
+        # round-off, and leaves at most that much outside the support.
         scalar = ScalarChannel(taps, self.RATE, half_length=6)
         h = scalar.matrix(n_in)
+        lo, hi = scalar.support
         for j, impulse in enumerate(np.eye(n_in, dtype=np.complex128)):
-            assert np.array_equal(h[:, j], scalar(impulse))
+            y = scalar(impulse)
+            assert_close_relative(y, h[:, j])
+            outside = np.ones(len(y), dtype=bool)
+            outside[max(j + lo, 0):j + hi + 1] = False
+            assert np.max(np.abs(y[outside]), initial=0.0) <= 1e-14 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("taps, support", [
         (((0.8, 0.0, 0.0), (0.3 - 0.2j, 2.0, 350.0)), (0, 2)),
@@ -633,6 +683,19 @@ class TestAwgn:
         a = add_awgn(f, 10.0, 123)
         b = add_awgn(f, 10.0, 123)
         assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("shape", [(1, 64), (3, 64), (2, 101)])
+    def test_matches_two_draw_expression(self, shape):
+        # the noise takes one draw of 2 x shape normals, real parts first:
+        # the same generator stream as separate real and imaginary draws
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        snr_db = 7.0
+        variance = float(np.mean(np.abs(x) ** 2)) / 10 ** (snr_db / 10)
+        draws = np.random.default_rng(99)
+        expected = x + np.sqrt(variance / 2.0) * (draws.standard_normal(shape)
+                                                  + 1j * draws.standard_normal(shape))
+        assert np.array_equal(add_awgn(Frame(x, 1e6), snr_db, 99).samples, expected)
 
     def test_noise_variance_law_of_large_numbers(self):
         n = 10 ** 6

@@ -1,6 +1,7 @@
 """Static checks on the package source, stdlib ast only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,34 @@ def test_unused_imports_detects_dead_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level packages a module imports besides the standard library,
+    numpy and its own package (relative imports), in import order."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return [name for name in names if name not in allowed and name != "wavelab"]
+
+
+def test_foreign_imports_detects_undeclared_dependencies():
+    source = ("from __future__ import annotations\nimport math, numpy as np\n"
+              "import scipy.signal\nfrom numpy.lib import stride_tricks\n"
+              "from .channel import phasor\nfrom wavelab import otfs\n"
+              "def f():\n    from scipy import fft\n    import numba\n")
+    assert foreign_imports(source) == ["scipy", "scipy", "numba"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(wavelab.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_only_stdlib_and_numpy(path):
+    # numpy is the one declared dependency (pyproject.toml)
+    assert foreign_imports(path.read_text()) == []
 
 
 def dataclass_fields(source: str) -> list:
