@@ -354,8 +354,8 @@ class ScalarChannel:
     exp(j w n) (f * x)[n] = ((f[k] exp(j w (s + k))) * (x[m] exp(j w m)))[n - s]
     for a filter f starting at lag s, each tap is a plain FIR on its
     Doppler-rotated input row.  The rotated FIRs share one lag axis from
-    the earliest filter start, and their spectra are built once, with the
-    object.  Overlap-save then costs one forward FFT per tap and block and
+    the earliest filter start, and their spectra are built once, on the
+    first call.  Overlap-save then costs one forward FFT per tap and block and
     one inverse FFT per block for all taps.  matrix is the exact band that
     this computes up to round-off: about 1e-13 relative on long frames,
     and about 1e-18 of an impulse outside support.
@@ -376,17 +376,23 @@ class ScalarChannel:
         # samples the output runs past the input's end
         tail = max([0] + [start + len(fir) - 1 for start, fir in filters])
         object.__setattr__(self, "_tail", tail)
+        object.__setattr__(self, "_lo", lo)
+
+    @cached_property
+    def _spectra(self) -> np.ndarray:
+        """(L x nfft) spectra of the rotated FIRs on the common lag axis,
+        built on the first __call__; support and matrix never need them."""
         # overlap-save needs the span of lags to fit in one FFT block
-        span = tail - lo + 1
+        span = self._tail - self._lo + 1
         nfft = OVERLAP_SAVE_FFT
         while nfft < 2 * span:
             nfft *= 2
-        kernels = np.zeros((len(filters), nfft), dtype=np.complex128)
-        for kernel, (gain, _, doppler_hz), (start, fir) in zip(kernels, self.taps, filters):
-            kernel[start - lo:start - lo + len(fir)] = gain * fir * phasor(
+        kernels = np.zeros((len(self._filters), nfft), dtype=np.complex128)
+        for kernel, (gain, _, doppler_hz), (start, fir) in zip(kernels, self.taps,
+                                                               self._filters):
+            kernel[start - self._lo:start - self._lo + len(fir)] = gain * fir * phasor(
                 doppler_hz, start, len(fir), self.sample_rate)
-        object.__setattr__(self, "_spectra", np.fft.fft(kernels))
-        object.__setattr__(self, "_lo", lo)
+        return np.fft.fft(kernels)
 
     @property
     def support(self) -> tuple:

@@ -49,6 +49,14 @@ def qfunc(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+# A PAPR within this many dB of 0 is returned as exactly 0.0.  PAPR >= 0 dB
+# by definition, and a constant envelope (a DDAM block whose paths share
+# one delay) computes to about +-1e-15 dB, so without the snap round-off
+# would decide whether it exceeds a 0 dB threshold.  The smallest PAPR of
+# a non-constant QPSK block is orders of magnitude above it.
+PAPR_ZERO_TOL_DB = 1e-12
+
+
 def papr_db(samples: np.ndarray, oversample: int = 1, span=None):
     """Peak-to-average power ratio in dB.
 
@@ -56,10 +64,12 @@ def papr_db(samples: np.ndarray, oversample: int = 1, span=None):
     matrices.  A matrix's PAPR is the maximum per-row PAPR (rows are
     antennas): a float for one matrix, an array over the leading axes for a
     stack.  span (one count per matrix, default N) is each matrix's active
-    length: the mean power is taken over its first span samples, and the
-    samples past it must be zero.  Guard or CP samples are the caller's
+    length: the mean power is each row's summed power over span, so the
+    samples past span must be zero.  Guard or CP samples are the caller's
     responsibility to exclude.  oversample > 1 interpolates each row's
-    active span by zero-padding its spectrum before peak picking.
+    active span by zero-padding its spectrum before peak picking.  A PAPR
+    within PAPR_ZERO_TOL_DB of 0 dB is returned as exactly 0.0, so a
+    constant envelope never exceeds a 0 dB threshold.
     """
     x = np.asarray(samples, dtype=np.complex128)
     if x.shape[-1] == 0:
@@ -68,17 +78,17 @@ def papr_db(samples: np.ndarray, oversample: int = 1, span=None):
     x = x.reshape(-1, *x.shape[-2:]) if x.ndim > 1 else x.reshape(1, 1, -1)
     span = np.broadcast_to(x.shape[-1] if span is None else span, lead).reshape(-1)
     power = np.abs(x) ** 2
-    mean_power = np.empty(power.shape[:-1])
+    mean_power = power.sum(axis=-1) / span[:, np.newaxis]
     peak_power = np.max(power, axis=-1)  # the zeros past a span never peak
-    for n in np.unique(span):  # one pass per active length
-        pick = span == n
-        mean_power[pick] = np.mean(power[pick, :, :n], axis=-1)
-        if oversample > 1:
+    if oversample > 1:
+        for n in np.unique(span):  # one interpolation per active length
+            pick = span == n
             peak_power[pick] = np.max(
                 np.abs(_interpolate_rows(x[pick, :, :n], oversample)) ** 2, axis=-1)
     if np.any(mean_power == 0):
         raise ValueError("zero-power signal")
     papr = np.max(10.0 * np.log10(peak_power / mean_power), axis=-1).reshape(lead)
+    papr = np.where(np.abs(papr) <= PAPR_ZERO_TOL_DB, 0.0, papr)
     return float(papr) if papr.ndim == 0 else papr
 
 

@@ -671,6 +671,28 @@ class TestScalarTapOracle:
         assert len(calls) == 4
         assert channel.scalar_taps() is channel.scalar_taps(32)
 
+    def test_spectra_built_on_first_call(self, monkeypatch):
+        # construction, support and matrix take no FFT; the first call
+        # transforms the three tap kernels once, and later calls reuse them
+        taps = ((0.8, 0.02, 120.0), (0.3 - 0.2j, 2.4, 350.0), (0.1j, 6.0, -90.0))
+        x = self.frame(3, n=96).samples
+        fft = np.fft.fft
+        shapes = []
+
+        def counting_fft(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counting_fft)
+        scalar = ScalarChannel(taps, self.RATE, half_length=6)
+        assert scalar.support == (-6, 8)
+        scalar.matrix(40)
+        assert shapes == []
+        first = scalar(x)
+        assert shapes[0] == (3, OVERLAP_SAVE_FFT)
+        assert np.array_equal(scalar(x), first)
+        assert shapes.count((3, OVERLAP_SAVE_FFT)) == 1
+
 
 class TestAwgn:
     def test_infinite_snr_sentinel(self):
