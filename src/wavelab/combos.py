@@ -32,19 +32,14 @@ from .ddam import (
     ddam_chain_callable,
     ddam_modulate,
 )
-from .ofdm import (
-    OfdmConfig,
-    _symbol_rows,
-    ofdm_demodulate,
-    ofdm_equalize_one_tap,
-    ofdm_modulate,
-)
+from .ofdm import OfdmConfig, ofdm_demodulate, ofdm_equalize_one_tap, ofdm_modulate
 from .otfs import (
     BandedGram,
     OtfsConfig,
     dd_effective_matrix,
     mmse_equalize_dd,
     otfs_modem,
+    time_matrix,
 )
 
 
@@ -98,8 +93,8 @@ def ddam_ofdm_link(psi: PathStateInfo, beams: BeamformerSet, ofdm_cfg: OfdmConfi
 def ddam_ofdm_transmit_with_link(freq_symbols: np.ndarray,
                                  link: DdamOfdmLink) -> BeamFrame:
     """Phase-align and OFDM-modulate (S x K) symbol rows, then DDAM-transmit them."""
-    grids = _symbol_rows(freq_symbols, link.ofdm_cfg.num_subcarriers)
-    stream = ofdm_modulate(link.subcarrier_weights * grids, link.ofdm_cfg).row()
+    stream = ofdm_modulate(freq_symbols, link.ofdm_cfg,
+                           link.subcarrier_weights[np.newaxis]).row()
     return ddam_modulate(stream, link.psi, link.beams, plan=link.plan)
 
 
@@ -153,7 +148,7 @@ def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,
     its support (see otfs.time_matrix).
     """
     chain = ddam_chain_callable(channel, psi, beams, plan, half_length)
-    return dd_effective_matrix(chain, otfs_cfg, variant=variant)
+    return dd_effective_matrix(time_matrix(chain, otfs_cfg), otfs_cfg, variant=variant)
 
 
 def ddam_otfs_receive(frames, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig,

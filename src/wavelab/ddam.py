@@ -203,8 +203,8 @@ def path_beamformers(psi: PathStateInfo, criterion: str, noise_var: float = 0.0,
         if L > mt:
             raise ValueError(f"zero-forcing needs L <= M_t, got L={L} > M_t={mt}")
         gram = a_h @ a
-        cond = np.linalg.cond(gram)
-        rank_deficient = ~np.isfinite(cond) | (cond > 1e12)
+        lam = np.linalg.eigvalsh(gram)  # ascending; cond = lam_max / lam_min
+        rank_deficient = ~(lam[..., -1] <= 1e12 * lam[..., 0])  # lam_min <= 0, NaN too
         if np.any(rank_deficient):
             off = np.abs(gram.reshape(-1, L, L)[np.argmax(rank_deficient)]) / mt
             np.fill_diagonal(off, 0.0)

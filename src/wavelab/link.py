@@ -9,12 +9,14 @@ once per curve when the beams do not depend on the noise; one factoring
 per BER point), and the combined pipelines.  Every BER runner is a
 (transmit, receive, frames) triple fed to one frame loop: draw bits,
 QPSK, transmit, apply_channel, add_awgn, receive the noisy frame, count
-bit errors.  Every transmitter returns a BeamFrame: the DDAM family sends L path streams on their beams,
-OTFS one stream on its beam, and MISO OFDM L streams on the L steering
-vectors, since its per-subcarrier MRT lies in their span.  The PAPR
-generators draw the random values of a group of trials in stacked calls on
-the group's generator and run everything after the draws over chunks of
-trials filled across groups.
+bit errors.  Every transmitter returns a BeamFrame: the DDAM family sends
+L path streams on their beams, OTFS one stream on its beam, and MISO OFDM
+L streams on the L steering vectors, since its per-subcarrier MRT lies in
+their span: ofdm_modulate's rows, weighted by the (L x K) precoder.  The
+PAPR generators draw the random values of a group of trials in stacked
+calls on the group's generator and run everything after the draws over
+chunks of trials filled across groups; OFDM and OTFS bodies are one
+otfs_samples call per chunk, an OFDM symbol as a 1 x K grid.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .channel import (
     DEFAULT_HALF_LENGTH,
     ArrayConfig,
     BeamFrame,
-    Frame,
     MultipathChannel,
     ScalarChannel,
     add_awgn,
@@ -57,15 +58,8 @@ from .ddam import (
     path_beamformers,
     psi_from_channel,
 )
-from .metrics import count, fft_multiplies
 from .modulation import qpsk_demodulate, qpsk_modulate, random_qpsk
-from .ofdm import (
-    OfdmConfig,
-    _add_cyclic_prefix,
-    _symbol_rows,
-    ofdm_demodulate,
-    ofdm_equalize_one_tap,
-)
+from .ofdm import OfdmConfig, ofdm_demodulate, ofdm_equalize_one_tap, ofdm_modulate
 from .otfs import (
     OtfsConfig,
     banded_gram,
@@ -144,24 +138,6 @@ def ofdm_miso_precoder(channel: MultipathChannel, cfg: OfdmConfig) -> np.ndarray
     return c / np.linalg.norm(channel.steering_matrix @ c, axis=0)
 
 
-def ofdm_miso_modulate(freq_symbols: np.ndarray, weights: np.ndarray,
-                       cfg: OfdmConfig) -> Frame:
-    """Weight each subcarrier per row, IFFT per row, prepend the CP.
-
-    freq_symbols is one (K,) symbol vector or an (S x K) block, one OFDM
-    symbol per row; weights is (R x K), one row per antenna or per beam.
-    Returns (R x S * (K + cp_len)) samples, the S symbols back to back on
-    every row.
-    """
-    k = cfg.num_subcarriers
-    x = _symbol_rows(freq_symbols, k)
-    rows = weights.shape[0]
-    grid = weights[:, np.newaxis, :] * x[np.newaxis, :, :]
-    count(len(x) * (rows * k + rows * fft_multiplies(k)))
-    time = _add_cyclic_prefix(np.fft.ifft(grid, axis=-1, norm="ortho"), cfg.cp_len)
-    return Frame(samples=time.reshape(rows, -1), sample_rate=cfg.sample_rate)
-
-
 def ofdm_genie_response(channel: MultipathChannel, weights: np.ndarray,
                         cfg: OfdmConfig, symbol_index) -> np.ndarray:
     """One-tap response per subcarrier, channel frozen at each symbol center.
@@ -186,7 +162,7 @@ def run_ofdm_ber(channel: MultipathChannel, cfg: OfdmConfig, snr_db: float,
     weights = ofdm_miso_precoder(channel, cfg)
 
     def transmit(symbols):
-        streams = ofdm_miso_modulate(symbols.reshape(num_symbols, k), weights, cfg)
+        streams = ofdm_modulate(symbols.reshape(num_symbols, k), cfg, weights)
         return BeamFrame(channel.steering_matrix, streams.samples, cfg.sample_rate)
 
     def receive(noisy, n):
@@ -226,24 +202,6 @@ def run_ddam_ber(channel: MultipathChannel, snr_db: float, num_symbols: int,
               for start in range(0, num_symbols, block_len)]
     return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, len(blocks)),
                        blocks, transmit, receive, half_length=half_length)
-
-
-def otfs_miso_modulate_isfft(grid: np.ndarray, weights: np.ndarray,
-                             cfg: OtfsConfig) -> Frame:
-    """ISFFT chain with per-subcarrier MRT: the ISFFT, then MISO OFDM.
-
-    weights is (R x K), one row per antenna or per beam, as in the OFDM
-    baseline.  Each of the M time slots of the ISFFT's (K x M) grid is one
-    CP-less MISO OFDM symbol; the frame carries one CP of cfg.cp_len.
-    """
-    k, m = cfg.num_delay_bins, cfg.num_doppler_bins
-    grid = np.asarray(grid, dtype=np.complex128)
-    if grid.shape != (k, m):
-        raise ValueError(f"grid shape {grid.shape} does not match ({k}, {m})")
-    count(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
-    tf = np.fft.ifft(np.fft.fft(grid, axis=0, norm="ortho"), axis=1, norm="ortho")
-    rows = ofdm_miso_modulate(tf.T, weights, OfdmConfig(k, 0, cfg.sample_rate)).samples
-    return Frame(_add_cyclic_prefix(rows, cfg.cp_len), cfg.sample_rate)
 
 
 def otfs_miso_beam(channel: MultipathChannel) -> np.ndarray:
@@ -393,29 +351,20 @@ def make_papr_generator(waveform: str, **params):
     DDAM trial's PAPR lies within 1e-12 dB of the one-trial ddam_modulate
     chain's.
 
-    ofdm: one OFDM symbol body of K subcarriers.  otfs_*: one frame body.
+    ofdm: one OFDM symbol body of K subcarriers, the Zak transform of a
+    1 x K grid.  otfs_*: one frame body.
     ddam: one block over a fresh random channel, all antennas, over its
     active span N + max kappa within a fixed width N + ceil(max_delay_samples);
     one path_beamformers and one path_based_blocks call per chunk.
     """
-    if waveform == "ofdm":
-        k = params["num_subcarriers"]
-
-        def gen(groups):
-            draws = ((random_qpsk(rng, count * k).reshape(count, k),)
-                     for rng, count in groups)
-            for symbols, in _chunks(draws, 1, k):
-                x = np.fft.ifft(symbols, norm="ortho")
-                yield x[:, np.newaxis, :], np.full(len(x), k)
-
-        return gen
-
-    if waveform in ("otfs_zak", "otfs_isfft"):
-        cfg = OtfsConfig(num_doppler_bins=params["num_doppler_bins"],
-                         num_delay_bins=params["num_delay_bins"],
-                         cp_len=0, sample_rate=PAPR_SAMPLE_RATE)
-        k, m = cfg.num_delay_bins, cfg.num_doppler_bins
-        variant = waveform.split("_")[1]
+    if waveform in ("ofdm", "otfs_zak", "otfs_isfft"):
+        if waveform == "ofdm":
+            k, m, variant = 1, params["num_subcarriers"], "zak"
+        else:
+            cfg = OtfsConfig(num_doppler_bins=params["num_doppler_bins"],
+                             num_delay_bins=params["num_delay_bins"],
+                             cp_len=0, sample_rate=PAPR_SAMPLE_RATE)
+            (k, m), variant = cfg.grid_shape, waveform.split("_")[1]
 
         def gen(groups):
             draws = ((random_qpsk(rng, count * k * m).reshape(count, k, m),)

@@ -263,7 +263,6 @@ def measured_complexity(variant: str, p: ComplexityParams, rng_seed=0):
     beams @ streams, are formed and counted here.
     """
     from . import ddam as _ddam
-    from . import link as _link
     from . import ofdm as _ofdm
     from . import otfs as _otfs
     from .channel import ArrayConfig, sample_random_channel
@@ -275,7 +274,7 @@ def measured_complexity(variant: str, p: ComplexityParams, rng_seed=0):
         cfg = _ofdm.OfdmConfig(num_subcarriers=k, cp_len=0, sample_rate=1e6)
         x = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2)
         with counting() as tx_ops:
-            _link.ofdm_miso_modulate(x, np.ones((mt, k)) / np.sqrt(mt), cfg)
+            _ofdm.ofdm_modulate(x, cfg, np.ones((mt, k)) / np.sqrt(mt))
         with counting() as rx_ops:
             _ofdm.ofdm_demodulate(np.zeros(k, dtype=complex) + 1.0, cfg)
             count(k)  # one equalizer multiply per subcarrier
@@ -288,7 +287,7 @@ def measured_complexity(variant: str, p: ComplexityParams, rng_seed=0):
         with counting() as tx_ops:
             if variant == "otfs_isfft":
                 weights = np.ones((mt, k), dtype=complex) / np.sqrt(mt)
-                frame = _link.otfs_miso_modulate_isfft(grid, weights, cfg)
+                frame = _otfs.otfs_modulate_isfft(grid, cfg, weights)
             else:
                 frame = _otfs.otfs_modulate_zak(grid, cfg)
                 count(mt * k * m)  # wideband beam weight per antenna per sample

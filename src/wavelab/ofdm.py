@@ -73,16 +73,6 @@ def feasible_region(th: FeasibilityThresholds) -> FeasibleRegion:
     return FeasibleRegion(tau_max=tau_max, nu_max=nu_max)
 
 
-def _symbol_rows(freq_symbols: np.ndarray, k: int) -> np.ndarray:
-    """A (K,) symbol vector or an (S x K) block as complex (S x K) rows."""
-    x = np.asarray(freq_symbols, dtype=np.complex128)
-    if x.ndim == 1:
-        x = x[np.newaxis, :]
-    if x.ndim != 2 or x.shape[1] != k:
-        raise ValueError(f"expected {k} frequency symbols per row, got shape {x.shape}")
-    return x
-
-
 def _add_cyclic_prefix(time: np.ndarray, cp_len: int) -> np.ndarray:
     """Prepend the last cp_len samples of every row (along the last axis)."""
     if not cp_len:
@@ -92,17 +82,31 @@ def _add_cyclic_prefix(time: np.ndarray, cp_len: int) -> np.ndarray:
     return np.concatenate([prefix, time], axis=-1)
 
 
-def ofdm_modulate(freq_symbols: np.ndarray, cfg: OfdmConfig) -> Frame:
+def ofdm_modulate(freq_symbols: np.ndarray, cfg: OfdmConfig,
+                  weights: np.ndarray = None) -> Frame:
     """Unitary inverse DFT plus cyclic prefix of each OFDM symbol.
 
     freq_symbols is one (K,) symbol vector or an (S x K) block, one OFDM
-    symbol per row.  The result is one row of S * (K + cp_len) samples, the
-    S symbols back to back, each with its own prefix.
+    symbol per row.  weights, if given, is (R x K), one row per antenna or
+    per beam, and weights each subcarrier of every symbol per row.  The
+    result has R rows (one without weights) of S * (K + cp_len) samples,
+    the S symbols back to back, each with its own prefix.
     """
-    x = _symbol_rows(freq_symbols, cfg.num_subcarriers)
-    count(len(x) * fft_multiplies(cfg.num_subcarriers))
-    time = _add_cyclic_prefix(np.fft.ifft(x, axis=1, norm="ortho"), cfg.cp_len)
-    return Frame(samples=time.reshape(1, -1), sample_rate=cfg.sample_rate)
+    k = cfg.num_subcarriers
+    x = np.asarray(freq_symbols, dtype=np.complex128)
+    if x.ndim == 1:
+        x = x[np.newaxis, :]
+    if x.ndim != 2 or x.shape[1] != k:
+        raise ValueError(f"expected {k} frequency symbols per row, got shape {x.shape}")
+    if weights is None:
+        grid = x[np.newaxis]
+        count(len(x) * fft_multiplies(k))
+    else:
+        rows = weights.shape[0]
+        grid = weights[:, np.newaxis, :] * x[np.newaxis, :, :]
+        count(len(x) * (rows * k + rows * fft_multiplies(k)))
+    time = _add_cyclic_prefix(np.fft.ifft(grid, axis=-1, norm="ortho"), cfg.cp_len)
+    return Frame(samples=time.reshape(len(grid), -1), sample_rate=cfg.sample_rate)
 
 
 def ofdm_demodulate(rx, cfg: OfdmConfig) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Information symbols live on a (delay bins x Doppler bins) grid.  Both
 modulation chains are unitary and map the grid to M*K time samples with
-delay fastest (sample n = k + K*m), plus one cyclic prefix per frame.
+delay fastest (sample n = k + K*m), plus one cyclic prefix per frame;
+the ISFFT chain is the ISFFT, then OFDM over the time-frequency grid.
 The delay-Doppler effective matrix is the exact linear map for
-equalization: the channel's time-domain matrix between two unitary OTFS
-transforms, each one batched FFT pass over blocks of rows or columns.
+equalization: the time matrix that time_matrix builds from a channel
+between two unitary OTFS transforms, each one batched FFT pass over
+blocks of rows or columns.
 Because those transforms are unitary, the DD-domain MMSE is solved in the
 time domain, where C^H C is banded and, in a folded sample order,
 block-tridiagonal.
@@ -19,7 +21,7 @@ import numpy as np
 
 from .channel import Frame, ScalarChannel
 from .metrics import count, fft_multiplies
-from .ofdm import _add_cyclic_prefix
+from .ofdm import OfdmConfig, _add_cyclic_prefix, ofdm_modulate
 
 # Dense effective-matrix construction is capped at this grid size.
 MAX_DENSE_GRID = 4096
@@ -82,14 +84,21 @@ def _frame_body(rx, cfg: OtfsConfig) -> np.ndarray:
     return samples[cfg.cp_len:need]
 
 
-def otfs_modulate_isfft(grid: np.ndarray, cfg: OtfsConfig) -> Frame:
-    """DD grid -> TF grid via ISFFT, then per-column IDFTs of size K."""
+def otfs_modulate_isfft(grid: np.ndarray, cfg: OtfsConfig,
+                        weights: np.ndarray = None) -> Frame:
+    """DD grid -> TF grid via ISFFT, then OFDM over the TF grid.
+
+    Each of the M time slots of the (K x M) TF grid is one CP-less OFDM
+    symbol of K subcarriers (ofdm_modulate, with its optional (R x K)
+    per-subcarrier weights, one row per antenna or per beam); the frame
+    carries one CP of cfg.cp_len.
+    """
     grid = _check_grid(grid, cfg)
     k, m = cfg.num_delay_bins, cfg.num_doppler_bins
     count(m * fft_multiplies(k) + k * fft_multiplies(m))  # ISFFT
-    count(m * fft_multiplies(k))                          # Heisenberg step
-    time = _add_cyclic_prefix(otfs_samples(grid, "isfft"), cfg.cp_len)
-    return Frame(samples=time, sample_rate=cfg.sample_rate)
+    tf = np.fft.ifft(np.fft.fft(grid, axis=0, norm="ortho"), axis=1, norm="ortho")
+    rows = ofdm_modulate(tf.T, OfdmConfig(k, 0, cfg.sample_rate), weights).samples
+    return Frame(_add_cyclic_prefix(rows, cfg.cp_len), cfg.sample_rate)
 
 
 def otfs_demodulate_isfft(rx, cfg: OtfsConfig) -> np.ndarray:
@@ -201,31 +210,25 @@ def time_matrix(channel, cfg: OtfsConfig) -> np.ndarray:
     return c
 
 
-def dd_effective_matrix(channel, cfg: OtfsConfig, variant: str = "zak") -> np.ndarray:
+def dd_effective_matrix(c: np.ndarray, cfg: OtfsConfig, variant: str = "zak") -> np.ndarray:
     """Exact end-to-end DD-domain map H = M^H C M of a scalar channel.
 
-    channel is a callable mapping a 1-D time signal to the received signal,
-    or the channel's (N x N) time matrix C itself, which is left unchanged.
-    A ScalarChannel gives its time-domain matrix from its taps; any other
-    callable is probed with combs of unit impulses spaced by its support
-    (see time_matrix).  C is that matrix on the frame body with the CP
-    folded in, and M the unitary OTFS modulator, so column j of H is the
-    demodulated response to a unit impulse at flattened DD bin j (row-major
-    over the K x M grid).  C M is the conjugated demodulation of the rows
-    of conj(C), and M^H (C M) the demodulation of its columns: two batched
-    transforms over blocks.
+    c is the channel's (N x N) time matrix C (see time_matrix), the map on
+    the frame body with the CP folded in; it is left unchanged.  M is the
+    unitary OTFS modulator, so column j of H is the demodulated response to
+    a unit impulse at flattened DD bin j (row-major over the K x M grid).
+    C M is the conjugated demodulation of the rows of conj(C), and
+    M^H (C M) the demodulation of its columns: two batched transforms over
+    blocks.
     """
     size = cfg.frame_len
     if size > MAX_DENSE_GRID:
         raise ValueError(f"grid size {size} exceeds dense limit {MAX_DENSE_GRID}")
     _check_variant(variant)
-    if isinstance(channel, np.ndarray):
-        if channel.shape != (size, size):
-            raise ValueError(f"time matrix shape {channel.shape} does not match the "
-                             f"frame length {size}")
-        h = channel.astype(np.complex128)
-    else:
-        h = time_matrix(channel, cfg)
+    if np.shape(c) != (size, size):
+        raise ValueError(f"time matrix shape {np.shape(c)} does not match the "
+                         f"frame length {size}")
+    h = np.array(c, dtype=np.complex128)
     block = max(1, TRANSFORM_BLOCK_BYTES // (16 * size))
     for i in range(0, size, block):
         rows = otfs_grids(h[i:i + block].conj(), cfg.grid_shape, variant)

@@ -310,7 +310,7 @@ class TestDdamOtfs:
         # matches the effective matrix of the single-tap equivalent channel
         eq = equivalent_channel(channel, psi, beams)
         single = ScalarChannel(((eq.dominant_gain, psi.n_max, 0.0),), RATE)
-        h_ref = dd_effective_matrix(single, cfg)
+        h_ref = dd_effective_matrix(time_matrix(single, cfg), cfg)
         assert np.max(np.abs(h - h_ref)) < 1e-9 * np.max(np.abs(h_ref))
 
     def test_identity_equivalent_round_trip(self):
@@ -373,7 +373,7 @@ class TestDdamOtfs:
                 (p.gain * (steering_vector(p.aod, channel.array).conj() @ beam),
                  p.delay_s * RATE, p.doppler_hz)
                 for p in channel.paths)
-            h_plain = dd_effective_matrix(ScalarChannel(taps, RATE), cfg)
+            h_plain = dd_effective_matrix(time_matrix(ScalarChannel(taps, RATE), cfg), cfg)
             c_ddam = dominant_entries_per_column(h_ddam)
             c_plain = dominant_entries_per_column(h_plain)
             assert np.all(c_ddam <= c_plain), f"scenario {trial}"

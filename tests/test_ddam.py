@@ -178,6 +178,27 @@ class TestBeamformers:
         with pytest.raises(ValueError, match="paths 0 and 1"):
             path_beamformers(psi, "zf")
 
+    @pytest.mark.parametrize("spacing", [0.5, 1e-3, 1e-9, 0.0])
+    def test_zf_rank_check_decides_as_the_condition_number(self, spacing):
+        # separated, nearly collinear and exactly collinear first designs of a
+        # stack whose second design is separated; every condition number lies
+        # far from the 1e12 threshold, so round-off cannot flip the decision
+        array = ArrayConfig(8)
+        aods = np.array([[0.2, 0.2 + spacing, -0.7], [0.9, -0.4, 0.1]])
+        a = steering_vector(aods, array)
+        cond = np.linalg.cond(np.swapaxes(a.conj(), -1, -2) @ a)
+        assert np.all((cond < 1e6) | (cond > 1e15))
+        cases = [(aods, np.any(cond > 1e12)), (aods[0], cond[0] > 1e12),
+                 (aods[1], cond[1] > 1e12)]
+        for design, deficient in cases:
+            ones = np.ones(design.shape)
+            psi = PathStateInfo(array, 1e6, ones, 0 * ones, design, ones)
+            if deficient:
+                with pytest.raises(ValueError, match="paths 0 and 1 are nearly collinear"):
+                    path_beamformers(psi, "zf")
+            else:
+                path_beamformers(psi, "zf")
+
 
 class TestCompensationPlan:
     def psi_with_delays(self, delays, mt=8, rate=1e6, dopplers=None):

@@ -19,7 +19,7 @@ from wavelab.ddam import (
 )
 from wavelab.metrics import count, counting, fft_multiplies
 from wavelab.ofdm import OfdmConfig, _add_cyclic_prefix
-from wavelab.otfs import OtfsConfig
+from wavelab.otfs import OtfsConfig, otfs_modulate_isfft
 
 RATE = 1e6
 
@@ -164,7 +164,7 @@ def test_isfft_modulator_matches_per_antenna_oracle(cfg, rows):
     grid = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
     weights = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
     with counting() as ops:
-        frame = link.otfs_miso_modulate_isfft(grid, weights, cfg)
+        frame = otfs_modulate_isfft(grid, cfg, weights)
     with counting() as oracle_ops:
         oracle = per_antenna_isfft(grid, weights, cfg)
     assert frame.samples.shape == (rows, k * m + cfg.cp_len)

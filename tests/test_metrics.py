@@ -267,6 +267,7 @@ ORACLE_CASES = {
     "otfs_zak": ("otfs_zak", dict(num_delay_bins=16, num_doppler_bins=8), 128),
     "otfs_isfft": ("otfs_isfft", dict(num_delay_bins=16, num_doppler_bins=8), 128),
     "ofdm": ("ofdm", dict(num_subcarriers=64), 64),
+    "ofdm_k100": ("ofdm", dict(num_subcarriers=100), 100),
 }
 
 

@@ -12,7 +12,6 @@ from wavelab.channel import (
 )
 from wavelab.link import (
     ofdm_genie_response,
-    ofdm_miso_modulate,
     ofdm_miso_precoder,
     run_ofdm_ber,
 )
@@ -203,7 +202,7 @@ def per_symbol_ofdm_ber(channel, cfg, snr_db, num_symbols, rng_seed):
     bits = rng.integers(0, 2, size=2 * k * num_symbols)
     symbols = qpsk_modulate(bits).reshape(num_symbols, k)
     tx = np.concatenate(
-        [ofdm_miso_modulate(row, antenna, cfg).samples for row in symbols], axis=1)
+        [ofdm_modulate(row, cfg, antenna).samples for row in symbols], axis=1)
     rx = apply_channel(channel, Frame(tx, cfg.sample_rate))
     noisy = add_awgn(rx, snr_db, rng_seed=rng.integers(2 ** 63)).row()
     errors = 0
@@ -243,8 +242,8 @@ class TestSymbolBlocks:
         rng = np.random.default_rng(32)
         weights = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
         stacked = np.concatenate(
-            [ofdm_miso_modulate(row, weights, self.cfg).samples for row in x], axis=1)
-        batch = ofdm_miso_modulate(x, weights, self.cfg)
+            [ofdm_modulate(row, self.cfg, weights).samples for row in x], axis=1)
+        batch = ofdm_modulate(x, self.cfg, weights)
         assert batch.samples.shape == (4, 7 * 21)
         assert np.array_equal(batch.samples, stacked)
 
@@ -284,7 +283,7 @@ class TestSymbolBlocks:
         x = self.block()
         weights = np.ones((4, 16)) / 2.0
         for run in (lambda rows: ofdm_modulate(rows, self.cfg),
-                    lambda rows: ofdm_miso_modulate(rows, weights, self.cfg),
+                    lambda rows: ofdm_modulate(rows, self.cfg, weights),
                     lambda rows: ofdm_demodulate(
                         np.zeros((len(rows), 21), dtype=complex), self.cfg)):
             with counting() as one:
@@ -300,7 +299,7 @@ class TestSymbolBlocks:
             with pytest.raises(ValueError):
                 ofdm_modulate(bad, cfg)
             with pytest.raises(ValueError):
-                ofdm_miso_modulate(bad, weights, cfg)
+                ofdm_modulate(bad, cfg, weights)
         for bad in (np.zeros((3, 20)), np.zeros((2, 3, 21)), np.zeros(20)):
             with pytest.raises(ValueError):
                 ofdm_demodulate(bad, cfg)
@@ -324,7 +323,7 @@ class TestSymbolBlocks:
         bits = rng.integers(0, 2, size=2 * 16 * num_symbols)
         symbols = qpsk_modulate(bits).reshape(num_symbols, 16)
         antenna = channel.steering_matrix @ weights
-        rx = apply_channel(channel, ofdm_miso_modulate(symbols, antenna, self.cfg))
+        rx = apply_channel(channel, ofdm_modulate(symbols, self.cfg, antenna))
         noisy = add_awgn(rx, snr_db, rng_seed=rng.integers(2 ** 63)).row()
         bins = ofdm_demodulate(noisy[:num_symbols * 21].reshape(num_symbols, 21),
                                self.cfg)

@@ -55,7 +55,7 @@ def column_loop_matrix(channel, cfg, variant="zak"):
 
 def assert_matches_oracle(channel, cfg, variant):
     expected = column_loop_matrix(channel, cfg, variant)
-    actual = dd_effective_matrix(channel, cfg, variant)
+    actual = dd_effective_matrix(time_matrix(channel, cfg), cfg, variant)
     assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -123,12 +123,12 @@ class TestModulation:
 class TestEffectiveMatrix:
     def test_identity_channel(self):
         cfg = OtfsConfig(4, 8, 2, 1e6)
-        h = dd_effective_matrix(ScalarChannel(((1.0, 0, 0.0),), 1e6), cfg)
+        h = dd_effective_matrix(time_matrix(ScalarChannel(((1.0, 0, 0.0),), 1e6), cfg), cfg)
         assert np.max(np.abs(h - np.eye(32))) < 1e-12
 
     def test_integer_delay_is_phase_permutation(self):
         cfg = OtfsConfig(4, 8, 3, 1e6)
-        h = dd_effective_matrix(ScalarChannel(((1.0, 2, 0.0),), 1e6), cfg)
+        h = dd_effective_matrix(time_matrix(ScalarChannel(((1.0, 2, 0.0),), 1e6), cfg), cfg)
         mags = np.abs(h)
         # exactly one unit-magnitude entry per column
         assert np.allclose(np.sort(mags, axis=0)[-1], 1.0, atol=1e-12)
@@ -136,14 +136,15 @@ class TestEffectiveMatrix:
 
     def test_two_tap_column_support(self):
         cfg = OtfsConfig(4, 8, 4, 1e6)
-        h = dd_effective_matrix(ScalarChannel(((0.8, 0, 0.0), (0.6, 3, 0.0)), 1e6), cfg)
+        channel = ScalarChannel(((0.8, 0, 0.0), (0.6, 3, 0.0)), 1e6)
+        h = dd_effective_matrix(time_matrix(channel, cfg), cfg)
         dominant = np.abs(h) > 1e-6
         assert np.all(dominant.sum(axis=0) == 2)
 
     def test_linearity(self):
         cfg = OtfsConfig(4, 8, 4, 1e6)
         channel = ScalarChannel(((0.7, 1, 120.0), (0.4j, 5, -260.0)), 1e6)
-        h = dd_effective_matrix(channel, cfg)
+        h = dd_effective_matrix(time_matrix(channel, cfg), cfg)
         rng = np.random.default_rng(11)
         for _ in range(3):
             grid = random_grid(rng, cfg)
@@ -157,7 +158,7 @@ class TestEffectiveMatrix:
     def test_size_guard(self):
         cfg = OtfsConfig(64, 128, 0, 1e6)
         with pytest.raises(ValueError):
-            dd_effective_matrix(ScalarChannel(((1.0, 0, 0.0),), 1e6), cfg)
+            dd_effective_matrix(np.eye(32), cfg)
 
 
     def test_cp_longer_than_frame_rejected(self):
@@ -171,8 +172,7 @@ class TestEffectiveMatrix:
         with pytest.raises(ValueError, match="variant"):
             otfs_modem("zz")
         with pytest.raises(ValueError, match="variant"):
-            dd_effective_matrix(ScalarChannel(((1.0, 0.0, 0.0),), 1e6),
-                                OtfsConfig(4, 8, 0, 1e6), variant="zz")
+            dd_effective_matrix(np.eye(32), OtfsConfig(4, 8, 0, 1e6), variant="zz")
 
 
 INTEGER_TAPS = ((0.8, 0, 0.0), (0.5j, 3, 0.0), (-0.3, 6, 0.0))
@@ -305,7 +305,7 @@ class TestCombProbing:
                                     build_compensation_plan(psi, mode="tap_based"))
         lo, hi = chain.support
         assert hi - lo + 1 > 36
-        dd_effective_matrix(chain, OtfsConfig(4, 8, 4, RATE))
+        time_matrix(chain, OtfsConfig(4, 8, 4, RATE))
         assert len(chain_passes) == 36
 
 
@@ -546,9 +546,10 @@ class TestBandedSolve:
         h = dd_effective_matrix(c, cfg, "zak")
         banded_gram(c)
         assert np.array_equal(c, kept)
-        assert np.array_equal(h, dd_effective_matrix(taps, cfg, "zak"))
-        with pytest.raises(ValueError, match="time matrix shape"):
-            dd_effective_matrix(c[:-1], cfg)
+        assert np.array_equal(h, dd_effective_matrix(time_matrix(taps, cfg), cfg, "zak"))
+        for bad in (c[:-1], taps):  # only the (N x N) time matrix, never a channel
+            with pytest.raises(ValueError, match="time matrix shape"):
+                dd_effective_matrix(bad, cfg)
 
 
 class TestSingleTapBer:
