@@ -7,8 +7,8 @@ beam and DD-domain MMSE solved as a banded time-domain system (the DD
 matrix H and the blocks of C^H C, C the time matrix it comes from, built
 once per curve when the beams do not depend on the noise; one factoring
 per BER point), and the combined pipelines.  Every BER runner is a
-(transmit, receive, frames) triple fed to one frame loop: draw bits,
-QPSK, transmit, apply_channel, add_awgn, receive the noisy frame, count
+(transmit, receive, frames) triple fed to one frame loop: draw QPSK
+symbols, transmit, apply_channel, add_awgn, receive the noisy frame, count
 bit errors.  Every transmitter returns a BeamFrame: the DDAM family sends
 L path streams on their beams, OTFS one stream on its beam, and MISO OFDM
 L streams on the L steering vectors, since its per-subcarrier MRT lies in
@@ -58,7 +58,7 @@ from .ddam import (
     path_beamformers,
     psi_from_channel,
 )
-from .modulation import qpsk_demodulate, qpsk_modulate, random_qpsk
+from .modulation import qpsk_demodulate, random_qpsk
 from .ofdm import OfdmConfig, ofdm_demodulate, ofdm_equalize_one_tap, ofdm_modulate
 from .otfs import (
     OtfsConfig,
@@ -92,19 +92,20 @@ def _run_frames(channel: MultipathChannel, snr_db: float, rngs, frame_symbols,
                 half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
     """Monte Carlo BER: one frame of frame_symbols[i] QPSK symbols per rngs[i].
 
-    Per frame: draw the bits, transmit(symbols) -> BeamFrame, apply_channel,
-    add_awgn (seeded from the frame's generator), then receive(noisy, n)
-    with the frame's symbol count n.  Without equalize, receive returns the
-    frame's equalized symbols and their bit errors are counted frame by
-    frame, so no frame is held.  With equalize, the point's receive outputs
-    are held and equalize(list of them) returns every frame's equalized
-    symbols, stacked, from one call.
+    Per frame: draw the symbols (random_qpsk) and read their bits,
+    transmit(symbols) -> BeamFrame, apply_channel, add_awgn (seeded from
+    the frame's generator), then receive(noisy, n) with the frame's symbol
+    count n.  Without equalize, receive returns the frame's equalized
+    symbols and their bit errors are counted frame by frame, so no frame is
+    held.  With equalize, the point's receive outputs are held and
+    equalize(list of them) returns every frame's equalized symbols,
+    stacked, from one call.
     """
     errors = total = 0
     held_bits, held = [], []
     for rng, n in zip(rngs, frame_symbols):
-        bits = rng.integers(0, 2, size=2 * n)
-        symbols = qpsk_modulate(bits)
+        symbols = random_qpsk(rng, n)
+        bits = qpsk_demodulate(symbols)
         clean = apply_channel(channel, transmit(symbols), half_length=half_length)
         noisy = add_awgn(clean, snr_db, rng_seed=rng.integers(2 ** 63))
         received = receive(noisy, n)
@@ -324,17 +325,29 @@ def _chunks(stacks, rows: int, width: int):
     stacks yields one tuple of arrays per group, trials on axis 0.  Each
     chunk holds as many trials as fill about PAPR_CHUNK_BYTES of (trials x
     rows x width) complex samples, filled across group boundaries; only the
-    last chunk may be shorter.
+    last chunk may be shorter.  The groups a chunk needs are joined by one
+    concatenation when enough have arrived, and a chunk that is one whole
+    group is that group's arrays, not a copy.
     """
     size = max(1, PAPR_CHUNK_BYTES // (16 * rows * width))
-    held = None
+    held, count = [], 0
     for stack in stacks:
-        held = stack if held is None else tuple(map(np.concatenate, zip(held, stack)))
-        while len(held[0]) >= size:
-            yield tuple(a[:size] for a in held)
-            held = tuple(a[size:] for a in held)
-    if held is not None and len(held[0]):
-        yield held
+        held.append(stack)
+        count += len(stack[0])
+        if count < size:
+            continue
+        joined = _join(held)
+        for start in range(0, count - size + 1, size):
+            yield tuple(a[start:start + size] for a in joined)
+        rest = count % size
+        held, count = ([tuple(a[-rest:] for a in joined)] if rest else []), rest
+    if held:
+        yield _join(held)
+
+
+def _join(stacks: list) -> tuple:
+    """The stacks' arrays concatenated along axis 0; one stack as it is."""
+    return stacks[0] if len(stacks) == 1 else tuple(map(np.concatenate, zip(*stacks)))
 
 
 def make_papr_generator(waveform: str, **params):

@@ -1,4 +1,13 @@
-"""Gray-mapped QPSK bit/symbol conversions and the hard slicer."""
+"""Gray-mapped QPSK bit/symbol conversions, the hard slicer and random draws.
+
+random_qpsk takes its symbols from the generator's raw 64-bit words, one
+word per symbol: bit 31 is b0, the sign of the real part, and bit 63 is
+b1, the sign of the imaginary part.  Those are the bits
+Generator.integers(0, 2) returns for the word's low and high 32-bit
+halves, in that order (Lemire's bounded draw keeps the top bit of each
+half), so the symbols and the generator's state afterwards equal those of
+qpsk_modulate(rng.integers(0, 2, size=2 * n)).
+"""
 
 from __future__ import annotations
 
@@ -38,5 +47,18 @@ def qpsk_slice(symbols: np.ndarray) -> np.ndarray:
 
 
 def random_qpsk(rng, n: int) -> np.ndarray:
-    """n uniform QPSK symbols from the given Generator."""
-    return qpsk_modulate(rng.integers(0, 2, size=2 * n))
+    """n uniform QPSK symbols from the given Generator, one raw word each.
+
+    Symbol i is word i's bits 31 and 63 through the Gray map: its real
+    part is -1/sqrt(2) if bit 31 (the sign of the low 32-bit half) is set,
+    its imaginary part likewise from bit 63 (the high half).  This equals
+    qpsk_modulate(rng.integers(0, 2, size=2 * n)) and leaves the generator
+    in the same state, for any bit generator with 64-bit raw words (PCG64,
+    the default_rng one, PCG64DXSM, Philox, SFC64) that holds no buffered
+    32-bit half from an earlier draw.  A negative n raises ValueError.
+    """
+    # '<u8' then '<i4' names each half by its place in the word, not in memory.
+    halves = rng.bit_generator.random_raw(n).astype("<u8", copy=False).view("<i4")
+    symbols = np.empty(n, dtype=np.complex128)
+    np.copysign(_SCALE, halves, out=symbols.view(np.float64))
+    return symbols

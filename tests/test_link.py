@@ -3,9 +3,11 @@ import pytest
 
 import wavelab.link as link
 from wavelab.channel import (
+    DEFAULT_HALF_LENGTH,
     ArrayConfig,
     BeamFrame,
     Frame,
+    add_awgn,
     apply_channel,
     sample_random_channel,
 )
@@ -18,6 +20,7 @@ from wavelab.ddam import (
     psi_from_channel,
 )
 from wavelab.metrics import count, counting, fft_multiplies
+from wavelab.modulation import qpsk_demodulate, qpsk_modulate
 from wavelab.ofdm import OfdmConfig, _add_cyclic_prefix
 from wavelab.otfs import OtfsConfig, otfs_modulate_isfft
 
@@ -58,6 +61,56 @@ def test_receive_sees_only_the_frame_and_its_symbol_count(monkeypatch, runner, a
     getattr(link, runner)(windowed_channel(), *args, rng_seed=3, **options)
     assert [tuple(type(x) for x in r) for r in seen] == [(Frame, int)] * len(frame_symbols)
     assert [n for _, n in seen] == frame_symbols
+
+
+def integers_run_frames(channel, snr_db, rngs, frame_symbols, transmit, receive,
+                        equalize=None, half_length=DEFAULT_HALF_LENGTH):
+    """The frame loop as it was before random_qpsk drew its symbols: one
+    integers(0, 2) draw per bit, then qpsk_modulate.  It sends through
+    link.apply_channel, as the runners' loop does."""
+    errors = total = 0
+    held_bits, held = [], []
+    for rng, n in zip(rngs, frame_symbols):
+        bits = rng.integers(0, 2, size=2 * n)
+        symbols = qpsk_modulate(bits)
+        clean = link.apply_channel(channel, transmit(symbols), half_length=half_length)
+        noisy = add_awgn(clean, snr_db, rng_seed=rng.integers(2 ** 63))
+        received = receive(noisy, n)
+        if equalize is None:
+            errors += int(np.sum(qpsk_demodulate(received.reshape(-1)) != bits))
+        else:
+            held_bits.append(bits)
+            held.append(received)
+        total += 2 * n
+    if held:
+        detected = equalize(held).reshape(-1)
+        errors += int(np.sum(qpsk_demodulate(detected) != np.concatenate(held_bits)))
+    return link.LinkResult(bits=total, bit_errors=errors)
+
+
+@pytest.mark.parametrize("runner, args, options, frame_symbols", RUNNERS,
+                         ids=[r[0] for r in RUNNERS])
+def test_frames_carry_the_integers_bits(monkeypatch, runner, args, options,
+                                        frame_symbols):
+    # At 0 dB every runner makes bit errors, so equal counts and equal sent
+    # frames show the bits and symbols are the old loop's, frame by frame.
+    args = tuple(0.0 if isinstance(a, float) else a for a in args)  # the SNR
+    results, sent = [], []
+    for run_frames in (link._run_frames, integers_run_frames):
+        frames = []
+
+        def spy(channel, tx, *rest, **kwargs):
+            frames.append(tx.streams)
+            return apply_channel(channel, tx, *rest, **kwargs)
+
+        monkeypatch.setattr(link, "apply_channel", spy)
+        monkeypatch.setattr(link, "_run_frames", run_frames)
+        results.append(getattr(link, runner)(windowed_channel(), *args, rng_seed=3,
+                                             **options))
+        sent.append(frames)
+    assert results[0] == results[1] and results[0].bit_errors > 0
+    assert len(sent[0]) == len(sent[1]) == len(frame_symbols)
+    assert all(np.array_equal(a, b) for a, b in zip(*sent))
 
 
 # The public transmitter each DDAM-family runner builds its frames with.

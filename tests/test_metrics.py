@@ -78,6 +78,48 @@ class TestPapr:
         with pytest.raises(ValueError):
             papr_db(np.zeros(8, dtype=complex))
 
+    def test_span_past_the_row_rejected(self):
+        # the mean would average a sample that is not there: 0.97 dB, not 0
+        with pytest.raises(ValueError, match="span"):
+            papr_db(np.ones(4, dtype=complex), span=5)
+
+    def test_zero_span_rejected(self):
+        with pytest.raises(ValueError, match="span"):
+            papr_db(np.ones((2, 1, 4), dtype=complex), span=[4, 0])
+
+    def test_negative_span_rejected(self):
+        with pytest.raises(ValueError, match="span"):
+            papr_db(np.ones(4, dtype=complex), span=-1)
+
+    def test_empty_stack_gives_empty_array(self):
+        got = papr_db(np.zeros((0, 2, 4), dtype=complex), span=np.zeros(0, dtype=int))
+        assert got.shape == (0,)
+
+    def test_span_bounds_are_accepted(self):
+        x = np.zeros((2, 1, 4), dtype=complex)
+        x[0, 0, 0] = x[1] = 1.0
+        assert np.array_equal(papr_db(x, span=[1, 4]), [0.0, 0.0])
+
+    @pytest.mark.parametrize("oversample", [1, 4])
+    def test_power_within_round_off_of_abs_squared(self, oversample):
+        # papr_db takes power as re^2 + im^2; np.abs(x) ** 2 rounds through
+        # hypot, and the two PAPRs differ by round-off only
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((50, 4, 256)) + 1j * rng.standard_normal((50, 4, 256))
+        expected = []
+        for matrix in x:
+            peak_rows = matrix
+            if oversample > 1:
+                spectrum = np.fft.fft(matrix, axis=-1)
+                padded = np.zeros((4, 1024), dtype=np.complex128)
+                padded[:, :128], padded[:, -128:] = spectrum[:, :128], spectrum[:, 128:]
+                peak_rows = 4 * np.fft.ifft(padded, axis=-1)
+            ratio = (np.max(np.abs(peak_rows) ** 2, axis=-1)
+                     / np.mean(np.abs(matrix) ** 2, axis=-1))
+            expected.append(np.max(10 * np.log10(ratio)))
+        got = papr_db(x, oversample)
+        assert np.max(np.abs(got - np.array(expected))) <= 1e-13
+
     def test_constant_envelope_round_off_snaps_to_exactly_zero(self):
         # unit-modulus samples at random phases, scaled: peak and mean power
         # differ by round-off only, in a stack with a zero tail past the span
@@ -169,9 +211,14 @@ class TestPaprCcdf:
 # papr_db per trial (snapped to 0 dB as papr_db snaps), and one exceed
 # count per threshold.
 
+def oracle_power(x):
+    """A sample's power as papr_db defines it: re^2 + im^2."""
+    return x.real ** 2 + x.imag ** 2
+
+
 def oracle_papr_db(samples, oversample=1):
     x = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
-    mean_power = np.mean(np.abs(x) ** 2, axis=1)
+    mean_power = np.mean(oracle_power(x), axis=1)
     if oversample > 1:
         rows, n = x.shape
         spectrum = np.fft.fft(x, axis=1)
@@ -181,7 +228,7 @@ def oracle_papr_db(samples, oversample=1):
         padded[:, :half] = spectrum[:, :half]
         padded[:, out_len - (n - half):] = spectrum[:, half:]
         x = (out_len / n) * np.fft.ifft(padded, axis=1)
-    peak_power = np.max(np.abs(x) ** 2, axis=1)
+    peak_power = np.max(oracle_power(x), axis=1)
     papr = float(np.max(10.0 * np.log10(peak_power / mean_power)))
     return 0.0 if abs(papr) <= PAPR_ZERO_TOL_DB else papr
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavelab.modulation import qpsk_demodulate, qpsk_modulate
+from wavelab.modulation import qpsk_demodulate, qpsk_modulate, random_qpsk
 
 
 def formula(bits):
@@ -36,3 +36,30 @@ class TestQpskModulate:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
             qpsk_modulate(np.array([0, 1, 1]))
+
+
+def live_state(rng):
+    """A PCG64 generator's state less its spare 32-bit half, which is read
+    only while has_uint32 is set."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["has_uint32"] and state["uinteger"]
+
+
+class TestRandomQpsk:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 511, 65536])
+    def test_equals_the_integers_draw(self, n):
+        # Each raw word's bits 31 and 63 are the two bits integers(0, 2)
+        # takes from its halves: same symbols, same generator state after.
+        for seed in range(20):
+            raw, bits = np.random.default_rng(seed), np.random.default_rng(seed)
+            actual = random_qpsk(raw, n)
+            expected = qpsk_modulate(bits.integers(0, 2, size=2 * n))
+            assert actual.dtype == np.complex128 and actual.shape == (n,)
+            assert np.array_equal(actual.view(np.float64), expected.view(np.float64))
+            assert live_state(raw) == live_state(bits)
+            assert raw.integers(2 ** 63) == bits.integers(2 ** 63)
+            assert np.array_equal(raw.integers(0, 2, size=3), bits.integers(0, 2, size=3))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            random_qpsk(np.random.default_rng(0), -1)
