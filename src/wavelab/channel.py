@@ -515,10 +515,13 @@ def add_awgn(frame: Frame, snr_db: float, rng_seed) -> Frame:
 
     The noise variance is set so mean-signal-power / variance equals
     10^(snr_db/10), with the mean power measured over the frame itself.
-    snr_db = +inf is the no-noise sentinel.  Deterministic under the seed.
+    snr_db must be finite or +inf, the no-noise sentinel.  Deterministic
+    under the seed.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if snr_db == math.inf:
         return frame
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     power = float(np.mean(np.abs(frame.samples) ** 2))
     variance = power / (10.0 ** (snr_db / 10.0))
     # one draw: the real parts' normals, then the imaginary parts'

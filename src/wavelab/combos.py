@@ -9,6 +9,7 @@ delay-Doppler grid and equalizes with the DD effective matrix of the
 compensated end-to-end channel, whose time-domain matrix comes from probing
 the chain with combs of unit impulses spaced by the chain's support, so one
 pass gives many columns, each equal to a lone impulse's up to round-off.
+Either OTFS modem serves; both compute one transform, so they share H.
 Its functions take the plan, built per BER point, and the blocks of C^H C
 of that time matrix C, built once per curve when the beams do not depend
 on the noise; the receiver equalizes all of a point's frames in one
@@ -140,7 +141,7 @@ def ddam_otfs_transmit(grid: np.ndarray, psi: PathStateInfo, beams: BeamformerSe
 
 def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,
                                beams: BeamformerSet, otfs_cfg: OtfsConfig,
-                               plan: CompensationPlan, variant: str = "zak",
+                               plan: CompensationPlan,
                                half_length: int = DEFAULT_HALF_LENGTH) -> np.ndarray:
     """DD effective matrix of the compensated end-to-end channel.
 
@@ -148,7 +149,7 @@ def ddam_otfs_effective_matrix(channel: MultipathChannel, psi: PathStateInfo,
     its support (see otfs.time_matrix).
     """
     chain = ddam_chain_callable(channel, psi, beams, plan, half_length)
-    return dd_effective_matrix(time_matrix(chain, otfs_cfg), otfs_cfg, variant=variant)
+    return dd_effective_matrix(time_matrix(chain, otfs_cfg), otfs_cfg)
 
 
 def ddam_otfs_receive(frames, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig,
@@ -156,6 +157,7 @@ def ddam_otfs_receive(frames, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig
                       variant: str = "zak") -> np.ndarray:
     """Demodulate each received frame to its DD grid, then MMSE-equalize them.
 
+    variant picks the demodulator; the equalizer is the same for both.
     frames is a list of F received Frames, none shorter than CP plus body;
     the result is the (F, K, M) stack of equalized grids.  gram is
     otfs.banded_gram of the time matrix C the effective matrix was built
@@ -165,7 +167,7 @@ def ddam_otfs_receive(frames, effective_matrix: np.ndarray, otfs_cfg: OtfsConfig
     """
     _, demodulate = otfs_modem(variant)
     grids = np.array([demodulate(rx, otfs_cfg) for rx in frames])
-    return mmse_equalize_dd(grids, effective_matrix, gram, noise_var, variant=variant)
+    return mmse_equalize_dd(grids, effective_matrix, gram, noise_var)
 
 
 def dominant_entries_per_column(matrix: np.ndarray, threshold_db: float = -30.0) -> np.ndarray:

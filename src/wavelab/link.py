@@ -16,7 +16,8 @@ their span: ofdm_modulate's rows, weighted by the (L x K) precoder.  The
 PAPR generators draw the random values of a group of trials in stacked
 calls on the group's generator and run everything after the draws over
 chunks of trials filled across groups; OFDM and OTFS bodies are one
-otfs_samples call per chunk, an OFDM symbol as a 1 x K grid.
+otfs_samples call per chunk, an OFDM symbol as a 1 x K grid.  Both OTFS
+modems compute that one transform, so they share H, C^H C and PAPR bodies.
 """
 
 from __future__ import annotations
@@ -220,21 +221,22 @@ def otfs_scalar_taps(channel: MultipathChannel, beam: np.ndarray) -> ScalarChann
     return ScalarChannel(taps, channel.sample_rate)
 
 
-def _mmse_operators(c: np.ndarray, cfg: OtfsConfig, variant: str) -> tuple:
+def _mmse_operators(c: np.ndarray, cfg: OtfsConfig) -> tuple:
     """(H, banded_gram(C)) of a time matrix C, which is not kept."""
-    return dd_effective_matrix(c, cfg, variant=variant), banded_gram(c)
+    return dd_effective_matrix(c, cfg), banded_gram(c)
 
 
 def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                  num_frames: int, rng_seed, variant: str = "zak") -> LinkResult:
     """Uncoded QPSK over MISO OTFS with DD-domain MMSE equalization.
 
-    H and the blocks of C^H C are kept on the channel, built once per curve
-    from one time matrix C of the beamformed channel.
+    variant picks the modem.  H and the blocks of C^H C, shared by both,
+    are kept on the channel, built once per curve from one time matrix C
+    of the beamformed channel.
     """
     beam = otfs_miso_beam(channel)
-    h_dd, gram = channel.cached(("otfs", cfg, variant), lambda: _mmse_operators(
-        time_matrix(otfs_scalar_taps(channel, beam), cfg), cfg, variant))
+    h_dd, gram = channel.cached(("otfs", cfg), lambda: _mmse_operators(
+        time_matrix(otfs_scalar_taps(channel, beam), cfg), cfg))
     modulate, demodulate = otfs_modem(variant)
 
     def transmit(symbols):
@@ -245,8 +247,7 @@ def run_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
         return demodulate(noisy, cfg)
 
     def equalize(grids):
-        return mmse_equalize_dd(np.array(grids), h_dd, gram, 10 ** (-snr_db / 10),
-                                variant=variant)
+        return mmse_equalize_dd(np.array(grids), h_dd, gram, 10 ** (-snr_db / 10))
 
     return _run_frames(channel, snr_db, _spawned_rngs(rng_seed, num_frames),
                        [cfg.frame_len] * num_frames, transmit, receive, equalize)
@@ -284,9 +285,10 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
                       half_length: int = DEFAULT_HALF_LENGTH) -> LinkResult:
     """Uncoded QPSK over DDAM-OTFS with the compensated-channel DD MMSE.
 
-    H and the blocks of C^H C, from one time matrix C of the compensated
-    chain, are kept on the channel, built once per curve, unless the beams
-    depend on the noise (rzf, mmse): then they are built per point.
+    variant picks the OTFS modem.  H and the blocks of C^H C, from one
+    time matrix C of the compensated chain, are kept on the channel, built
+    once per curve and shared by both modems, unless the beams depend on
+    the noise (rzf, mmse): then they are built per point.
     """
     psi = psi_from_channel(channel)
     noise_var = 10 ** (-snr_db / 10)
@@ -296,10 +298,10 @@ def run_ddam_otfs_ber(channel: MultipathChannel, cfg: OtfsConfig, snr_db: float,
 
     def build():
         chain = ddam_chain_callable(channel, psi, beams, plan, half_length)
-        return _mmse_operators(time_matrix(chain, cfg), cfg, variant)
+        return _mmse_operators(time_matrix(chain, cfg), cfg)
 
     if criterion.lower() in NOISE_FREE_CRITERIA:
-        key = ("ddam_otfs", cfg, variant, criterion, mode, window, half_length)
+        key = ("ddam_otfs", cfg, criterion, mode, window, half_length)
         h_dd, gram = channel.cached(key, build)
     else:
         h_dd, gram = build()
@@ -364,26 +366,22 @@ def make_papr_generator(waveform: str, **params):
     DDAM trial's PAPR lies within 1e-12 dB of the one-trial ddam_modulate
     chain's.
 
-    ofdm: one OFDM symbol body of K subcarriers, the Zak transform of a
-    1 x K grid.  otfs_*: one frame body.
+    ofdm: one OFDM symbol body of K subcarriers, the OTFS transform of a
+    1 x K grid.  otfs_*: one frame body, the transform both modems compute.
     ddam: one block over a fresh random channel, all antennas, over its
     active span N + max kappa within a fixed width N + ceil(max_delay_samples);
     one path_beamformers and one path_based_blocks call per chunk.
     """
     if waveform in ("ofdm", "otfs_zak", "otfs_isfft"):
-        if waveform == "ofdm":
-            k, m, variant = 1, params["num_subcarriers"], "zak"
-        else:
-            cfg = OtfsConfig(num_doppler_bins=params["num_doppler_bins"],
-                             num_delay_bins=params["num_delay_bins"],
-                             cp_len=0, sample_rate=PAPR_SAMPLE_RATE)
-            (k, m), variant = cfg.grid_shape, waveform.split("_")[1]
+        k, m = ((1, params["num_subcarriers"]) if waveform == "ofdm" else
+                OtfsConfig(params["num_doppler_bins"], params["num_delay_bins"], 0,
+                           PAPR_SAMPLE_RATE).grid_shape)
 
         def gen(groups):
             draws = ((random_qpsk(rng, count * k * m).reshape(count, k, m),)
                      for rng, count in groups)
             for grids, in _chunks(draws, 1, k * m):
-                x = otfs_samples(grids, variant)
+                x = otfs_samples(grids)
                 yield x[:, np.newaxis, :], np.full(len(x), k * m)
 
         return gen

@@ -67,11 +67,14 @@ def papr_db(samples: np.ndarray, oversample: int = 1, span=None):
     per matrix, 1 <= span <= N, default N) is each matrix's active length:
     the mean power is each row's summed power over span, so the samples
     past span must be zero.  Guard or CP samples are the caller's
-    responsibility to exclude.  oversample > 1 interpolates each row's
-    active span by zero-padding its spectrum before peak picking.  A PAPR
-    within PAPR_ZERO_TOL_DB of 0 dB is returned as exactly 0.0, so a
-    constant envelope never exceeds a 0 dB threshold.
+    responsibility to exclude.  oversample, an integer >= 1, interpolates
+    each row's active span when above 1, by zero-padding its spectrum
+    before peak picking.  A PAPR within PAPR_ZERO_TOL_DB of 0 dB is
+    returned as exactly 0.0, so a constant envelope never exceeds a 0 dB
+    threshold.
     """
+    if not isinstance(oversample, (int, np.integer)) or oversample < 1:
+        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
     x = np.asarray(samples, dtype=np.complex128)
     n = x.shape[-1]
     if n == 0:
@@ -123,7 +126,7 @@ def _interpolate_rows(x: np.ndarray, factor: int) -> np.ndarray:
     """
     n = x.shape[-1]
     spectrum = np.fft.fft(x, axis=-1)
-    out_len = 1 << (factor * n - 1).bit_length()
+    out_len = 1 << int(factor * n - 1).bit_length()
     padded = np.zeros((*x.shape[:-1], out_len), dtype=np.complex128)
     half = n // 2
     padded[..., :half] = spectrum[..., :half]

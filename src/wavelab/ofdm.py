@@ -102,6 +102,9 @@ def ofdm_modulate(freq_symbols: np.ndarray, cfg: OfdmConfig,
         grid = x[np.newaxis]
         count(len(x) * fft_multiplies(k))
     else:
+        weights = np.asarray(weights)
+        if weights.ndim != 2 or weights.shape[0] < 1 or weights.shape[1] != k:
+            raise ValueError(f"weights must be (R x {k}), R >= 1, got {weights.shape}")
         rows = weights.shape[0]
         grid = weights[:, np.newaxis, :] * x[np.newaxis, :, :]
         count(len(x) * (rows * k + rows * fft_multiplies(k)))

@@ -1,16 +1,17 @@
-"""OTFS modem in ISFFT-based and Zak-based variants.
+"""OTFS: one delay-Doppler transform, two modems (Zak-based and ISFFT-based).
 
-Information symbols live on a (delay bins x Doppler bins) grid.  Both
-modulation chains are unitary and map the grid to M*K time samples with
-delay fastest (sample n = k + K*m), plus one cyclic prefix per frame;
-the ISFFT chain is the ISFFT, then OFDM over the time-frequency grid.
-The delay-Doppler effective matrix is the exact linear map for
-equalization: the time matrix that time_matrix builds from a channel
-between two unitary OTFS transforms, each one batched FFT pass over
-blocks of rows or columns.
-Because those transforms are unitary, the DD-domain MMSE is solved in the
-time domain, where C^H C is banded and, in a folded sample order,
-block-tridiagonal.
+Information symbols live on a (delay bins x Doppler bins) grid, mapped to
+M*K time samples with delay fastest (n = k + K*m) plus one CP per frame by
+the inverse discrete Zak transform, an IDFT over the Doppler axis.  With
+rectangular pulses the ISFFT followed by OFDM is that same unitary map
+(Raviteja, Hong, Viterbo and Biglieri, IEEE TVT 2019): the Zak modem
+applies it directly, the ISFFT modem through the ISFFT and the OFDM layer,
+which also takes per-subcarrier weights.  The delay-Doppler effective
+matrix is the exact linear map for equalization: the time matrix that
+time_matrix builds from a channel between two OTFS transforms, each one
+batched FFT pass over blocks of rows or columns.  Because the transform
+is unitary, the DD-domain MMSE is solved in the time domain, where C^H C
+is banded and, in a folded sample order, block-tridiagonal.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .channel import Frame, ScalarChannel
 from .metrics import count, fft_multiplies
-from .ofdm import OfdmConfig, _add_cyclic_prefix, ofdm_modulate
+from .ofdm import OfdmConfig, _add_cyclic_prefix, ofdm_demodulate, ofdm_modulate
 
 # Dense effective-matrix construction is capped at this grid size.
 MAX_DENSE_GRID = 4096
@@ -102,19 +103,19 @@ def otfs_modulate_isfft(grid: np.ndarray, cfg: OtfsConfig,
 
 
 def otfs_demodulate_isfft(rx, cfg: OtfsConfig) -> np.ndarray:
-    """Per-column DFTs of size K, then SFFT back to the DD grid."""
+    """OFDM demodulation of the M CP-less time slots, then SFFT back to the DD grid."""
     body = _frame_body(rx, cfg)
     k, m = cfg.num_delay_bins, cfg.num_doppler_bins
-    count(m * fft_multiplies(k))
-    count(m * fft_multiplies(k) + k * fft_multiplies(m))
-    return otfs_grids(body, cfg.grid_shape, "isfft")
+    tf = ofdm_demodulate(body.reshape(m, k), OfdmConfig(k, 0, cfg.sample_rate)).T
+    count(m * fft_multiplies(k) + k * fft_multiplies(m))  # SFFT
+    return np.fft.ifft(np.fft.fft(tf, axis=1, norm="ortho"), axis=0, norm="ortho")
 
 
 def otfs_modulate_zak(grid: np.ndarray, cfg: OtfsConfig) -> Frame:
     """Inverse discrete Zak transform: s[k + K*m] = IDFT over the Doppler axis."""
     grid = _check_grid(grid, cfg)
     count(cfg.num_delay_bins * fft_multiplies(cfg.num_doppler_bins))
-    time = _add_cyclic_prefix(otfs_samples(grid, "zak"), cfg.cp_len)
+    time = _add_cyclic_prefix(otfs_samples(grid), cfg.cp_len)
     return Frame(samples=time, sample_rate=cfg.sample_rate)
 
 
@@ -122,7 +123,7 @@ def otfs_demodulate_zak(rx, cfg: OtfsConfig) -> np.ndarray:
     """Discrete Zak transform, inverse of otfs_modulate_zak."""
     body = _frame_body(rx, cfg)
     count(cfg.num_delay_bins * fft_multiplies(cfg.num_doppler_bins))
-    return otfs_grids(body, cfg.grid_shape, "zak")
+    return otfs_grids(body, cfg.grid_shape)
 
 
 VARIANTS = ("zak", "isfft")
@@ -134,36 +135,25 @@ def _check_variant(variant: str) -> None:
                          f"{', '.join(VARIANTS)}")
 
 
-def otfs_samples(grids: np.ndarray, variant: str) -> np.ndarray:
+def otfs_samples(grids: np.ndarray) -> np.ndarray:
     """CP-free transmit samples of (..., K, M) DD grids: (..., K*M), delay fastest.
 
-    zak: inverse Zak transform, an IDFT over the Doppler axis.  isfft: the
-    ISFFT to the TF grid, then an IDFT of size K per column.  A stack of
-    grids is one batched transform per step.
+    The OTFS transform: an IDFT over the Doppler axis, one batched
+    transform for a stack of grids.
     """
-    _check_variant(variant)
-    if variant == "zak":
-        z = np.fft.ifft(grids, axis=-1, norm="ortho")
-    else:
-        tf = np.fft.ifft(np.fft.fft(grids, axis=-2, norm="ortho"), axis=-1, norm="ortho")
-        z = np.fft.ifft(tf, axis=-2, norm="ortho")
+    z = np.fft.ifft(grids, axis=-1, norm="ortho")
     return np.swapaxes(z, -1, -2).reshape(*z.shape[:-2], -1)
 
 
-def otfs_grids(samples: np.ndarray, shape: tuple, variant: str) -> np.ndarray:
+def otfs_grids(samples: np.ndarray, shape: tuple) -> np.ndarray:
     """(..., K, M) DD grids of (..., K*M) CP-free samples, inverse of otfs_samples.
 
-    shape is the grid's (K, M).  zak: the Zak transform, a DFT over the
-    Doppler axis.  isfft: a DFT of size K per column, then the SFFT back to
-    the DD grid.  A stack is one batched transform per step.
+    shape is the grid's (K, M).  A DFT over the Doppler axis, one batched
+    transform for a stack.
     """
-    _check_variant(variant)
     k, m = shape
     z = np.swapaxes(samples.reshape(*samples.shape[:-1], m, k), -1, -2)
-    if variant == "zak":
-        return np.fft.fft(z, axis=-1, norm="ortho")
-    tf = np.fft.fft(z, axis=-2, norm="ortho")
-    return np.fft.ifft(np.fft.fft(tf, axis=-1, norm="ortho"), axis=-2, norm="ortho")
+    return np.fft.fft(z, axis=-1, norm="ortho")
 
 
 def otfs_modem(variant: str):
@@ -210,13 +200,14 @@ def time_matrix(channel, cfg: OtfsConfig) -> np.ndarray:
     return c
 
 
-def dd_effective_matrix(c: np.ndarray, cfg: OtfsConfig, variant: str = "zak") -> np.ndarray:
+def dd_effective_matrix(c: np.ndarray, cfg: OtfsConfig) -> np.ndarray:
     """Exact end-to-end DD-domain map H = M^H C M of a scalar channel.
 
     c is the channel's (N x N) time matrix C (see time_matrix), the map on
     the frame body with the CP folded in; it is left unchanged.  M is the
-    unitary OTFS modulator, so column j of H is the demodulated response to
-    a unit impulse at flattened DD bin j (row-major over the K x M grid).
+    unitary OTFS transform (otfs_samples), the same for both modems, so
+    column j of H is the demodulated response to a unit impulse at
+    flattened DD bin j (row-major over the K x M grid).
     C M is the conjugated demodulation of the rows of conj(C), and
     M^H (C M) the demodulation of its columns: two batched transforms over
     blocks.
@@ -224,17 +215,16 @@ def dd_effective_matrix(c: np.ndarray, cfg: OtfsConfig, variant: str = "zak") ->
     size = cfg.frame_len
     if size > MAX_DENSE_GRID:
         raise ValueError(f"grid size {size} exceeds dense limit {MAX_DENSE_GRID}")
-    _check_variant(variant)
     if np.shape(c) != (size, size):
         raise ValueError(f"time matrix shape {np.shape(c)} does not match the "
                          f"frame length {size}")
     h = np.array(c, dtype=np.complex128)
     block = max(1, TRANSFORM_BLOCK_BYTES // (16 * size))
     for i in range(0, size, block):
-        rows = otfs_grids(h[i:i + block].conj(), cfg.grid_shape, variant)
+        rows = otfs_grids(h[i:i + block].conj(), cfg.grid_shape)
         h[i:i + block] = rows.reshape(-1, size).conj()
     for j in range(0, size, block):
-        columns = otfs_grids(h[:, j:j + block].T, cfg.grid_shape, variant)
+        columns = otfs_grids(h[:, j:j + block].T, cfg.grid_shape)
         h[:, j:j + block] = columns.reshape(-1, size).T
     return h
 
@@ -326,12 +316,11 @@ def _block_substitute(gram: BandedGram, schur: list, carry: list,
 
 
 def mmse_equalize_dd(received: np.ndarray, effective_matrix: np.ndarray,
-                     gram: BandedGram, noise_var: float,
-                     variant: str = "zak") -> np.ndarray:
+                     gram: BandedGram, noise_var: float) -> np.ndarray:
     """Linear MMSE estimate (H^H H + noise_var I)^-1 H^H y of each received grid.
 
     received is an (F, K, M) stack of F grids, and the estimate has its
-    shape.  H = M^H C M with M the unitary modulator of the variant, so the
+    shape.  H = M^H C M with M the OTFS transform of both modems, so the
     estimate is M^H (C^H C + noise_var I)^-1 M (H^H y): a time-domain solve
     against gram, the banded_gram(C) of the C that H was built from.  That
     system is factored once per call by block Thomas; each frame's H^H y
@@ -350,7 +339,6 @@ def mmse_equalize_dd(received: np.ndarray, effective_matrix: np.ndarray,
     if len(gram.order) != size:
         raise ValueError(f"gram of {len(gram.order)} samples does not match the "
                          f"effective matrix {h.shape}")
-    _check_variant(variant)
     if noise_var == 0 and not np.linalg.cond(h) ** 2 <= 1e12:  # NaN fails it too
         raise np.linalg.LinAlgError(
             "singular effective matrix with noise_var=0; add regularization")
@@ -358,7 +346,7 @@ def mmse_equalize_dd(received: np.ndarray, effective_matrix: np.ndarray,
     out = np.empty_like(y)
     for f, grid in enumerate(y):
         h_h_y = (grid.reshape(-1).conj() @ h).conj()  # H^H y, with no copy of H^H
-        body = otfs_samples(h_h_y.reshape(grid.shape), variant)
+        body = otfs_samples(h_h_y.reshape(grid.shape))
         x = _block_substitute(gram, schur, carry, body)
-        out[f] = otfs_grids(x, grid.shape, variant)
+        out[f] = otfs_grids(x, grid.shape)
     return out

@@ -700,6 +700,11 @@ class TestAwgn:
         out = add_awgn(f, float("inf"), 0)
         assert np.array_equal(out.samples, f.samples)
 
+    @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan")])
+    def test_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            add_awgn(Frame(np.ones((1, 16)), 1e6), snr_db, 0)
+
     def test_deterministic_under_seed(self):
         f = Frame(np.ones((1, 64)), 1e6)
         a = add_awgn(f, 10.0, 123)

@@ -62,10 +62,10 @@ def make_scenario(rng, delays_samples, dopplers=None, mt=16):
     return channel, psi, beams
 
 
-def ddam_otfs_operators(channel, psi, beams, cfg, plan, variant="zak"):
+def ddam_otfs_operators(channel, psi, beams, cfg, plan):
     """(H, banded_gram(C)) of the compensated chain's time matrix C."""
     c = time_matrix(ddam_chain_callable(channel, psi, beams, plan), cfg)
-    return dd_effective_matrix(c, cfg, variant), banded_gram(c)
+    return dd_effective_matrix(c, cfg), banded_gram(c)
 
 
 def dense_mmse(grids, h, noise_var):
@@ -427,8 +427,8 @@ class TestDdamOtfs:
             builds.append(None)
             return banded_gram(c)
 
-        def recording(grids, h, gram, noise_var, variant="zak"):
-            out = mmse_equalize_dd(grids, h, gram, noise_var, variant)
+        def recording(grids, h, gram, noise_var):
+            out = mmse_equalize_dd(grids, h, gram, noise_var)
             calls.append((grids, h, noise_var, out))
             return out
 
@@ -454,14 +454,19 @@ class TestDdamOtfs:
         import wavelab.combos
         import wavelab.link
 
-        seen = []
+        seen, built = [], []
 
-        def recording(grids, h, gram, noise_var, variant="zak"):
+        def recording(grids, h, gram, noise_var):
             seen.append(h)
-            return mmse_equalize_dd(grids, h, gram, noise_var, variant)
+            return mmse_equalize_dd(grids, h, gram, noise_var)
+
+        def counting(c, cfg):
+            built.append(None)
+            return dd_effective_matrix(c, cfg)
 
         for module in (wavelab.combos, wavelab.link):
             monkeypatch.setattr(module, "mmse_equalize_dd", recording, raising=False)
+            monkeypatch.setattr(module, "dd_effective_matrix", counting)
         rng = np.random.default_rng(19)
         channel, _, _ = make_scenario(rng, [1.3, 4.6], dopplers=[300.0, -200.0], mt=8)
         cfg = OtfsConfig(4, 8, 8, RATE)
@@ -477,8 +482,10 @@ class TestDdamOtfs:
         for runner, run_cfg, options in runs:
             getattr(wavelab.link, runner)(channel, run_cfg, 6.0, 1, rng_seed=5, **options)
         shared = list(seen)
-        # every run needs its own matrix, so a key missing one option would show
-        assert len({h.tobytes() for h in shared}) == len(runs)
+        # every option but the modem needs its own matrix, so a key missing
+        # one would show; an isfft run reuses its Zak run's matrix
+        assert len({h.tobytes() for h in shared}) == len(built) == len(runs) - 2
+        assert shared[1] is shared[0] and shared[4] is shared[3]
         seen.clear()
         for runner, run_cfg, options in runs:
             fresh = build_channel(channel.array, channel.paths, channel.sample_rate)
@@ -492,9 +499,9 @@ class TestDdamOtfs:
         channel, psi, beams = make_scenario(rng, [1.3, 4.6], dopplers=[300.0, -200.0])
         for cfg in (OtfsConfig(4, 8, 8, RATE), OtfsConfig(8, 8, 8, RATE)):
             plan = build_compensation_plan(psi, mode="tap_based")
-            h, gram = ddam_otfs_operators(channel, psi, beams, cfg, plan, variant)
+            h, gram = ddam_otfs_operators(channel, psi, beams, cfg, plan)
             assert np.array_equal(
-                h, ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan, variant))
+                h, ddam_otfs_effective_matrix(channel, psi, beams, cfg, plan))
             grid = random_qpsk(rng, cfg.frame_len).reshape(cfg.grid_shape)
             rx = apply_channel(channel, ddam_otfs_transmit(grid, psi, beams, cfg, plan,
                                                            variant=variant))

@@ -31,6 +31,7 @@ from wavelab.metrics import (
     se_overhead,
 )
 from wavelab.modulation import random_qpsk
+from wavelab.otfs import OtfsConfig, otfs_modulate_isfft
 
 
 def per_trial(gen_one):
@@ -77,6 +78,15 @@ class TestPapr:
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             papr_db(np.zeros(8, dtype=complex))
+
+    @pytest.mark.parametrize("oversample", [0, -3, 1.5, 2.0])
+    def test_oversample_must_be_a_positive_integer(self, oversample):
+        with pytest.raises(ValueError, match="oversample"):
+            papr_db(np.ones(8, dtype=complex), oversample=oversample)
+
+    def test_numpy_integer_oversample_accepted(self):
+        x = random_qpsk(np.random.default_rng(1), 256)
+        assert papr_db(x, oversample=np.int64(4)) == papr_db(x, oversample=4)
 
     def test_span_past_the_row_rejected(self):
         # the mean would average a sample that is not there: 0.97 dB, not 0
@@ -245,16 +255,11 @@ def oracle_generator(waveform, **params):
         return gen
 
     if waveform in ("otfs_zak", "otfs_isfft"):
+        # both modems compute the inverse Zak transform: the one-trial Zak chain
         k, m = params["num_delay_bins"], params["num_doppler_bins"]
-
-        def one(grid):
-            if waveform == "otfs_zak":
-                return np.fft.ifft(grid, axis=1, norm="ortho").reshape(-1, order="F")
-            tf = np.fft.ifft(np.fft.fft(grid, axis=0, norm="ortho"), axis=1, norm="ortho")
-            return np.fft.ifft(tf, axis=0, norm="ortho").T.reshape(-1)
-
-        return lambda rng, count: [one(grid) for grid in
-                                   random_qpsk(rng, count * k * m).reshape(count, k, m)]
+        return lambda rng, count: [
+            np.fft.ifft(grid, axis=1, norm="ortho").reshape(-1, order="F")
+            for grid in random_qpsk(rng, count * k * m).reshape(count, k, m)]
 
     num_paths, array = params["num_paths"], ArrayConfig(params["mt"])
     block = params.get("block_len", 512)
@@ -280,6 +285,14 @@ def oracle_generator(waveform, **params):
         return out
 
     return gen
+
+
+def isfft_modem_generator(num_delay_bins, num_doppler_bins):
+    """(rng, count) -> each trial's frame body from otfs_modulate_isfft itself."""
+    cfg = OtfsConfig(num_doppler_bins, num_delay_bins, 0, 1e6)
+    return lambda rng, count: [
+        otfs_modulate_isfft(grid, cfg).row() for grid in
+        random_qpsk(rng, count * cfg.frame_len).reshape(count, *cfg.grid_shape)]
 
 
 def groups(num_trials, rng_seed):
@@ -351,6 +364,9 @@ class TestPaprChunkOracle:
                            oversample)
         assert got.shape == (trials,)
         assert_matches_oracle(waveform, got, expected)
+        if waveform == "otfs_isfft":  # the ISFFT modem's own chain, to round-off
+            modem = oracle_values(isfft_modem_generator(**params), trials, seed, oversample)
+            assert np.max(np.abs(got - modem)) <= 1e-12
         thresholds = np.unique(np.concatenate([np.arange(0.0, 14.0, 0.05), expected]))
         if waveform == "ddam":  # only thresholds the 1e-12 dB bound cannot straddle
             gap = np.min(np.abs(thresholds[:, np.newaxis] - expected), axis=1)

@@ -92,6 +92,11 @@ class TestModem:
         with pytest.raises(ValueError):
             ofdm_demodulate(np.zeros(79, dtype=complex), cfg)
 
+    @pytest.mark.parametrize("shape", [(8,), (2, 4), (2, 1), (0, 8)])
+    def test_weights_shape_checked(self, shape):
+        with pytest.raises(ValueError, match="weights"):
+            ofdm_modulate(np.ones((3, 8)), OfdmConfig(8, 2, 1e6), np.ones(shape))
+
     def two_tap_channel(self, rate=1e6):
         array = ArrayConfig(1)
         paths = [PathParams(0.9, 0.0, 0.0, 0.0), PathParams(0.45j, 3 / rate, 0.0, 0.0)]
